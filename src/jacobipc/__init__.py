@@ -23,8 +23,8 @@ from jacobipc.quadrature import (JacobiWeight, QuadratureRule,
                                  gauss_lobatto_rule, integrate)
 from jacobipc.reports import (ConvergenceReport, TimingReport, export, load,
                               run_convergence, run_timing, smallest_n_reaching)
-from jacobipc.solver import (SolverConfig, SplitConfig, correct, predict,
-                             quadrature_for, solve, step_count)
+from jacobipc.solver import (SolverConfig, SplitConfig, quadrature_for, solve,
+                             step_count)
 from jacobipc.split import head_integral, solve_split
 from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
                                  DivergenceError, Trajectory)
@@ -38,8 +38,7 @@ __all__ = [
     "problem_ids", "taylor_head", "JacobiWeight", "QuadratureRule",
     "gauss_lobatto_rule", "integrate", "ConvergenceReport", "TimingReport",
     "export", "load", "run_convergence", "run_timing", "smallest_n_reaching",
-    "SolverConfig", "SplitConfig", "correct", "predict", "quadrature_for",
-    "solve", "step_count", "head_integral", "solve_split", "GUARD",
-    "STATUS_DIVERGED", "STATUS_OK", "Counters", "DivergenceError", "Trajectory",
-    "__version__",
+    "SolverConfig", "SplitConfig", "quadrature_for", "solve", "step_count",
+    "head_integral", "solve_split", "GUARD", "STATUS_DIVERGED", "STATUS_OK",
+    "Counters", "DivergenceError", "Trajectory", "__version__",
 ]

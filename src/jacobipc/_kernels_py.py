@@ -9,8 +9,9 @@ import math
 
 COMPILED = False
 
+# a grid node within TIE_TOL (grid-index units) of a target counts as lying
+# left of it, and as an exact interpolation hit
 TIE_TOL = 1e-12
-GUARD = 1e100
 
 
 def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, ln, rn, bary, corrector, counters):

@@ -92,6 +92,22 @@ def _accesses(counters):
     return counters.rhs_evals + counters.value_reads + counters.history_reads
 
 
+def _check_method(method):
+    if method not in ("jpc", "adams"):
+        raise ValueError(f"unknown method {method!r} (known: jpc, adams)")
+
+
+def _run(problem, method, h, stencil_size, jn, starter, split=None):
+    """One trajectory at step h: the jpc marcher or the adams baseline.
+
+    The adams baseline takes no starter and no split.
+    """
+    if method == "jpc":
+        return solve(problem, SolverConfig(h=h, stencil_size=stencil_size, jn=jn,
+                                           starter=starter, split=split))
+    return adams_solve(problem, h, step_count(problem.T, h))
+
+
 def run_convergence(problem, h_list, stencil_size=3, jn=26, starter=None,
                     split=None, method="jpc"):
     """Solve at each step size (descending) and tabulate max errors and rates.
@@ -100,8 +116,7 @@ def run_convergence(problem, h_list, stencil_size=3, jn=26, starter=None,
     exact solution.  ``method`` is "jpc" or "adams"; the adams baseline takes
     no starter and no split (stencil_size/jn are recorded but unused by it).
     """
-    if method not in ("jpc", "adams"):
-        raise ValueError(f"method must be 'jpc' or 'adams', got {method!r}")
+    _check_method(method)
     if problem.exact is None:
         raise ValueError("convergence runs need a problem with an exact solution")
     if method == "adams" and split is not None:
@@ -112,12 +127,7 @@ def run_convergence(problem, h_list, stencil_size=3, jn=26, starter=None,
     rows = []
     prev = None
     for h in sorted(set(h_list), reverse=True):
-        if method == "jpc":
-            cfg = SolverConfig(h=h, stencil_size=stencil_size, jn=jn,
-                               starter=starter, split=split)
-            tr = solve(problem, cfg)
-        else:
-            tr = adams_solve(problem, h, step_count(problem.T, h))
+        tr = _run(problem, method, h, stencil_size, jn, starter, split)
         err = _max_error(tr, problem.exact)
         order = observed_order(prev[0], prev[1], h, err) if prev else None
         if tr.status != STATUS_OK:
@@ -147,8 +157,7 @@ def run_timing(problem_id, alpha, h, methods, t_list, stencil_size=3, jn=26,
     marching cost.  Horizons must be integer multiples of h.
     """
     for m in methods:
-        if m not in ("jpc", "adams"):
-            raise ValueError(f"unknown method {m!r} (known: jpc, adams)")
+        _check_method(m)
     if starter is None:
         starter = StarterConfig()
     probe = make_problem(problem_id, alpha, max(t_list))
@@ -160,11 +169,7 @@ def run_timing(problem_id, alpha, h, methods, t_list, stencil_size=3, jn=26,
             problem = make_problem(problem_id, alpha, t_end)
             n = step_count(t_end, h)
             begin = time.perf_counter()
-            if method == "jpc":
-                tr = solve(problem, SolverConfig(h=h, stencil_size=stencil_size,
-                                                 jn=jn, starter=starter))
-            else:
-                tr = adams_solve(problem, h, n)
+            tr = _run(problem, method, h, stencil_size, jn, starter)
             wall = time.perf_counter() - begin
             rows.append(TimingRow(n, wall, _accesses(tr.counters), method))
     return TimingReport(problem=problem_id, alpha=alpha, h=h, rows=tuple(rows))
@@ -190,12 +195,7 @@ def run_target(problem_id, alpha, tol, methods, t_list, stencil_size=3, jn=26,
             n = smallest_n_reaching(problem, tol, stencil_size=stencil_size,
                                     jn=jn, starter=starter, method=method)
             begin = time.perf_counter()
-            if method == "jpc":
-                tr = solve(problem, SolverConfig(h=t_end / n,
-                                                 stencil_size=stencil_size,
-                                                 jn=jn, starter=starter))
-            else:
-                tr = adams_solve(problem, t_end / n, n)
+            tr = _run(problem, method, t_end / n, stencil_size, jn, starter)
             wall = time.perf_counter() - begin
             rows.append(TimingRow(n, wall, _accesses(tr.counters), method))
     return TimingReport(problem=problem_id, alpha=alpha, h=None, rows=tuple(rows))
@@ -208,8 +208,7 @@ def smallest_n_reaching(problem, tol, stencil_size=3, jn=26, starter=None,
     Best-effort: assumes the error is monotone in N near the answer, which
     holds in the asymptotic regime the tables report.
     """
-    if method not in ("jpc", "adams"):
-        raise ValueError(f"method must be 'jpc' or 'adams', got {method!r}")
+    _check_method(method)
     if problem.exact is None:
         raise ValueError("needs a problem with an exact solution")
     if tol <= 0.0:
@@ -218,12 +217,7 @@ def smallest_n_reaching(problem, tol, stencil_size=3, jn=26, starter=None,
         starter = StarterConfig()
 
     def err(n):
-        if method == "adams":
-            tr = adams_solve(problem, problem.T / n, n)
-        else:
-            cfg = SolverConfig(h=problem.T / n, stencil_size=stencil_size,
-                               jn=jn, starter=starter)
-            tr = solve(problem, cfg)
+        tr = _run(problem, method, problem.T / n, stencil_size, jn, starter)
         return _max_error(tr, problem.exact)
 
     n = stencil_size

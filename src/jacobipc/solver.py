@@ -5,6 +5,10 @@ integral over the full history, transforms that integral onto [-1, 1], and
 evaluates the integrand at the quadrature nodes by local polynomial
 interpolation of cached f values.  Cost per step is O(stencil_size * jn),
 so a whole run is O(N) for fixed configuration.
+
+``_march`` is the one marching loop: ``solve`` runs it on [0, T] after the
+Taylor head, and ``split.solve_split`` runs it on [t0, T] with the
+head-segment term added to that head.
 """
 
 import math
@@ -23,7 +27,6 @@ from jacobipc.trajectory import (
     STATUS_DIVERGED,
     STATUS_OK,
     Counters,
-    DivergenceError,
     Trajectory,
     counting_rhs,
 )
@@ -83,13 +86,25 @@ def quadrature_for(alpha, jn):
     return gauss_lobatto_rule(JacobiWeight(alpha - 1.0, 0.0), jn + 1)
 
 
-def _run_jpc(rhs, alpha, base_at, grid, x, fc, first, rule, size, counters):
-    """Advance x and fc in place from index ``first`` through the grid end.
+def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
+    """Trajectory on the grid origin + i*h, i = 0..n_steps, from its start values.
 
-    base_at(t) supplies everything outside the quadrature integral (Taylor
-    head, plus any precomputed head-segment contribution); the integral runs
-    over [grid.origin, t].  Returns (status, finalized count).
+    x_start holds the first stencil_size values; every later index is one
+    predict/correct pass.  base_at(t) supplies everything outside the
+    quadrature integral (Taylor head, plus the head-segment term in split
+    runs); the integral runs over [origin, t].  On divergence the trajectory
+    is truncated at the last finite value and flagged rather than raising.
     """
+    size, h, alpha = config.stencil_size, config.h, problem.alpha
+    rule = quadrature_for(alpha, config.jn)
+    counters = Counters()
+    rhs = counting_rhs(problem.rhs, counters)
+    x = np.zeros(n_steps + 1)
+    fc = np.zeros(n_steps + 1)
+    x[:size] = x_start
+    for i in range(size):
+        fc[i] = rhs(origin + i * h, x[i])
+
     nodes = rule.nodes
     weights = rule.weights
     jn = rule.n_points - 1
@@ -98,11 +113,10 @@ def _run_jpc(rhs, alpha, base_at, grid, x, fc, first, rule, size, counters):
     kc = np.zeros(2, dtype=np.int64)
     pref = 1.0 / math.gamma(alpha)
     end_w = weights[jn]
-    h = grid.h
     status = STATUS_OK
-    count = grid.count
-    for n in range(first - 1, grid.count - 1):
-        t1 = grid.t(n + 1)
+    count = n_steps + 1
+    for n in range(size - 1, n_steps):
+        t1 = origin + (n + 1) * h
         scale = pref * (0.5 * (n + 1) * h) ** alpha
         base = base_at(t1)
         total = kernels.weighted_interp_sum(
@@ -127,15 +141,15 @@ def _run_jpc(rhs, alpha, base_at, grid, x, fc, first, rule, size, counters):
         fc[n + 1] = rhs(t1, x_new)
     counters.interp_evals += int(kc[0])
     counters.value_reads += int(kc[1])
-    return status, count
+    grid = UniformGrid(origin, h, count)
+    return Trajectory(grid, x[:count], fc[:count], status, counters, head=head).finalize()
 
 
 def solve(problem, config):
     """Full trajectory on [0, T] (or config.split's two-segment variant).
 
-    The first stencil_size values come from the starter; every later index
-    is one predict/correct pass.  On divergence the trajectory is truncated
-    at the last finite value and flagged rather than raising.
+    The first stencil_size values come from the starter; the rest are
+    marched by ``_march``.
     """
     if config.split is not None:
         from jacobipc.split import solve_split
@@ -145,95 +159,5 @@ def solve(problem, config):
     size = config.stencil_size
     if n_steps < size:
         raise ValueError("grid too coarse: need at least stencil_size steps")
-    rule = quadrature_for(problem.alpha, config.jn)
-    counters = Counters()
-    rhs = counting_rhs(problem.rhs, counters)
-    x = np.zeros(n_steps + 1)
-    fc = np.zeros(n_steps + 1)
-    x[:size] = start_values(problem, config.h, size, config.starter)
-    for i in range(size):
-        fc[i] = rhs(i * config.h, x[i])
-    grid = UniformGrid(0.0, config.h, n_steps + 1)
-    status, count = _run_jpc(
-        rhs, problem.alpha, lambda t: taylor_head(problem, t), grid, x, fc, size, rule, size, counters
-    )
-    if count != grid.count:
-        grid = UniformGrid(0.0, config.h, count)
-    return Trajectory(grid, x[:count], fc[:count], status, counters).finalize()
-
-
-def _check_history(state, n, size):
-    if n + 1 < size:
-        raise ValueError("insufficient history: need n+1 >= stencil_size")
-    if len(state.f_cache) < n + 1:
-        raise ValueError("state does not cover indices 0..n")
-
-
-def predict(state, n, rule, cfg, problem):
-    """Predicted value at index n+1 from the finalized history x_0..x_n.
-
-    Reference single-step form of the loop in solve(), for a trajectory
-    whose grid starts at the lower integration limit.
-    """
-    size = cfg.stencil_size
-    _check_history(state, n, size)
-    grid = state.grid
-    t1 = grid.origin + (n + 1) * grid.h
-    params = StencilParams(size)
-    kc = np.zeros(2, dtype=np.int64)
-    total = kernels.weighted_interp_sum(
-        state.f_cache[: n + 1],
-        n,
-        rule.nodes,
-        rule.weights,
-        rule.n_points,
-        size,
-        params.left,
-        params.right,
-        uniform_bary_weights(size),
-        0,
-        kc,
-    )
-    scale = (0.5 * (n + 1) * grid.h) ** problem.alpha / math.gamma(problem.alpha)
-    x_pred = taylor_head(problem, t1) + scale * total
-    if not abs(x_pred) <= GUARD:
-        raise DivergenceError(f"predicted value at t={t1} exceeds the guard")
-    return x_pred
-
-
-def correct(state, n, x_pred, rule, cfg, problem):
-    """Corrected value at index n+1 given the predicted one.
-
-    Interior nodes may interpolate through (t_{n+1}, f(t_{n+1}, x_pred));
-    the end node contributes that f value directly.  The caller finalizes
-    f_cache[n+1] from the returned x.
-    """
-    size = cfg.stencil_size
-    _check_history(state, n, size)
-    grid = state.grid
-    t1 = grid.origin + (n + 1) * grid.h
-    f_pred = problem.rhs(t1, x_pred)
-    fbuf = np.empty(n + 2)
-    fbuf[: n + 1] = state.f_cache[: n + 1]
-    fbuf[n + 1] = f_pred
-    params = StencilParams(size)
-    kc = np.zeros(2, dtype=np.int64)
-    jn = rule.n_points - 1
-    total = kernels.weighted_interp_sum(
-        fbuf,
-        n,
-        rule.nodes,
-        rule.weights,
-        jn,
-        size,
-        params.left,
-        params.right,
-        uniform_bary_weights(size),
-        1,
-        kc,
-    )
-    scale = (0.5 * (n + 1) * grid.h) ** problem.alpha / math.gamma(problem.alpha)
-    x_new = taylor_head(problem, t1) + scale * (total + rule.weights[jn] * f_pred)
-    if not abs(x_new) <= GUARD:
-        raise DivergenceError(f"corrected value at t={t1} exceeds the guard")
-    return x_new
+    x_start = start_values(problem, config.h, size, config.starter)
+    return _march(problem, config, 0.0, n_steps, x_start, lambda t: taylor_head(problem, t))

@@ -4,74 +4,67 @@ Splitting moves the non-smooth neighbourhood of the origin (or, for very
 small alpha, the steep initial transient) out of the stepped segment.  The
 head contribution to each later value is a plain integral with a smooth
 kernel, evaluated with a weight-free Lobatto rule over f values read off a
-refined trajectory; the tail is the standard predictor-corrector with its
-prefactor measured from t0.
+refined trajectory by the marcher's own stencil kernel; the tail is the
+standard predictor-corrector march with its prefactor measured from t0.
 """
 
 import math
 
 import numpy as np
 
+from jacobipc._backend import kernels
 from jacobipc.adams import EXACT, adams_solve
-from jacobipc.interp import (
-    CORRECTOR,
-    StencilParams,
-    UniformGrid,
-    lagrange_eval,
-    map_node,
-    select_stencil,
-)
+from jacobipc.interp import StencilParams, UniformGrid, map_node, uniform_bary_weights
 from jacobipc.problems import taylor_head
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
-from jacobipc.solver import _run_jpc, quadrature_for, step_count
-from jacobipc.trajectory import (
-    STATUS_OK,
-    Counters,
-    DivergenceError,
-    Trajectory,
-    counting_rhs,
-)
+from jacobipc.solver import _march, step_count
+from jacobipc.trajectory import STATUS_OK, DivergenceError, Trajectory
 
 
-def _interp_f(head, targets, size):
-    """f values at the target times, interpolated from a head trajectory."""
-    params = StencilParams(size)
-    grid = head.grid
-    times = grid.times
-    n = grid.count - 2
-    out = np.empty(len(targets))
-    for i, tau in enumerate(targets):
-        st = select_stencil(tau, grid, params, n, CORRECTOR)
-        sl = slice(st.start, st.start + st.length)
-        out[i] = lagrange_eval(times[sl], head.f_cache[sl], tau)
-    return out
+def head_integral(problem, head, aux_rule, stencil_size=3):
+    """Contribution of the head segment [origin, t0] to later solution values.
 
-
-def head_integral(problem, t_eval, head, aux_rule, stencil_size=3):
-    """Contribution of the head segment to the solution value at t_eval.
-
-    Computes (1/Gamma(alpha)) * sum_j w_j (t_eval - tau_j)^(alpha-1)
-    f(tau_j, x(tau_j)) with the aux rule mapped onto the head interval and
-    f values interpolated from the head trajectory.
+    Returns the function t -> (1/Gamma(alpha)) * sum_j w_j (t - tau_j)^(alpha-1)
+    f(tau_j, x(tau_j)), defined for t > t0, with the aux rule mapped onto the
+    head interval.  The f values at the nodes tau_j are interpolated once from
+    the head trajectory with the corrector-phase stencil of the main march;
+    those interpolations are not counted.
     """
     grid = head.grid
-    t0 = grid.origin + (grid.count - 1) * grid.h
-    if t_eval <= t0:
-        raise ValueError("evaluation time must lie beyond the head segment")
+    n = grid.count - 2
+    if n + 1 < stencil_size:
+        raise ValueError("head segment too short for the stencil size")
+    t0 = grid.t(n + 1)
     taus = np.array([map_node(s, grid.origin, t0) for s in aux_rule.nodes])
-    fvals = _interp_f(head, taus, stencil_size)
+    params = StencilParams(stencil_size)
+    bary = uniform_bary_weights(stencil_size)
+    one = np.ones(1)
+    kc = np.zeros(2, dtype=np.int64)
+    ftau = np.array([
+        kernels.weighted_interp_sum(head.f_cache, n, aux_rule.nodes[j : j + 1], one, 1,
+                                    stencil_size, params.left, params.right, bary, 1, kc)
+        for j in range(aux_rule.n_points)
+    ])
     wt = aux_rule.weights * (0.5 * (t0 - grid.origin))
-    kern = (t_eval - taus) ** (problem.alpha - 1.0)
-    return float(np.dot(wt * kern, fvals)) / math.gamma(problem.alpha)
+    am1 = problem.alpha - 1.0
+    c = 1.0 / math.gamma(problem.alpha)
+
+    def term(t):
+        if t <= t0:
+            raise ValueError("evaluation time must lie beyond the head segment")
+        return c * float(np.dot(wt * (t - taus) ** am1, ftau))
+
+    return term
 
 
 def solve_split(problem, config):
-    """Trajectory on the main grid [t0, T]; the fine head ride along as aux.
+    """Trajectory on the main grid [t0, T]; the fine head rides along as aux.
 
     The head trajectory is a refined baseline run with substep
     h/fine_factor, which must land exactly on t0.  The main starter either
     samples the exact solution at t0, t0+h, ... or extends the same refined
-    run past t0 and subsamples it.
+    run past t0 and subsamples it.  The main grid is marched by
+    ``solver._march`` with ``head_integral``'s term added to the Taylor head.
     """
     split = config.split
     if split is None:
@@ -109,27 +102,9 @@ def solve_split(problem, config):
 
     aux_jn = split.aux_jn if split.aux_jn is not None else 2 * config.jn
     aux_rule = gauss_lobatto_rule(JacobiWeight(0.0, 0.0), aux_jn + 1)
-    taus = np.array([map_node(s, 0.0, t0) for s in aux_rule.nodes])
-    ftau = _interp_f(head, taus, size)
-    wt = aux_rule.weights * (0.5 * t0)
-    am1 = problem.alpha - 1.0
-    c = 1.0 / math.gamma(problem.alpha)
+    head_term = head_integral(problem, head, aux_rule, size)
 
     def base_at(t):
-        return taylor_head(problem, t) + c * float(np.dot(wt * (t - taus) ** am1, ftau))
+        return taylor_head(problem, t) + head_term(t)
 
-    counters = Counters()
-    rhs = counting_rhs(problem.rhs, counters)
-    rule = quadrature_for(problem.alpha, config.jn)
-    x = np.zeros(n_steps + 1)
-    fc = np.zeros(n_steps + 1)
-    x[:size] = x_start
-    for i in range(size):
-        fc[i] = rhs(t0 + i * h, x[i])
-    grid = UniformGrid(t0, h, n_steps + 1)
-    status, count = _run_jpc(
-        rhs, problem.alpha, base_at, grid, x, fc, size, rule, size, counters
-    )
-    if count != grid.count:
-        grid = UniformGrid(t0, h, count)
-    return Trajectory(grid, x[:count], fc[:count], status, counters, head=head).finalize()
+    return _march(problem, config, t0, n_steps, x_start, base_at, head=head)

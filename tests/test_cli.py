@@ -76,6 +76,32 @@ def test_solve_trajectory_csv(tmp_path):
         assert err == abs(x - ex)
 
 
+def test_solve_evaluates_exact_once_per_point(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import jacobipc.cli as cli_mod
+
+    calls = []
+
+    def counted_problem(*args):
+        problem = make_problem(*args)
+        exact = problem.exact
+
+        def counted(t):
+            calls.append(t)
+            return exact(t)
+
+        return dataclasses.replace(problem, exact=counted)
+
+    monkeypatch.setattr(cli_mod, "make_problem", counted_problem)
+    path = tmp_path / "run.csv"
+    assert main(["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "40",
+                 "--stencil", "3", "--output", str(path)]) == 0
+    assert "max_error" in capsys.readouterr().out
+    # 3 for the exact starter, then one per grid point for CSV and max_error
+    assert len(calls) == 3 + 41
+
+
 def test_solve_flag_conflicts(capsys):
     base = ["solve", "--problem", "poly8", "--alpha", "0.5"]
     assert main(base + ["--h", "1/10", "--n", "10"]) == 1

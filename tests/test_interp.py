@@ -1,14 +1,20 @@
-"""Stencil selection and barycentric interpolation."""
+"""Stencil selection and barycentric interpolation.
+
+The selection and evaluation checks run on the test-only reference in
+``stencil_reference``; ``test_kernel_matches_reference_stencil_rule`` ties
+the kernel's fused form to it.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobipc.interp import (CENTERED, CORRECTOR, LEFT_EDGE, PREDICTOR,
-                             RIGHT_EDGE_CLOSED, RIGHT_EDGE_OPEN, StencilParams,
-                             UniformGrid, lagrange_eval, map_node,
-                             select_stencil, uniform_bary_weights)
+from jacobipc._backend import kernels
+from jacobipc.interp import StencilParams, UniformGrid, map_node, uniform_bary_weights
+from stencil_reference import (CENTERED, CORRECTOR, LEFT_EDGE, PREDICTOR,
+                               RIGHT_EDGE_CLOSED, RIGHT_EDGE_OPEN, lagrange_eval,
+                               select_stencil)
 
 
 def test_grid_basics():
@@ -93,6 +99,41 @@ def test_select_stencil_invariants(theta, size, phase):
         # centered stencils bracket the target with the configured split
         assert st_.start + params.left - 1 <= theta + 1e-12
         assert theta < st_.start + params.left + 1e-12
+
+
+# n + 1 = 16 is a power of two, so theta -> node -> theta round-trips exactly
+# and the tie cases below land on grid nodes in the kernel too
+KERNEL_N = 15
+KERNEL_THETAS = {
+    "left_edge": (0.0, 0.3, 1.45),
+    "centered": (6.3, 7.5, 9.8),
+    "right_edge": (14.6, 15.5, 15.9, 16.0),
+    "tie": (1.0, 3.0, 8.0, 15.0),
+}
+
+
+@pytest.mark.parametrize("where", sorted(KERNEL_THETAS))
+@pytest.mark.parametrize("phase", [PREDICTOR, CORRECTOR])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_kernel_matches_reference_stencil_rule(size, phase, where):
+    n = KERNEL_N
+    grid = UniformGrid(0.0, 1.0, n + 2)
+    fvals = 1.5 + np.sin(0.7 * np.arange(n + 2)) + 0.01 * np.arange(n + 2) ** 2
+    params = StencilParams(size)
+    bary = uniform_bary_weights(size)
+    for theta in KERNEL_THETAS[where]:
+        node = np.array([2.0 * theta / (n + 1) - 1.0])
+        kc = np.zeros(2, dtype=np.int64)
+        got = kernels.weighted_interp_sum(fvals, n, node, np.ones(1), 1, size,
+                                          params.left, params.right, bary,
+                                          int(phase == CORRECTOR), kc)
+        st_ = select_stencil(theta, grid, params, n, phase)
+        sl = slice(st_.start, st_.start + st_.length)
+        want = lagrange_eval(grid.times[sl], fvals[sl], theta)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        if where == "tie":
+            assert got == fvals[int(theta)]
+        assert kc[0] == 1
 
 
 def test_bary_weights_alternating_binomials():

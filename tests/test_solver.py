@@ -1,4 +1,4 @@
-"""Predictor-corrector solver: accuracy, counters, reference step ops."""
+"""Predictor-corrector solver: accuracy, counters, divergence, validation."""
 
 import math
 
@@ -7,10 +7,9 @@ import pytest
 
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig
 from jacobipc.problems import ProblemSpec, make_problem, taylor_head
-from jacobipc.solver import (SolverConfig, SplitConfig, correct, predict,
-                             quadrature_for, solve, step_count)
-from jacobipc.trajectory import (Counters, DivergenceError, STATUS_DIVERGED,
-                                 STATUS_OK, Trajectory)
+from jacobipc.solver import (SolverConfig, SplitConfig, quadrature_for, solve,
+                             step_count)
+from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK
 
 # published max errors on the degree-8 benchmark at h = 1/160
 ERRORS_160 = {
@@ -67,18 +66,6 @@ def test_constant_rhs_matches_analytic():
     assert max_err(tr, exact) < 1e-12
 
 
-def test_predict_correct_reproduce_solve_steps():
-    problem = make_problem("poly8", 0.5, 1.0)
-    cfg = SolverConfig(h=1.0 / 12, stencil_size=3, jn=10,
-                       starter=StarterConfig(mode=EXACT))
-    tr = solve(problem, cfg)
-    rule = quadrature_for(problem.alpha, cfg.jn)
-    for n in range(2, 12):
-        x_pred = predict(tr, n, rule, cfg, problem)
-        x_new = correct(tr, n, x_pred, rule, cfg, problem)
-        assert x_new == pytest.approx(tr.x[n + 1], rel=1e-13)
-
-
 @pytest.mark.parametrize("alpha", [0.9, 1.5])
 def test_stencil4_order_band(alpha):
     problem = make_problem("poly8", alpha, 1.0)
@@ -122,27 +109,6 @@ def test_divergence_truncates_and_flags():
     assert tr.grid.count < 81
     assert np.all(np.isfinite(tr.x))
     assert not tr.x.flags.writeable
-
-
-def test_reference_ops_guard_and_history_checks():
-    problem = make_problem("poly8", 0.5, 1.0)
-    cfg = SolverConfig(h=0.1, stencil_size=3, jn=6)
-    rule = quadrature_for(problem.alpha, cfg.jn)
-    grid_state = solve(problem, cfg)
-    with pytest.raises(ValueError, match="insufficient history"):
-        predict(grid_state, 1, rule, cfg, problem)
-    with pytest.raises(ValueError, match="cover"):
-        predict(grid_state, 11, rule, cfg, problem)
-
-    from jacobipc.interp import UniformGrid
-
-    grid = UniformGrid(0.0, 0.1, 4)
-    huge = Trajectory(grid, np.full(4, 1e120), np.full(4, 1e120),
-                      STATUS_OK, Counters())
-    with pytest.raises(DivergenceError):
-        predict(huge, 2, rule, cfg, problem)
-    with pytest.raises(DivergenceError):
-        correct(huge, 2, 1.0, rule, cfg, problem)
 
 
 def test_quadrature_for_is_cached_lobatto_rule():
