@@ -5,7 +5,12 @@ interpreter: once as-is (compiled extension if built) and once with
 JACOBIPC_PURE=1.  Endpoints must agree bit-for-bit; the table reports wall
 times and the speedup.
 
-Usage: python benchmarks/bench_backends.py [--steps N]
+The compiled row needs the extension built next to the sources:
+
+    python setup.py build_ext --inplace
+    python benchmarks/bench_backends.py [--steps N]
+
+Without it both rows run the pure kernels (the script says so).
 """
 
 import argparse

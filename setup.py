@@ -1,8 +1,7 @@
 """Build the optional compiled kernel extension.
 
 The package is fully functional without the extension (pure-Python kernels are
-selected at import time), so a missing compiler or Cython must not fail the
-install.
+selected at import time), so a missing compiler must not fail the install.
 """
 
 from setuptools import Extension, setup
@@ -33,20 +32,15 @@ class OptionalBuildExt(build_ext):
         )
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "jacobipc._kernels",
-        ["src/jacobipc/_kernels.pyx"],
-        extra_compile_args=["-O3"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[
+        Extension(
+            "jacobipc._kernels",
+            ["src/jacobipc/_kernels.c"],
+            # no fused multiply-add contraction: results must match the pure
+            # Python kernels bit for bit
+            extra_compile_args=["-O3", "-Wall", "-ffp-contract=off"],
+        )
+    ],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -9,13 +9,15 @@ Includes a fractional Adams baseline, a two-segment splitting for long
 horizons, an evaluator for the linear problem's special-function solution,
 an expression DSL for user-defined right-hand sides, and a benchmark CLI.
 
-``USING_COMPILED`` reports whether the compiled kernel extension is active;
-set ``JACOBIPC_PURE=1`` before import to force the pure-Python fallback.
+``USING_COMPILED`` reports whether the compiled kernel extension (a plain C
+extension, built when a compiler is available) is active; otherwise, or with
+``JACOBIPC_PURE=1`` set before import, the pure-Python kernels run.  Both
+give bit-identical results.
 """
 
 from jacobipc._backend import USING_COMPILED
 from jacobipc.adams import (EXACT, REFINED_ADAMS, StarterConfig, adams_solve,
-                            adams_weights, recommended_refinement, start_values)
+                            recommended_refinement, start_values)
 from jacobipc.expr import compile_rhs
 from jacobipc.mittag import mittag_leffler, ml_solution, z_switch
 from jacobipc.problems import ProblemSpec, make_problem, problem_ids, taylor_head
@@ -33,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "USING_COMPILED", "EXACT", "REFINED_ADAMS", "StarterConfig", "adams_solve",
-    "adams_weights", "recommended_refinement", "start_values", "compile_rhs",
+    "recommended_refinement", "start_values", "compile_rhs",
     "mittag_leffler", "ml_solution", "z_switch", "ProblemSpec", "make_problem",
     "problem_ids", "taylor_head", "JacobiWeight", "QuadratureRule",
     "gauss_lobatto_rule", "integrate", "ConvergenceReport", "TimingReport",

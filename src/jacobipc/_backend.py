@@ -1,6 +1,8 @@
 """Kernel backend selection.
 
-The compiled extension is preferred; the pure-Python module is a drop-in
+The compiled extension ``_kernels`` (a plain C extension built from
+``_kernels.c`` when a C compiler is available) is preferred; the pure-Python
+``_kernels_py``, which holds the reference semantics, is the drop-in
 fallback.  Set JACOBIPC_PURE=1 to force the fallback (used by the parity
 tests and the backend benchmark).
 """

@@ -1,8 +1,10 @@
-"""Pure-Python fallbacks for the hot solver kernels.
+"""Hot solver kernels in pure Python: the reference semantics.
 
-Same contracts as the compiled ``jacobipc._kernels``; see that module for
-the reference semantics.  Buffers are unwrapped through memoryview so the
-inner loops run on plain Python floats.
+The compiled ``jacobipc._kernels`` (``_kernels.c``) implements the same
+functions with the same arguments and the same floating-point operation
+order, so the two backends give bit-identical results; it reads TIE_TOL
+from here.  Buffers are unwrapped through memoryview so the inner loops run
+on plain Python floats.
 """
 
 import math
@@ -23,6 +25,8 @@ def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, ln, rn, bary
     is usable and holds the predicted f value.
 
     counters[0] += interpolant evaluations, counters[1] += values read.
+    Raises IndexError when the stencil cannot fit the usable values
+    (n + 1 < size in the predictor phase) or a read runs past a buffer.
     """
     fv = memoryview(fvals)
     nd = memoryview(nodes)
@@ -30,6 +34,9 @@ def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, ln, rn, bary
     by = memoryview(bary)
     np1 = n + 1
     usable = np1 + 1 if corrector else np1
+    if usable < size or ln < 0 or ln + rn + 1 < size:
+        raise IndexError(f"stencil (size {size}, ln {ln}, rn {rn}) does not fit "
+                         f"{usable} usable f values")
     total = 0.0
     reads = 0
     for j in range(node_count):

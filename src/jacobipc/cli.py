@@ -23,7 +23,7 @@ from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.reports import (ROW_DIVERGED, export, format_table,
                               run_convergence, run_target, run_timing,
                               with_status)
-from jacobipc.solver import SolverConfig, SplitConfig, solve, step_count
+from jacobipc.solver import SolverConfig, SplitConfig, solve
 from jacobipc.trajectory import STATUS_OK, DivergenceError
 
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
+from jacobipc.adams import EXACT, StarterConfig, adams_solve
 from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, quadrature_for, solve, step_count
 from jacobipc.trajectory import STATUS_OK

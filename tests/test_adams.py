@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from adams_reference import adams_weights
 from jacobipc.adams import (EXACT, MAX_REFINEMENT, REFINED_ADAMS,
-                            StarterConfig, adams_solve, adams_weights,
-                            recommended_refinement, start_values)
+                            StarterConfig, adams_solve, recommended_refinement,
+                            start_values)
 from jacobipc.problems import ProblemSpec, make_problem
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK
 

@@ -1,38 +1,66 @@
-"""Compiled extension vs pure-Python kernels: bit-for-bit parity."""
+"""Compiled extension vs pure-Python kernels: bit-for-bit parity.
 
+The ``compiled`` fixture builds ``_kernels.c`` with ``setup.py build_ext``
+into a temporary directory once per session, so these tests exercise the C
+kernel whether or not the package was installed with it.  They skip only
+when no C compiler is on PATH.
+"""
+
+import importlib.util
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jacobipc
-from jacobipc import _kernels_py
+from jacobipc import _kernels_py, adams, solver, split
 from jacobipc._backend import kernels
+from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.interp import StencilParams, uniform_bary_weights
-from jacobipc.solver import quadrature_for
+from jacobipc.problems import make_problem
+from jacobipc.solver import SolverConfig, SplitConfig, quadrature_for, solve
 
-try:
-    from jacobipc import _kernels
-except ImportError:
-    _kernels = None
+REPO = Path(__file__).resolve().parents[1]
 
-needs_compiled = pytest.mark.skipif(_kernels is None,
-                                    reason="compiled extension not built")
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The C kernel module, freshly built outside the source tree."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler on PATH ({cc!r})")
+    out = tmp_path_factory.mktemp("build")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
+        cwd=REPO, capture_output=True, text=True)
+    log = proc.stdout + proc.stderr
+    # OptionalBuildExt only warns on a failed compile, so look for the module
+    built = sorted((out / "lib" / "jacobipc").glob("_kernels*" + sysconfig.get_config_var("EXT_SUFFIX")))
+    assert proc.returncode == 0 and built, "extension did not build:\n" + log
+    warnings = [line for line in log.splitlines() if "_kernels.c" in line and "warning:" in line]
+    assert not warnings, "compiler warnings:\n" + "\n".join(warnings)
+    spec = importlib.util.spec_from_file_location("jacobipc._kernels", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_backend_flag_is_consistent():
     assert isinstance(jacobipc.USING_COMPILED, bool)
     assert jacobipc.USING_COMPILED == kernels.COMPILED
     assert _kernels_py.COMPILED is False
-    if _kernels is not None:
-        assert _kernels.COMPILED is True
 
 
-@needs_compiled
-def test_weighted_interp_sum_parity():
+def test_weighted_interp_sum_parity(compiled):
+    assert compiled.COMPILED is True
     rng = np.random.default_rng(11)
     rule = quadrature_for(0.5, 26)
     fc = rng.uniform(-3, 3, size=60)
@@ -43,7 +71,7 @@ def test_weighted_interp_sum_parity():
             for phase, n_nodes in ((0, rule.n_points), (1, rule.n_points - 1)):
                 kc_a = np.zeros(2, dtype=np.int64)
                 kc_b = np.zeros(2, dtype=np.int64)
-                got = _kernels.weighted_interp_sum(
+                got = compiled.weighted_interp_sum(
                     fc, n, rule.nodes, rule.weights, n_nodes, size,
                     params.left, params.right, bary, phase, kc_a)
                 want = _kernels_py.weighted_interp_sum(
@@ -53,16 +81,97 @@ def test_weighted_interp_sum_parity():
                 assert list(kc_a) == list(kc_b)
 
 
-@needs_compiled
-def test_adams_step_sums_parity():
+def test_adams_step_sums_parity(compiled):
     rng = np.random.default_rng(12)
     f = rng.uniform(-2, 2, size=30)
     for alpha in (0.3, 1.0, 1.7):
         for n in (0, 5, 28):
-            pa, ca = _kernels.adams_step_sums(f, n, alpha)
+            pa, ca = compiled.adams_step_sums(f, n, alpha)
             pb, cb = _kernels_py.adams_step_sums(f, n, alpha)
             assert pa == pb
             assert ca == cb
+
+
+def _digest(backend, monkeypatch):
+    """Endpoint hex and all counters for poly8, Adams and a split cell."""
+    for module in (solver, adams, split):
+        monkeypatch.setattr(module, "kernels", backend)
+    rows = []
+
+    def record(tr):
+        c = tr.counters
+        rows.append((tr.x[-1].hex(), c.rhs_evals, c.interp_evals, c.value_reads,
+                     c.history_reads))
+
+    exact = StarterConfig(mode=EXACT)
+    for alpha in (0.3, 0.5, 0.8, 1.5):
+        problem = make_problem("poly8", alpha, 1.0)
+        for size in (2, 3, 4, 5):
+            record(solve(problem, SolverConfig(h=1.0 / 80, stencil_size=size, starter=exact)))
+    record(adams_solve(make_problem("poly8", 0.5, 1.0), 1.0 / 120, 120))
+    # criterion 07's first published cell
+    problem = make_problem("ml_linear", 0.5, 1.1)
+    for starter in (exact, StarterConfig(mode=REFINED_ADAMS, k=1)):
+        record(solve(problem, SolverConfig(h=1.0 / 40, stencil_size=3, starter=starter,
+                                           split=SplitConfig(t0=0.1, aux_jn=52))))
+    return rows
+
+
+def test_solves_bit_identical_across_backends(compiled, monkeypatch):
+    got = _digest(compiled, monkeypatch)
+    want = _digest(_kernels_py, monkeypatch)
+    assert len(got) == 19
+    assert got == want
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_kernels_refuse_short_buffers(backend, request):
+    k = _kernels_py if backend == "pure" else request.getfixturevalue("compiled")
+    rule = quadrature_for(0.5, 26)
+    params = StencilParams(3)
+    bary = uniform_bary_weights(3)
+    fc = np.linspace(0.0, 1.0, 21)
+    kc = np.zeros(2, dtype=np.int64)
+
+    def interp(fvals, bary_):
+        return k.weighted_interp_sum(fvals, 20, rule.nodes, rule.weights, rule.n_points,
+                                     3, params.left, params.right, bary_, 0, kc)
+
+    interp(fc, bary)  # n = 20 reads fvals[20] at the end node s = 1
+    with pytest.raises(IndexError):
+        interp(fc[:20], bary)
+    with pytest.raises(IndexError):
+        interp(fc, bary[:2])
+    with pytest.raises(IndexError):
+        k.adams_step_sums(fc[:20], 20, 0.5)
+    with pytest.raises(IndexError):  # n + 1 < size: no stencil fits the history
+        k.weighted_interp_sum(fc, 1, rule.nodes, rule.weights, rule.n_points,
+                              3, params.left, params.right, bary, 0, kc)
+
+
+def test_compiled_kernel_rejects_wrong_buffers(compiled):
+    rule = quadrature_for(0.5, 26)
+    bary = uniform_bary_weights(2)
+    fc = np.zeros(10)
+    kc = np.zeros(2, dtype=np.int64)
+
+    def interp(fvals=fc, counters=kc):
+        return compiled.weighted_interp_sum(fvals, 5, rule.nodes, rule.weights, 3, 2, 1, 1,
+                                            bary, 0, counters)
+
+    readonly = np.zeros(2, dtype=np.int64)
+    readonly.flags.writeable = False
+    for fvals in (fc.astype(np.float32), fc.reshape(2, 5), np.zeros(20)[::2]):
+        with pytest.raises(ValueError):
+            interp(fvals=fvals)
+        with pytest.raises(ValueError):
+            compiled.adams_step_sums(fvals, 3, 0.5)
+    for counters in (np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.uint64), readonly):
+        with pytest.raises(ValueError):
+            interp(counters=counters)
+    with pytest.raises(IndexError):
+        interp(counters=np.zeros(1, dtype=np.int64))
+    assert interp() == 0.0 and kc[0] == 3
 
 
 def test_forced_pure_subprocess_matches_this_backend():
@@ -84,9 +193,6 @@ print(json.dumps({
                           capture_output=True, text=True, check=True)
     got = json.loads(proc.stdout)
     assert got["compiled"] is False
-
-    from jacobipc.problems import make_problem
-    from jacobipc.solver import SolverConfig, solve
 
     tr = solve(make_problem("poly8", 0.5, 1.0), SolverConfig(h=1.0 / 40))
     assert got["endpoint"] == tr.x[-1].hex()
