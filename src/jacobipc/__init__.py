@@ -19,7 +19,7 @@ from jacobipc._backend import USING_COMPILED
 from jacobipc.adams import (EXACT, REFINED_ADAMS, StarterConfig, adams_solve,
                             recommended_refinement, start_values)
 from jacobipc.expr import compile_rhs
-from jacobipc.mittag import mittag_leffler, ml_solution, z_switch
+from jacobipc.mittag import mittag_leffler, ml_solution
 from jacobipc.problems import ProblemSpec, make_problem, problem_ids, taylor_head
 from jacobipc.quadrature import (JacobiWeight, QuadratureRule,
                                  gauss_lobatto_rule, integrate)
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "USING_COMPILED", "EXACT", "REFINED_ADAMS", "StarterConfig", "adams_solve",
     "recommended_refinement", "start_values", "compile_rhs",
-    "mittag_leffler", "ml_solution", "z_switch", "ProblemSpec", "make_problem",
+    "mittag_leffler", "ml_solution", "ProblemSpec", "make_problem",
     "problem_ids", "taylor_head", "JacobiWeight", "QuadratureRule",
     "gauss_lobatto_rule", "integrate", "ConvergenceReport", "TimingReport",
     "export", "load", "run_convergence", "run_timing", "smallest_n_reaching",

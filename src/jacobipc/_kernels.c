@@ -43,12 +43,12 @@ static PyObject *
 weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"fvals", "n", "nodes", "weights", "node_count", "size",
-                             "ln", "rn", "bary", "corrector", "counters", NULL};
+                             "bary", "corrector", "counters", NULL};
     PyObject *fobj, *nobj, *wobj, *bobj, *cobj;
-    Py_ssize_t n, node_count, size, ln, rn;
+    Py_ssize_t n, node_count, size;
     int corrector;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnnnOpO:weighted_interp_sum", kwlist,
-                                     &fobj, &n, &nobj, &wobj, &node_count, &size, &ln, &rn,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnOpO:weighted_interp_sum", kwlist,
+                                     &fobj, &n, &nobj, &wobj, &node_count, &size,
                                      &bobj, &corrector, &cobj))
         return NULL;
 
@@ -64,9 +64,8 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t np1 = n + 1;
     Py_ssize_t usable = corrector ? np1 + 1 : np1;
     /* every stencil start then lies in [0, usable - size] */
-    if (usable < size || ln < 0 || ln + rn + 1 < size) {
-        PyErr_Format(PyExc_IndexError, "stencil (size %zd, ln %zd, rn %zd) does not fit %zd usable f values",
-                     size, ln, rn, usable);
+    if (usable < size) {
+        PyErr_Format(PyExc_IndexError, "stencil (size %zd) does not fit %zd usable f values", size, usable);
         goto done;
     }
     if (length(&bufs[0]) < usable || node_count < 0 || length(&bufs[1]) < node_count
@@ -79,6 +78,7 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
     const double *fvals = bufs[0].buf, *nodes = bufs[1].buf, *weights = bufs[2].buf;
     const double *bary = bufs[3].buf;
     long long *counts = bufs[4].buf;
+    Py_ssize_t ln = (size + 1) / 2, rn = size / 2;
     double total = 0.0;
     long long reads = 0;
     for (Py_ssize_t j = 0; j < node_count; j++) {

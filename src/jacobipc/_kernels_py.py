@@ -16,13 +16,15 @@ COMPILED = False
 TIE_TOL = 1e-12
 
 
-def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, ln, rn, bary, corrector, counters):
+def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, corrector, counters):
     """Quadrature-weighted sum of stencil interpolations of the f history.
 
     Computes sum_j weights[j] * p_j((1+nodes[j])*(n+1)/2) where p_j is the
     degree-(size-1) interpolant of fvals on the stencil chosen for that
-    position (grid-index coordinates).  In the corrector phase fvals[n+1]
-    is usable and holds the predicted f value.
+    position (grid-index coordinates).  The stencil keeps ln = ceil(size/2)
+    nodes at or left of the target where history permits and rn = size//2
+    right of it.  In the corrector phase fvals[n+1] is usable and holds the
+    predicted f value.
 
     counters[0] += interpolant evaluations, counters[1] += values read.
     Raises IndexError when the stencil cannot fit the usable values
@@ -34,9 +36,9 @@ def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, ln, rn, bary
     by = memoryview(bary)
     np1 = n + 1
     usable = np1 + 1 if corrector else np1
-    if usable < size or ln < 0 or ln + rn + 1 < size:
-        raise IndexError(f"stencil (size {size}, ln {ln}, rn {rn}) does not fit "
-                         f"{usable} usable f values")
+    if usable < size:
+        raise IndexError(f"stencil (size {size}) does not fit {usable} usable f values")
+    ln, rn = (size + 1) // 2, size // 2
     total = 0.0
     reads = 0
     for j in range(node_count):

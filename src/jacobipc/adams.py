@@ -97,20 +97,19 @@ def recommended_refinement(alpha, h, stencil_size):
     return min(max(k, 0), MAX_REFINEMENT)
 
 
-def start_values(problem, h, stencil_size, cfg, exact_solution=None):
+def start_values(problem, h, stencil_size, cfg):
     """First ``stencil_size`` grid values x_0 .. x_{stencil_size-1}.
 
-    exact mode samples the provided (or registered) exact solution; the
+    exact mode samples the problem's exact solution; the
     refined mode runs the Adams scheme at substep h*10^-k and subsamples
     every 10^k-th value.
     """
     if stencil_size < 2:
         raise ValueError("stencil size must be at least 2")
     if cfg.mode == EXACT:
-        fn = exact_solution if exact_solution is not None else problem.exact
-        if fn is None:
+        if problem.exact is None:
             raise ValueError("exact starter requested but no exact solution is known")
-        return np.array([fn(i * h) for i in range(stencil_size)])
+        return np.array([problem.exact(i * h) for i in range(stencil_size)])
     k = cfg.k if cfg.k is not None else recommended_refinement(problem.alpha, h, stencil_size)
     stride = 10**k
     fine = adams_solve(problem, h / stride, (stencil_size - 1) * stride)

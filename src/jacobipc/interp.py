@@ -1,11 +1,12 @@
-"""Uniform grids, stencil shapes, barycentric weights and node mapping.
+"""Uniform grids, barycentric weights and node mapping.
 
 The solver approximates the integrand at mapped quadrature positions by
 degree-(size-1) polynomial interpolation on blocks of ``size`` consecutive
 grid nodes.  Stencils are chosen to keep the target centered where history
 permits, clamped to the left edge of the grid or to the newest nodes
-otherwise.  That selection rule and the barycentric evaluation live in the
-kernel (``weighted_interp_sum``); this module holds their inputs.
+otherwise.  That selection rule, the split of a stencil into left and right
+halves, and the barycentric evaluation live in the kernel
+(``weighted_interp_sum``); this module holds their inputs.
 """
 
 import math
@@ -30,29 +31,6 @@ class UniformGrid:
     @property
     def times(self):
         return self.origin + self.h * np.arange(self.count)
-
-
-@dataclass(frozen=True)
-class StencilParams:
-    """Stencil of ``size`` nodes, split into left/right halves.
-
-    ``left`` nodes are kept at or left of the target where possible and
-    ``right`` strictly right of it; left gets the extra node for odd sizes.
-    """
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("stencil size must be at least 2")
-
-    @property
-    def left(self):
-        return -(-self.size // 2)
-
-    @property
-    def right(self):
-        return self.size // 2
 
 
 def uniform_bary_weights(size):

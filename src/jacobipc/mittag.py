@@ -1,14 +1,15 @@
 """Evaluation of E_a(z) = sum_k z^k / Gamma(a*k + 1) for real z <= 0.
 
-Three regimes, picked per call: the defining power series in float64 with
-compensated summation (small |z|), the algebraic large-argument expansion at
-optimal truncation (|z| beyond a per-order switch point), and an
-extended-precision series for the cancellation gap in between.  a = 1 and
+Three regimes, each giving (value, error estimate): the algebraic
+large-argument expansion at optimal truncation, used where its own estimate
+reaches SWITCH_TARGET; the defining power series in float64 with compensated
+summation below that; and an extended-precision series for the cancellation
+gap, taken when the float64 estimate exceeds half the tolerance.  a = 1 and
 a = 2 short-circuit to exp and cos(sqrt(.)).
 """
 
 import math
-from functools import lru_cache
+import sys
 
 import mpmath as mp
 
@@ -18,12 +19,14 @@ MAX_TERMS = 2000
 LN_PI = math.log(math.pi)
 
 
-def _series64(alpha, x, tol):
-    """Power series at z = -x in float64; returns (value, trustworthy)."""
+def _series64(alpha, x):
+    """Power series at z = -x in float64; returns (value, error estimate).
+
+    The estimate is inf when the terms do not die out within MAX_TERMS.
+    """
     total, comp, sum_abs = 1.0, 0.0, 1.0
     lnx = math.log(x)
     r = x ** (1.0 / alpha)
-    n = MAX_TERMS
     for k in range(1, MAX_TERMS):
         m = math.exp(k * lnx - math.lgamma(alpha * k + 1.0))
         t = -m if k & 1 else m
@@ -36,13 +39,12 @@ def _series64(alpha, x, tol):
             n = k
             break
     else:
-        return total, False
+        return total, math.inf
     # rounding model: each add contributes ~eps of the running magnitude
-    err = sum_abs * (2e-16 + 2e-17 * n)
-    return total, err <= 0.5 * tol
+    return total, sum_abs * (2e-16 + 2e-17 * n)
 
 
-def _asymptotic(alpha, x, tol):
+def _asymptotic(alpha, x):
     """Large-x expansion of E_a(-x); returns (value, error estimate).
 
     Algebraic part sum_k (-1)^(k+1) x^-k / Gamma(1 - a*k), written through
@@ -77,19 +79,6 @@ def _asymptotic(alpha, x, tol):
     return total, err
 
 
-def _asym_floor(alpha, x):
-    """First omitted term magnitude at the expansion's optimal truncation."""
-    lnx = math.log(x)
-    prev = math.inf
-    env = math.inf
-    for k in range(1, 400):
-        env = math.lgamma(alpha * k) - k * lnx - LN_PI
-        if env >= prev:
-            break
-        prev = env
-    return math.exp(min(env, 700.0))
-
-
 def _series_mp(alpha, x, tol):
     """Power series at z = -x with working precision sized to the peak term."""
     r = x ** (1.0 / alpha)
@@ -109,43 +98,15 @@ def _series_mp(alpha, x, tol):
     raise RuntimeError("series did not attain the requested tolerance")
 
 
-@lru_cache(maxsize=None)
-def z_switch(alpha):
-    """Smallest |z| where the large-argument expansion reaches SWITCH_TARGET.
-
-    Found by bisection on the optimal-truncation floor (monotone in |z|)
-    and checked once against the extended-precision series at the
-    crossover.
-    """
-    hi = max(8.0, 2.0 * 25.33**alpha)
-    for _ in range(60):
-        if _asym_floor(alpha, hi) <= SWITCH_TARGET:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("no usable asymptotic regime found")
-    lo = min(0.25, 0.5 * hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _asym_floor(alpha, mid) <= SWITCH_TARGET:
-            hi = mid
-        else:
-            lo = mid
-    val, _ = _asymptotic(alpha, hi, SWITCH_TARGET)
-    ref = _series_mp(alpha, hi, 1e-20)
-    if abs(val - ref) > 1e-10:
-        raise RuntimeError(f"regime mismatch at the switch point for order {alpha}")
-    return hi
-
-
 def mittag_leffler(alpha, z, tol=DEFAULT_TOL):
     """E_alpha(z) for 0 < alpha <= 2 and real z <= 0, to absolute tol."""
     if not 0.0 < alpha <= 2.0:
         raise ValueError("order must lie in (0, 2]")
     if z > 0.0:
         raise ValueError("argument must be nonpositive")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    # below eps no float64 regime can accept and the mp series grows with |z|
+    if not tol >= sys.float_info.epsilon:
+        raise ValueError("tolerance must be at least machine epsilon")
     if alpha == 1.0:
         return math.exp(z)
     if alpha == 2.0:
@@ -153,14 +114,11 @@ def mittag_leffler(alpha, z, tol=DEFAULT_TOL):
     x = -float(z)
     if x == 0.0:
         return 1.0
-    if x >= z_switch(alpha):
-        val, err = _asymptotic(alpha, x, tol)
-        if err <= 0.5 * tol:
-            return val
-    else:
-        val, ok = _series64(alpha, x, tol)
-        if ok:
-            return val
+    val, err = _asymptotic(alpha, x)
+    if err > SWITCH_TARGET:
+        val, err = _series64(alpha, x)
+    if err <= 0.5 * tol:
+        return val
     return _series_mp(alpha, x, tol)
 
 

@@ -38,19 +38,6 @@ class JacobiWeight:
 
 
 @dataclass(frozen=True)
-class RecurrenceCoefficients:
-    """Monic three-term recurrence p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}.
-
-    ``alpha`` holds alpha_0..alpha_{n-1}; ``beta`` holds beta_1..beta_{n-1}
-    (beta_0 is conventionally unused); ``mu0`` is the weight's total mass.
-    """
-
-    alpha: tuple
-    beta: tuple
-    mu0: float
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights for a fixed Jacobi weight, endpoints prescribed at +-1."""
 
@@ -83,24 +70,6 @@ def _mp_recurrence(a, b, n):
             )
     mu0 = 2 ** (a + b + 1) * mp.beta(a + 1, b + 1)
     return alphas, betas, mu0
-
-
-def jacobi_recurrence(weight, n):
-    """First ``n`` recurrence coefficients for the monic orthogonal polynomials.
-
-    Returns alpha_0..alpha_{n-1} and beta_1..beta_{n-1} along with
-    mu0 = integral of the weight.  Computed in extended precision, rounded
-    to float64.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1 recurrence coefficients")
-    with mp.workdps(INTERNAL_DPS):
-        alphas, betas, mu0 = _mp_recurrence(weight.a, weight.b, n)
-        return RecurrenceCoefficients(
-            alpha=tuple(float(x) for x in alphas),
-            beta=tuple(float(x) for x in betas),
-            mu0=float(mu0),
-        )
 
 
 def moment(weight, k):

@@ -19,7 +19,7 @@ import numpy as np
 
 from jacobipc._backend import kernels
 from jacobipc.adams import StarterConfig, start_values
-from jacobipc.interp import StencilParams, UniformGrid, uniform_bary_weights
+from jacobipc.interp import UniformGrid, uniform_bary_weights
 from jacobipc.problems import taylor_head
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.trajectory import (
@@ -108,7 +108,6 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
     nodes = rule.nodes
     weights = rule.weights
     jn = rule.n_points - 1
-    params = StencilParams(size)
     bary = uniform_bary_weights(size)
     kc = np.zeros(2, dtype=np.int64)
     pref = 1.0 / math.gamma(alpha)
@@ -120,7 +119,7 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
         scale = pref * (0.5 * (n + 1) * h) ** alpha
         base = base_at(t1)
         total = kernels.weighted_interp_sum(
-            fc, n, nodes, weights, jn + 1, size, params.left, params.right, bary, 0, kc
+            fc, n, nodes, weights, jn + 1, size, bary, 0, kc
         )
         x_pred = base + scale * total
         if not abs(x_pred) <= GUARD:
@@ -131,7 +130,7 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
         # interior nodes only: the end node s=1 lands on t_{n+1} and uses the
         # directly evaluated f_pred, never an interpolated value
         total = kernels.weighted_interp_sum(
-            fc, n, nodes, weights, jn, size, params.left, params.right, bary, 1, kc
+            fc, n, nodes, weights, jn, size, bary, 1, kc
         )
         x_new = base + scale * (total + end_w * f_pred)
         if not abs(x_new) <= GUARD:

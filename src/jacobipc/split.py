@@ -14,7 +14,7 @@ import numpy as np
 
 from jacobipc._backend import kernels
 from jacobipc.adams import EXACT, adams_solve
-from jacobipc.interp import StencilParams, UniformGrid, map_node, uniform_bary_weights
+from jacobipc.interp import UniformGrid, map_node, uniform_bary_weights
 from jacobipc.problems import taylor_head
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.solver import _march, step_count
@@ -32,17 +32,18 @@ def head_integral(problem, head, aux_rule, stencil_size=3):
     """
     grid = head.grid
     n = grid.count - 2
+    if stencil_size < 2:
+        raise ValueError("stencil size must be at least 2")
     if n + 1 < stencil_size:
         raise ValueError("head segment too short for the stencil size")
     t0 = grid.t(n + 1)
     taus = np.array([map_node(s, grid.origin, t0) for s in aux_rule.nodes])
-    params = StencilParams(stencil_size)
     bary = uniform_bary_weights(stencil_size)
     one = np.ones(1)
     kc = np.zeros(2, dtype=np.int64)
     ftau = np.array([
         kernels.weighted_interp_sum(head.f_cache, n, aux_rule.nodes[j : j + 1], one, 1,
-                                    stencil_size, params.left, params.right, bary, 1, kc)
+                                    stencil_size, bary, 1, kc)
         for j in range(aux_rule.n_points)
     ])
     wt = aux_rule.weights * (0.5 * (t0 - grid.origin))

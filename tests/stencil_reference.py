@@ -30,8 +30,17 @@ class Stencil:
     kind: str
 
 
-def select_stencil(target_t, grid, params, n, phase):
-    """Choose the interpolation block for a target time during step n -> n+1.
+def stencil_halves(size):
+    """(left, right) node counts of a ``size``-node stencil.
+
+    Left nodes sit at or left of the target and right nodes strictly right
+    of it where possible; left gets the extra node for odd sizes.
+    """
+    return (size + 1) // 2, size // 2
+
+
+def select_stencil(target_t, grid, size, n, phase):
+    """Choose the ``size``-node block for a target time during step n -> n+1.
 
     In the predictor phase indices 0..n are usable; in the corrector phase
     index n+1 is additionally usable (it carries the predicted f value).
@@ -39,7 +48,7 @@ def select_stencil(target_t, grid, params, n, phase):
     """
     if phase not in (PREDICTOR, CORRECTOR):
         raise ValueError(f"unknown phase {phase!r}")
-    size, ln, rn = params.size, params.left, params.right
+    ln, rn = stencil_halves(size)
     if n + 1 < size:
         raise ValueError("not enough history for the stencil size")
     theta = (target_t - grid.origin) / grid.h

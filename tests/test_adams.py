@@ -1,5 +1,6 @@
 """Fractional Adams baseline and starter machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -111,8 +112,8 @@ def test_start_values_exact_mode():
     assert np.allclose(vals, [problem.exact(0.0), problem.exact(0.1), problem.exact(0.2)],
                        atol=0.0)
 
-    override = start_values(problem, 0.1, 2, StarterConfig(mode=EXACT),
-                            exact_solution=lambda t: 7.0 + t)
+    override = start_values(dataclasses.replace(problem, exact=lambda t: 7.0 + t), 0.1, 2,
+                            StarterConfig(mode=EXACT))
     assert list(override) == [7.0, 7.1]
 
     bare = ProblemSpec(0.5, (1.0,), lambda t, x: -x, 1.0)

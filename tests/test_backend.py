@@ -23,7 +23,7 @@ import jacobipc
 from jacobipc import _kernels_py, adams, solver, split
 from jacobipc._backend import kernels
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
-from jacobipc.interp import StencilParams, uniform_bary_weights
+from jacobipc.interp import uniform_bary_weights
 from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, SplitConfig, quadrature_for, solve
 
@@ -65,18 +65,15 @@ def test_weighted_interp_sum_parity(compiled):
     rule = quadrature_for(0.5, 26)
     fc = rng.uniform(-3, 3, size=60)
     for size in (2, 3, 4, 5):
-        params = StencilParams(size)
         bary = uniform_bary_weights(size)
         for n in (size - 1, 17, 40):
             for phase, n_nodes in ((0, rule.n_points), (1, rule.n_points - 1)):
                 kc_a = np.zeros(2, dtype=np.int64)
                 kc_b = np.zeros(2, dtype=np.int64)
                 got = compiled.weighted_interp_sum(
-                    fc, n, rule.nodes, rule.weights, n_nodes, size,
-                    params.left, params.right, bary, phase, kc_a)
+                    fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase, kc_a)
                 want = _kernels_py.weighted_interp_sum(
-                    fc, n, rule.nodes, rule.weights, n_nodes, size,
-                    params.left, params.right, bary, phase, kc_b)
+                    fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase, kc_b)
                 assert got == want  # bitwise, not approx
                 assert list(kc_a) == list(kc_b)
 
@@ -128,14 +125,13 @@ def test_solves_bit_identical_across_backends(compiled, monkeypatch):
 def test_kernels_refuse_short_buffers(backend, request):
     k = _kernels_py if backend == "pure" else request.getfixturevalue("compiled")
     rule = quadrature_for(0.5, 26)
-    params = StencilParams(3)
     bary = uniform_bary_weights(3)
     fc = np.linspace(0.0, 1.0, 21)
     kc = np.zeros(2, dtype=np.int64)
 
     def interp(fvals, bary_):
         return k.weighted_interp_sum(fvals, 20, rule.nodes, rule.weights, rule.n_points,
-                                     3, params.left, params.right, bary_, 0, kc)
+                                     3, bary_, 0, kc)
 
     interp(fc, bary)  # n = 20 reads fvals[20] at the end node s = 1
     with pytest.raises(IndexError):
@@ -146,7 +142,7 @@ def test_kernels_refuse_short_buffers(backend, request):
         k.adams_step_sums(fc[:20], 20, 0.5)
     with pytest.raises(IndexError):  # n + 1 < size: no stencil fits the history
         k.weighted_interp_sum(fc, 1, rule.nodes, rule.weights, rule.n_points,
-                              3, params.left, params.right, bary, 0, kc)
+                              3, bary, 0, kc)
 
 
 def test_compiled_kernel_rejects_wrong_buffers(compiled):
@@ -156,7 +152,7 @@ def test_compiled_kernel_rejects_wrong_buffers(compiled):
     kc = np.zeros(2, dtype=np.int64)
 
     def interp(fvals=fc, counters=kc):
-        return compiled.weighted_interp_sum(fvals, 5, rule.nodes, rule.weights, 3, 2, 1, 1,
+        return compiled.weighted_interp_sum(fvals, 5, rule.nodes, rule.weights, 3, 2,
                                             bary, 0, counters)
 
     readonly = np.zeros(2, dtype=np.int64)

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -220,6 +221,13 @@ def test_mlf_prints_17_digits(capsys):
     assert capsys.readouterr().out.strip() == format(math.cos(1.0), ".17g")
     assert main(["mlf", "--alpha", "0.5", "--z", "1"]) == 1  # positive argument
     capsys.readouterr()
+
+
+def test_mlf_refuses_tolerance_below_machine_epsilon(capsys):
+    begin = time.perf_counter()
+    assert main(["mlf", "--alpha", "0.5", "--z=-100", "--tol", "1e-20"]) == 1
+    assert time.perf_counter() - begin < 1.0
+    assert "machine epsilon" in capsys.readouterr().err
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacobipc._backend import kernels
-from jacobipc.interp import StencilParams, UniformGrid, map_node, uniform_bary_weights
+from jacobipc.interp import UniformGrid, map_node, uniform_bary_weights
 from stencil_reference import (CENTERED, CORRECTOR, LEFT_EDGE, PREDICTOR,
                                RIGHT_EDGE_CLOSED, RIGHT_EDGE_OPEN, lagrange_eval,
-                               select_stencil)
+                               select_stencil, stencil_halves)
 
 
 def test_grid_basics():
@@ -28,56 +28,51 @@ def test_grid_basics():
         UniformGrid(0.0, 0.1, 0)
 
 
-def test_stencil_params_split():
-    assert (StencilParams(2).left, StencilParams(2).right) == (1, 1)
-    assert (StencilParams(3).left, StencilParams(3).right) == (2, 1)
-    assert (StencilParams(4).left, StencilParams(4).right) == (2, 2)
-    assert (StencilParams(5).left, StencilParams(5).right) == (3, 2)
-    with pytest.raises(ValueError):
-        StencilParams(1)
+def test_stencil_halves():
+    assert stencil_halves(2) == (1, 1)
+    assert stencil_halves(3) == (2, 1)
+    assert stencil_halves(4) == (2, 2)
+    assert stencil_halves(5) == (3, 2)
 
 
 def test_select_stencil_known_cases():
     grid = UniformGrid(0.0, 1.0, 8)
-    params = StencilParams(3)  # left 2, right 1
-    n = 5
+    n = 5  # stencil size 3: left 2, right 1
 
-    st_ = select_stencil(0.4, grid, params, n, PREDICTOR)
+    st_ = select_stencil(0.4, grid, 3, n, PREDICTOR)
     assert (st_.start, st_.kind) == (0, LEFT_EDGE)
 
-    st_ = select_stencil(2.5, grid, params, n, PREDICTOR)
+    st_ = select_stencil(2.5, grid, 3, n, PREDICTOR)
     assert (st_.start, st_.kind) == (1, CENTERED)
 
     # near the front edge the predictor may only use indices <= n
-    st_ = select_stencil(5.7, grid, params, n, PREDICTOR)
+    st_ = select_stencil(5.7, grid, 3, n, PREDICTOR)
     assert (st_.start, st_.kind) == (3, RIGHT_EDGE_OPEN)
     assert st_.start + st_.length - 1 == n
 
     # the corrector may also use index n+1 (predicted f lives there)
-    st_ = select_stencil(5.7, grid, params, n, CORRECTOR)
+    st_ = select_stencil(5.7, grid, 3, n, CORRECTOR)
     assert (st_.start, st_.kind) == (4, RIGHT_EDGE_CLOSED)
     assert st_.start + st_.length - 1 == n + 1
 
 
 def test_select_stencil_tie_counts_left():
     grid = UniformGrid(0.0, 1.0, 8)
-    params = StencilParams(3)
-    exact_hit = select_stencil(3.0, grid, params, 5, PREDICTOR)
-    just_below = select_stencil(3.0 - 1e-14, grid, params, 5, PREDICTOR)
+    exact_hit = select_stencil(3.0, grid, 3, 5, PREDICTOR)
+    just_below = select_stencil(3.0 - 1e-14, grid, 3, 5, PREDICTOR)
     assert exact_hit == just_below
 
 
 def test_select_stencil_errors():
     grid = UniformGrid(0.0, 1.0, 8)
-    params = StencilParams(3)
     with pytest.raises(ValueError):
-        select_stencil(0.5, grid, params, 1, PREDICTOR)  # n+1 < size
+        select_stencil(0.5, grid, 3, 1, PREDICTOR)  # n+1 < size
     with pytest.raises(ValueError):
-        select_stencil(-0.5, grid, params, 5, PREDICTOR)
+        select_stencil(-0.5, grid, 3, 5, PREDICTOR)
     with pytest.raises(ValueError):
-        select_stencil(6.5, grid, params, 5, PREDICTOR)  # beyond n+1
+        select_stencil(6.5, grid, 3, 5, PREDICTOR)  # beyond n+1
     with pytest.raises(ValueError):
-        select_stencil(0.5, grid, params, 5, "smoother")
+        select_stencil(0.5, grid, 3, 5, "smoother")
 
 
 @settings(deadline=None, max_examples=200)
@@ -89,16 +84,16 @@ def test_select_stencil_errors():
 def test_select_stencil_invariants(theta, size, phase):
     n = 10
     grid = UniformGrid(0.0, 1.0, n + 2)
-    params = StencilParams(size)
-    st_ = select_stencil(theta, grid, params, n, phase)
+    st_ = select_stencil(theta, grid, size, n, phase)
     usable = n + 2 if phase == CORRECTOR else n + 1
     assert st_.length == size
     assert 0 <= st_.start
     assert st_.start + size <= usable
     if st_.kind == CENTERED:
         # centered stencils bracket the target with the configured split
-        assert st_.start + params.left - 1 <= theta + 1e-12
-        assert theta < st_.start + params.left + 1e-12
+        left, _ = stencil_halves(size)
+        assert st_.start + left - 1 <= theta + 1e-12
+        assert theta < st_.start + left + 1e-12
 
 
 # n + 1 = 16 is a power of two, so theta -> node -> theta round-trips exactly
@@ -119,15 +114,13 @@ def test_kernel_matches_reference_stencil_rule(size, phase, where):
     n = KERNEL_N
     grid = UniformGrid(0.0, 1.0, n + 2)
     fvals = 1.5 + np.sin(0.7 * np.arange(n + 2)) + 0.01 * np.arange(n + 2) ** 2
-    params = StencilParams(size)
     bary = uniform_bary_weights(size)
     for theta in KERNEL_THETAS[where]:
         node = np.array([2.0 * theta / (n + 1) - 1.0])
         kc = np.zeros(2, dtype=np.int64)
-        got = kernels.weighted_interp_sum(fvals, n, node, np.ones(1), 1, size,
-                                          params.left, params.right, bary,
+        got = kernels.weighted_interp_sum(fvals, n, node, np.ones(1), 1, size, bary,
                                           int(phase == CORRECTOR), kc)
-        st_ = select_stencil(theta, grid, params, n, phase)
+        st_ = select_stencil(theta, grid, size, n, phase)
         sl = slice(st_.start, st_.start + st_.length)
         want = lagrange_eval(grid.times[sl], fvals[sl], theta)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -1,11 +1,12 @@
 """Mittag-Leffler evaluator on the nonpositive real axis."""
 
 import math
+import sys
 
 import mpmath as mp
 import pytest
 
-from jacobipc.mittag import mittag_leffler, ml_solution, z_switch
+from jacobipc.mittag import SWITCH_TARGET, _asymptotic, mittag_leffler, ml_solution
 
 
 def ml_series_oracle(alpha, z, dps=60):
@@ -74,16 +75,29 @@ def test_positive_and_decreasing_for_order_below_one(alpha):
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.2])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 0.95, 1.2, 1.6, 1.9])
 def test_regimes_agree_at_the_switch_point(alpha):
-    s = z_switch(alpha)
-    assert s > 0.0
+    # the expansion is used where its own error estimate reaches SWITCH_TARGET;
+    # bisect for that crossover in |z|
+    def expansion_ok(x):
+        return _asymptotic(alpha, x)[1] <= SWITCH_TARGET
+
+    lo, hi = 0.25, 1.0
+    while not expansion_ok(hi):
+        lo, hi = hi, 2.0 * hi
+    assert not expansion_ok(lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if expansion_ok(mid):
+            hi = mid
+        else:
+            lo = mid
     # both sides of the crossover must sit on the true curve, not just match
-    dps = 80 + int(0.45 * s ** (1.0 / alpha))
-    for x in (s * (1 - 1e-6), s * (1 + 1e-6)):
+    dps = 80 + int(0.45 * hi ** (1.0 / alpha))
+    assert abs(_asymptotic(alpha, hi)[0] - ml_series_oracle(alpha, -hi, dps)) <= 1e-10
+    for x in (lo * (1 - 1e-6), hi * (1 + 1e-6)):
         want = ml_series_oracle(alpha, -x, dps)
         assert abs(mittag_leffler(alpha, -x) - want) <= 1e-9
-    assert z_switch(alpha) == s
 
 
 def test_solution_wrapper():
@@ -106,3 +120,9 @@ def test_validation_and_trivial_values():
         mittag_leffler(0.5, 0.5)
     with pytest.raises(ValueError):
         mittag_leffler(0.5, -1.0, tol=0.0)
+    # below machine epsilon no float64 regime can accept: refused, not slow
+    eps = sys.float_info.epsilon
+    assert abs(mittag_leffler(0.5, -100.0, eps) - mittag_leffler(0.5, -100.0)) <= 1e-10
+    for tol in (0.5 * eps, 1e-20, math.nan):
+        with pytest.raises(ValueError):
+            mittag_leffler(0.5, -100.0, tol)

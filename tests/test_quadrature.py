@@ -3,11 +3,12 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from jacobipc.quadrature import (JacobiWeight, _RULE_CACHE, gauss_lobatto_rule,
-                                 integrate, jacobi_recurrence, moment)
+from jacobipc.quadrature import (INTERNAL_DPS, JacobiWeight, _RULE_CACHE, _mp_recurrence,
+                                 gauss_lobatto_rule, integrate, moment)
 
 from golden_quadrature import GOLDEN
 
@@ -76,11 +77,13 @@ def test_node_layout_and_immutability():
 
 def test_legendre_recurrence_closed_form():
     # a = b = 0: alpha_k = 0, beta_k = k^2/(4k^2 - 1), mu0 = 2
-    rec = jacobi_recurrence(JacobiWeight(0.0, 0.0), 6)
-    assert rec.mu0 == pytest.approx(2.0, abs=1e-15)
-    assert all(abs(a) < 1e-15 for a in rec.alpha)
-    for k, beta in enumerate(rec.beta, start=1):
-        assert beta == pytest.approx(k * k / (4.0 * k * k - 1.0), rel=1e-15)
+    with mp.workdps(INTERNAL_DPS):
+        alphas, betas, mu0 = _mp_recurrence(0.0, 0.0, 6)
+        assert len(alphas) == 6 and len(betas) == 5
+        assert abs(mu0 - 2) < mp.mpf(10) ** -45
+        assert all(abs(a) < mp.mpf(10) ** -45 for a in alphas)
+        for k, beta in enumerate(betas, start=1):
+            assert abs(beta - mp.mpf(k * k) / (4 * k * k - 1)) < mp.mpf(10) ** -45
 
 
 def test_integrate_helper_matches_moments():
@@ -98,8 +101,6 @@ def test_validation_errors():
         JacobiWeight(0.0, -1.5)
     with pytest.raises(ValueError):
         gauss_lobatto_rule(JacobiWeight(0.0, 0.0), 2)
-    with pytest.raises(ValueError):
-        jacobi_recurrence(JacobiWeight(0.0, 0.0), 0)
     with pytest.raises(ValueError):
         moment(JacobiWeight(0.0, 0.0), -1)
 

@@ -63,6 +63,8 @@ def test_head_integral_requires_time_beyond_segment():
         term(0.2)
     with pytest.raises(ValueError, match="too short"):
         head_integral(problem, head_run(problem.rhs, 0.5, 0.2, 1), aux_rule(8))
+    with pytest.raises(ValueError, match="at least 2"):
+        head_integral(problem, head, aux_rule(8), stencil_size=1)
 
 
 def test_split_run_tracks_plain_run():
