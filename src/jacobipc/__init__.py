@@ -21,8 +21,7 @@ from jacobipc.adams import (EXACT, REFINED_ADAMS, StarterConfig, adams_solve,
 from jacobipc.expr import compile_rhs
 from jacobipc.mittag import mittag_leffler, ml_solution
 from jacobipc.problems import ProblemSpec, make_problem, problem_ids, taylor_head
-from jacobipc.quadrature import (JacobiWeight, QuadratureRule,
-                                 gauss_lobatto_rule, integrate)
+from jacobipc.quadrature import JacobiWeight, QuadratureRule, gauss_lobatto_rule
 from jacobipc.reports import (ConvergenceReport, TimingReport, export, load,
                               run_convergence, run_timing, smallest_n_reaching)
 from jacobipc.solver import (SolverConfig, SplitConfig, quadrature_for, solve,
@@ -38,7 +37,7 @@ __all__ = [
     "recommended_refinement", "start_values", "compile_rhs",
     "mittag_leffler", "ml_solution", "ProblemSpec", "make_problem",
     "problem_ids", "taylor_head", "JacobiWeight", "QuadratureRule",
-    "gauss_lobatto_rule", "integrate", "ConvergenceReport", "TimingReport",
+    "gauss_lobatto_rule", "ConvergenceReport", "TimingReport",
     "export", "load", "run_convergence", "run_timing", "smallest_n_reaching",
     "SolverConfig", "SplitConfig", "quadrature_for", "solve", "step_count",
     "head_integral", "solve_split", "GUARD", "STATUS_DIVERGED", "STATUS_OK",

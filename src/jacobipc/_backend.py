@@ -4,7 +4,7 @@ The compiled extension ``_kernels`` (a plain C extension built from
 ``_kernels.c`` when a C compiler is available) is preferred; the pure-Python
 ``_kernels_py``, which holds the reference semantics, is the drop-in
 fallback.  Set JACOBIPC_PURE=1 to force the fallback (used by the parity
-tests and the backend benchmark).
+tests).
 """
 
 import os

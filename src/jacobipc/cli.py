@@ -191,7 +191,7 @@ def cli():
 @click.option("--jacobi-a", type=float, help="exponent on (1-s)")
 @click.option("--jacobi-b", type=float, default=0.0, show_default=True,
               help="exponent on (1+s)")
-@click.option("--points", type=int, help="number of nodes (>= 2)")
+@click.option("--points", type=int, help="number of nodes (>= 3)")
 @click.option("--output", type=click.Path(dir_okay=False))
 @_CONFIG_OPT
 @click.pass_context

@@ -11,8 +11,6 @@ a = 2 short-circuit to exp and cos(sqrt(.)).
 import math
 import sys
 
-import mpmath as mp
-
 DEFAULT_TOL = 1e-10
 SWITCH_TARGET = 1e-11
 MAX_TERMS = 2000
@@ -81,6 +79,8 @@ def _asymptotic(alpha, x):
 
 def _series_mp(alpha, x, tol):
     """Power series at z = -x with working precision sized to the peak term."""
+    import mpmath as mp  # deferred: no other code path in the package needs it
+
     r = x ** (1.0 / alpha)
     dps = int(35 + 0.4343 * r - math.log10(tol))
     with mp.workdps(dps):

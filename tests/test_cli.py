@@ -39,6 +39,12 @@ def test_quad_errors(capsys):
     assert main(["quad", "--jacobi-a=-0.5"]) == 1
     assert "missing required option --points" in capsys.readouterr().err
     assert main(["quad", "--jacobi-a=-1.5", "--points", "5"]) == 1
+    capsys.readouterr()
+    for a, points in (("1e5", "11"), ("1e300", "5"), ("inf", "5"), ("nan", "5")):
+        assert main(["quad", "--jacobi-a", a, "--points", points]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_solve_registry_problem(capsys):

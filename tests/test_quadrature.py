@@ -3,14 +3,13 @@
 import math
 import time
 
-import mpmath as mp
 import numpy as np
 import pytest
 
-from jacobipc.quadrature import (INTERNAL_DPS, JacobiWeight, _RULE_CACHE, _mp_recurrence,
-                                 gauss_lobatto_rule, integrate, moment)
+from jacobipc.quadrature import JacobiWeight, _RULE_CACHE, _jacobi, gauss_lobatto_rule
 
 from golden_quadrature import GOLDEN
+from quadrature_reference import integrate, moment
 
 
 def rule_for_alpha(alpha, n_points=27):
@@ -35,15 +34,20 @@ def test_construction_under_one_second_each():
 
 
 def test_weight_sum_is_total_mass():
-    # integral of (1-x)^(alpha-1) over [-1, 1] is 2^alpha / alpha
-    for alpha in GOLDEN:
-        rule = rule_for_alpha(alpha)
-        mass = 2.0**alpha / alpha
-        assert abs(rule.weights.sum() - mass) <= 1e-13 * mass
+    # integral of (1-x)^a (1+x)^b over [-1, 1] is 2^(a+b+1) B(a+1, b+1)
+    for b in (0.0, -0.99, 1.0):
+        for alpha in GOLDEN:
+            a = alpha - 1.0
+            rule = gauss_lobatto_rule(JacobiWeight(a, b), 27)
+            mass = (2.0**(a + b + 1) * math.gamma(a + 1) * math.gamma(b + 1)
+                    / math.gamma(a + b + 2))
+            assert abs(rule.weights.sum() - mass) <= 1e-13 * mass, f"a={a}, b={b}"
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.2, 1.8])
-@pytest.mark.parametrize("n_points", [5, 11, 27])
+# 53 points is the split's auxiliary rule size (aux_jn = 52)
+@pytest.mark.parametrize("n_points, alpha", [
+    (n_points, alpha) for n_points in (5, 11, 27) for alpha in (0.1, 0.5, 1.2, 1.8)
+] + [(53, 0.1), (53, 1.8)])
 def test_monomial_exactness(alpha, n_points):
     weight = JacobiWeight(alpha - 1.0, 0.0)
     rule = gauss_lobatto_rule(weight, n_points)
@@ -76,14 +80,11 @@ def test_node_layout_and_immutability():
 
 
 def test_legendre_recurrence_closed_form():
-    # a = b = 0: alpha_k = 0, beta_k = k^2/(4k^2 - 1), mu0 = 2
-    with mp.workdps(INTERNAL_DPS):
-        alphas, betas, mu0 = _mp_recurrence(0.0, 0.0, 6)
-        assert len(alphas) == 6 and len(betas) == 5
-        assert abs(mu0 - 2) < mp.mpf(10) ** -45
-        assert all(abs(a) < mp.mpf(10) ** -45 for a in alphas)
-        for k, beta in enumerate(betas, start=1):
-            assert abs(beta - mp.mpf(k * k) / (4 * k * k - 1)) < mp.mpf(10) ** -45
+    # a = b = 0: P_3 = (5x^3 - 3x)/2 and P_3' = (15x^2 - 3)/2
+    x = np.linspace(-1.0, 1.0, 21)
+    p, d = _jacobi(3, 0.0, 0.0, x)
+    assert np.max(np.abs(p - (5 * x**3 - 3 * x) / 2)) <= 4e-16
+    assert np.max(np.abs(d - (15 * x**2 - 3) / 2)) <= 1e-15
 
 
 def test_integrate_helper_matches_moments():
@@ -99,8 +100,17 @@ def test_validation_errors():
         JacobiWeight(-1.0, 0.0)
     with pytest.raises(ValueError):
         JacobiWeight(0.0, -1.5)
+    for a in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            JacobiWeight(a, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            JacobiWeight(0.0, a)
     with pytest.raises(ValueError):
         gauss_lobatto_rule(JacobiWeight(0.0, 0.0), 2)
+    # the total mass 2^(a+b+1) B(a+1, b+1) overflows float64
+    for a, b, n_points in ((1e5, 0.0, 11), (1e300, 0.0, 5), (0.0, 1e5, 11)):
+        with pytest.raises(ValueError, match="no finite Gauss-Lobatto rule"):
+            gauss_lobatto_rule(JacobiWeight(a, b), n_points)
     with pytest.raises(ValueError):
         moment(JacobiWeight(0.0, 0.0), -1)
 
