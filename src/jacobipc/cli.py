@@ -17,9 +17,9 @@ from click.core import ParameterSource
 
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig
 from jacobipc.expr import compile_rhs, evaluate, parse as parse_expr
-from jacobipc.mittag import DEFAULT_TOL, mittag_leffler
+from jacobipc.mittag import DEFAULT_TOL, MIN_ORDER, mittag_leffler
 from jacobipc.problems import ProblemSpec, make_problem, problem_ids
-from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
+from jacobipc.quadrature import MAX_POINTS, JacobiWeight, gauss_lobatto_rule
 from jacobipc.reports import (ROW_DIVERGED, export, format_table,
                               run_convergence, run_target, run_timing,
                               with_status)
@@ -191,7 +191,7 @@ def cli():
 @click.option("--jacobi-a", type=float, help="exponent on (1-s)")
 @click.option("--jacobi-b", type=float, default=0.0, show_default=True,
               help="exponent on (1+s)")
-@click.option("--points", type=int, help="number of nodes (>= 3)")
+@click.option("--points", type=int, help=f"number of nodes (3 to {MAX_POINTS})")
 @click.option("--output", type=click.Path(dir_okay=False))
 @_CONFIG_OPT
 @click.pass_context
@@ -340,7 +340,7 @@ def bench(ctx, **kw):
 
 
 @cli.command()
-@click.option("--alpha", type=float, help="order in (0, 2]")
+@click.option("--alpha", type=float, help=f"order in [{MIN_ORDER}, 2]")
 @click.option("--z", type=float, help="argument (must be <= 0)")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @_CONFIG_OPT

@@ -1,110 +1,73 @@
 """Evaluation of E_a(z) = sum_k z^k / Gamma(a*k + 1) for real z <= 0.
 
-Three regimes, each giving (value, error estimate): the algebraic
-large-argument expansion at optimal truncation, used where its own estimate
-reaches SWITCH_TARGET; the defining power series in float64 with compensated
-summation below that; and an extended-precision series for the cancellation
-gap, taken when the float64 estimate exceeds half the tolerance.  a = 1 and
-a = 2 short-circuit to exp and cos(sqrt(.)).
+One float64 method for MIN_ORDER <= a < 2, a != 1, and x = -z > 0, from the
+Laplace-type integral (Gorenflo-Loutchko-Luchko, FCAA 5(4), 2002)
+
+    E_a(-x) = (sin(a pi) / (a pi)) int_0^inf exp(-(u x)^(1/a)) du
+                                             / (u^2 + 2 u cos(a pi) + 1),
+
+plus, for a > 1, the mode term (2/a) exp(r cos(pi/a)) cos(r sin(pi/a)) with
+r = x^(1/a).  With u = e^s the integrand is analytic in the strip
+|Im s| < a pi/2 apart from two simple poles at s = +-i |1 - a| pi, so the
+trapezoid rule in s converges exponentially (Trefethen-Weideman, SIAM Rev.
+56(3), 2014).  The step is h = a pi^2 / L with L = ACCURACY_MARGIN -
+ln(min(tol, 1)), and the nodes sit at (k + 1/2) h on [-L, hi] with
+hi = min(L, a ln 745 - ln x): beyond that the integrand is below e^-L or
+underflows.  When the poles lie inside the strip (|1 - a| < a/2) the
+trapezoid sum's error from each is known in closed form and is taken off,
+so the step does not shrink as a approaches 1, and the value passes
+continuously into e^-x there.
+
+Accuracy: the absolute error is at most about 3.4 e^-L = 1.1e-3 tol, worst
+at orders near 2/3 where the poles cross the edge of the strip, down to a
+rounding floor of about 4e-15; at the default tolerance that is 1.2e-13
+against a 30-digit reference for a in [0.01, 1.99] and x in [0, 1000].
+Cost: at most 2L/h + 2 = 2 L^2 / (a pi^2) + 2 nodes, that is 195 / a at
+the default tolerance and 393 / a at tol = machine epsilon (the smallest
+accepted), so 19,500 and 39,300 at a = MIN_ORDER; lower orders are
+refused.  a = 1 and a = 2 short-circuit to exp and cos(sqrt(.)).
 """
 
 import math
 import sys
 
+import numpy as np
+
 DEFAULT_TOL = 1e-10
-SWITCH_TARGET = 1e-11
-MAX_TERMS = 2000
-LN_PI = math.log(math.pi)
+MIN_ORDER = 0.01
+ACCURACY_MARGIN = 8.0  # L - ln(1/tol): an error of 3.4 e^-L is then 1.1e-3 tol
+LN_UNDERFLOW = math.log(745.0)  # exp(-745) is zero in float64
 
 
-def _series64(alpha, x):
-    """Power series at z = -x in float64; returns (value, error estimate).
-
-    The estimate is inf when the terms do not die out within MAX_TERMS.
-    """
-    total, comp, sum_abs = 1.0, 0.0, 1.0
-    lnx = math.log(x)
-    r = x ** (1.0 / alpha)
-    for k in range(1, MAX_TERMS):
-        m = math.exp(k * lnx - math.lgamma(alpha * k + 1.0))
-        t = -m if k & 1 else m
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        sum_abs += m
-        if m < 1e-17 * (1.0 + abs(total)) and alpha * k + 1.0 > r:
-            n = k
-            break
-    else:
-        return total, math.inf
-    # rounding model: each add contributes ~eps of the running magnitude
-    return total, sum_abs * (2e-16 + 2e-17 * n)
-
-
-def _asymptotic(alpha, x):
-    """Large-x expansion of E_a(-x); returns (value, error estimate).
-
-    Algebraic part sum_k (-1)^(k+1) x^-k / Gamma(1 - a*k), written through
-    the reflection formula so magnitudes stay in log space, truncated where
-    the term envelope turns; for a > 1 the pair of conjugate exponential
-    modes contributes a damped oscillation on top.
-    """
-    lnx = math.log(x)
-    total, comp = 0.0, 0.0
-    prev_env = math.inf
-    err = math.inf
-    for k in range(1, 400):
-        y = alpha * k
-        env = math.lgamma(y) - k * lnx - LN_PI
-        if env >= prev_env:
-            err = math.exp(min(env, 700.0))
-            break
-        prev_env = env
-        s = math.sin(math.pi * y)
-        t = (s if k & 1 else -s) * math.exp(env)
-        yy = t - comp
-        ss = total + yy
-        comp = (ss - total) - yy
-        total = ss
-        if env < -41.0:  # below 1e-18: machine-level truncation
-            err = math.exp(env)
-            break
+def _evaluate(alpha, x, tol):
+    """E_alpha(-x) for 0 < x < inf and alpha in [MIN_ORDER, 2), alpha != 1."""
+    big_l = ACCURACY_MARGIN - math.log(min(tol, 1.0))
+    h = alpha * math.pi ** 2 / big_l
+    hi = min(big_l, alpha * LN_UNDERFLOW - math.log(x))
+    s = (np.arange(math.floor(-big_l / h), math.ceil(hi / h)) + 0.5) * h
+    es = np.exp(s)
+    f = np.exp(-np.exp((s + math.log(x)) / alpha)) * es
+    f /= (es + 2.0 * math.cos(alpha * math.pi)) * es + 1.0
+    total = math.sin(alpha * math.pi) / (alpha * math.pi) * h * math.fsum(f.tolist())
+    r = math.exp(min(math.log(x) / alpha, 700.0))  # x^(1/a), finite
+    gap = abs(1.0 - alpha)
+    if gap < 0.5 * alpha:  # the poles s = +-i gap pi lie inside the strip
+        phi = gap * math.pi / alpha
+        pole = math.exp(-r * math.cos(phi)) * math.cos(r * math.sin(phi))
+        pole *= (2.0 / alpha) / (1.0 + math.exp(2.0 * math.pi ** 2 * gap / h))
+        total += pole if alpha < 1.0 else -pole
     if alpha > 1.0:
-        r = x ** (1.0 / alpha)
         th = math.pi / alpha
         total += (2.0 / alpha) * math.exp(r * math.cos(th)) * math.cos(r * math.sin(th))
-    return total, err
-
-
-def _series_mp(alpha, x, tol):
-    """Power series at z = -x with working precision sized to the peak term."""
-    import mpmath as mp  # deferred: no other code path in the package needs it
-
-    r = x ** (1.0 / alpha)
-    dps = int(35 + 0.4343 * r - math.log10(tol))
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        mz = mp.mpf(-x)
-        total = mp.mpf(1)
-        p = mp.mpf(1)
-        floor = mp.mpf(10) ** (-dps + 5)
-        for k in range(1, 200000):
-            p *= mz
-            term = p / mp.gamma(a * k + 1)
-            total += term
-            if abs(term) < floor * (1 + abs(total)) and alpha * k + 1.0 > r:
-                return float(total)
-    raise RuntimeError("series did not attain the requested tolerance")
+    return total
 
 
 def mittag_leffler(alpha, z, tol=DEFAULT_TOL):
-    """E_alpha(z) for 0 < alpha <= 2 and real z <= 0, to absolute tol."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("order must lie in (0, 2]")
-    if z > 0.0:
-        raise ValueError("argument must be nonpositive")
-    # below eps no float64 regime can accept and the mp series grows with |z|
+    """E_alpha(z) for MIN_ORDER <= alpha <= 2 and real z <= 0, to absolute tol."""
+    if not MIN_ORDER <= alpha <= 2.0:
+        raise ValueError(f"order must lie in [{MIN_ORDER}, 2], got {alpha}")
+    if not z <= 0.0:
+        raise ValueError(f"argument must be nonpositive, got {z}")
     if not tol >= sys.float_info.epsilon:
         raise ValueError("tolerance must be at least machine epsilon")
     if alpha == 1.0:
@@ -114,12 +77,9 @@ def mittag_leffler(alpha, z, tol=DEFAULT_TOL):
     x = -float(z)
     if x == 0.0:
         return 1.0
-    val, err = _asymptotic(alpha, x)
-    if err > SWITCH_TARGET:
-        val, err = _series64(alpha, x)
-    if err <= 0.5 * tol:
-        return val
-    return _series_mp(alpha, x, tol)
+    if x == math.inf:
+        return 0.0
+    return _evaluate(alpha, x, tol)
 
 
 def ml_solution(alpha, t, tol=DEFAULT_TOL):

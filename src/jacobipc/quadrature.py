@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _RULE_CACHE = {}
+MAX_POINTS = 1025  # the eigenvalue step holds an (n-2) x (n-2) matrix
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,8 @@ def _gauss_nodes(m, a, b):
     diag = (b - a) / c * (a + b) / (c + 2)
     k, c = k[1:], c[1:]
     off = np.sqrt(4 * k / c * (k + a) / c * (k + b) / (c + 1) * (k + a + b) / (c - 1))
-    matrix = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    matrix = np.diag(diag)  # eigvalsh reads only the lower triangle
+    matrix[np.arange(1, m), np.arange(m - 1)] = off
     return np.linalg.eigvalsh(matrix)
 
 
@@ -82,7 +84,8 @@ def gauss_lobatto_rule(weight, n_points):
     """Gauss-Lobatto rule with ``n_points`` nodes for the given Jacobi weight.
 
     Endpoints are exactly -1.0 and 1.0; interior nodes ascend strictly and
-    all weights are positive and finite (ValueError otherwise).  The rule
+    all weights are positive and finite (ValueError otherwise, and for
+    ``n_points`` outside [3, MAX_POINTS]).  The rule
     integrates polynomials up to degree 2*n_points - 3 exactly against the
     weight.  Results are cached per (weight, n_points).
     """
@@ -90,8 +93,8 @@ def gauss_lobatto_rule(weight, n_points):
     cached = _RULE_CACHE.get(key)
     if cached is not None:
         return cached
-    if n_points < 3:
-        raise ValueError("Lobatto rules need at least 3 points")
+    if not 3 <= n_points <= MAX_POINTS:
+        raise ValueError(f"Lobatto rules need 3 to {MAX_POINTS} points, got {n_points}")
 
     a, b, n = weight.a, weight.b, n_points - 1
     with np.errstate(all="ignore"):  # huge exponents overflow; refused below

@@ -40,6 +40,10 @@ def test_quad_errors(capsys):
     assert "missing required option --points" in capsys.readouterr().err
     assert main(["quad", "--jacobi-a=-1.5", "--points", "5"]) == 1
     capsys.readouterr()
+    begin = time.perf_counter()
+    assert main(["quad", "--jacobi-a=-0.5", "--points", "100000"]) == 1
+    assert time.perf_counter() - begin < 1.0
+    assert "points" in capsys.readouterr().err
     for a, points in (("1e5", "11"), ("1e300", "5"), ("inf", "5"), ("nan", "5")):
         assert main(["quad", "--jacobi-a", a, "--points", points]) == 1
         captured = capsys.readouterr()
@@ -234,6 +238,17 @@ def test_mlf_refuses_tolerance_below_machine_epsilon(capsys):
     assert main(["mlf", "--alpha", "0.5", "--z=-100", "--tol", "1e-20"]) == 1
     assert time.perf_counter() - begin < 1.0
     assert "machine epsilon" in capsys.readouterr().err
+
+
+def test_mlf_refuses_nan_and_orders_below_the_floor(capsys):
+    for argv in (["--alpha", "0.5", "--z=nan"], ["--alpha", "nan", "--z=-1"],
+                 ["--alpha", "1e-300", "--z=-1"], ["--alpha", "0.005", "--z=-1"]):
+        assert main(["mlf", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert main(["mlf", "--alpha", "0.5", "--z=-inf"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):

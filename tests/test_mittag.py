@@ -1,29 +1,15 @@
 """Mittag-Leffler evaluator on the nonpositive real axis."""
 
 import math
+import subprocess
 import sys
+import time
 
 import mpmath as mp
 import pytest
 
-from jacobipc.mittag import SWITCH_TARGET, _asymptotic, mittag_leffler, ml_solution
-
-
-def ml_series_oracle(alpha, z, dps=60):
-    # plain extended-precision partial sums, independent of the module
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)
-        zz = mp.mpf(z)
-        total = mp.mpf(1)
-        p = mp.mpf(1)
-        r = (-z) ** (1.0 / alpha) if z else 0.0
-        for k in range(1, 5000):
-            p *= zz
-            term = p / mp.gamma(a * k + 1)
-            total += term
-            if abs(term) < mp.mpf(10) ** (-dps + 3) * (1 + abs(total)) and alpha * k > r:
-                return float(total)
-    raise AssertionError("oracle series did not converge")
+from jacobipc.mittag import MIN_ORDER, mittag_leffler, ml_solution
+from mittag_reference import ml_reference
 
 
 def test_order_one_is_exp():
@@ -51,7 +37,7 @@ def test_order_half_erfc_identity(x):
     (1.5, -0.5), (1.5, -7.3), (1.5, -30.0), (1.5, -200.0), (1.9, -40.0),
 ])
 def test_against_series_oracle(alpha, z):
-    assert abs(mittag_leffler(alpha, z, 1e-11) - ml_series_oracle(alpha, z, 80)) <= 1e-9
+    assert abs(mittag_leffler(alpha, z, 1e-11) - ml_reference(alpha, z)) <= 1e-9
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.3])
@@ -75,29 +61,18 @@ def test_positive_and_decreasing_for_order_below_one(alpha):
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.8, 0.95, 1.2, 1.6, 1.9])
-def test_regimes_agree_at_the_switch_point(alpha):
-    # the expansion is used where its own error estimate reaches SWITCH_TARGET;
-    # bisect for that crossover in |z|
-    def expansion_ok(x):
-        return _asymptotic(alpha, x)[1] <= SWITCH_TARGET
+SWEEP_ORDERS = [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 2 / 3, 0.7, 0.8,
+                0.9, 0.95, 0.98, 0.99, 0.999, 1 - 1e-6, 1 + 1e-6, 1.001, 1.01,
+                1.02, 1.1, 1.2, 1.4, 1.6, 1.8, 1.9, 1.99]
+SWEEP_ARGS = [0.0, -1e-3, -0.3, -1.05, -3.7, -20.0, -150.0, -1000.0]
 
-    lo, hi = 0.25, 1.0
-    while not expansion_ok(hi):
-        lo, hi = hi, 2.0 * hi
-    assert not expansion_ok(lo)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if expansion_ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    # both sides of the crossover must sit on the true curve, not just match
-    dps = 80 + int(0.45 * hi ** (1.0 / alpha))
-    assert abs(_asymptotic(alpha, hi)[0] - ml_series_oracle(alpha, -hi, dps)) <= 1e-10
-    for x in (lo * (1 - 1e-6), hi * (1 + 1e-6)):
-        want = ml_series_oracle(alpha, -x, dps)
-        assert abs(mittag_leffler(alpha, -x) - want) <= 1e-9
+
+@pytest.mark.parametrize("alpha", SWEEP_ORDERS)
+def test_matches_reference_across_the_sweep(alpha):
+    # includes the band around order 1, carried by the pole correction, and
+    # order 2/3, where the poles cross the edge of the strip
+    for z in SWEEP_ARGS:
+        assert abs(mittag_leffler(alpha, z) - ml_reference(alpha, z)) <= 1e-12
 
 
 def test_solution_wrapper():
@@ -120,9 +95,39 @@ def test_validation_and_trivial_values():
         mittag_leffler(0.5, 0.5)
     with pytest.raises(ValueError):
         mittag_leffler(0.5, -1.0, tol=0.0)
-    # below machine epsilon no float64 regime can accept: refused, not slow
+    # NaN arguments and orders below the floor are refused, not evaluated
+    for alpha, z in ((0.5, math.nan), (math.nan, -1.0), (0.5 * MIN_ORDER, -1.0),
+                     (1e-300, -1.0), (-0.5, -1.0)):
+        with pytest.raises(ValueError):
+            mittag_leffler(alpha, z)
+    for alpha in (MIN_ORDER, 0.5, 0.9, 1.0, 1.5, 1.99):
+        assert mittag_leffler(alpha, -math.inf) == 0.0
+    # tolerances below machine epsilon are refused, not chased
     eps = sys.float_info.epsilon
     assert abs(mittag_leffler(0.5, -100.0, eps) - mittag_leffler(0.5, -100.0)) <= 1e-10
     for tol in (0.5 * eps, 1e-20, math.nan):
         with pytest.raises(ValueError):
             mittag_leffler(0.5, -100.0, tol)
+
+
+def test_lowest_order_is_fast():
+    mittag_leffler(MIN_ORDER, -1.05)  # warm numpy
+    begin = time.perf_counter()
+    mittag_leffler(MIN_ORDER, -1.05)
+    assert time.perf_counter() - begin < 0.05
+
+
+def test_package_runs_without_mpmath():
+    # mpmath is a test dependency only: the package, the oracle and the CLI
+    # must work with the import blocked
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "import jacobipc\n"
+        "from jacobipc.cli import main\n"
+        "assert 0.0 < jacobipc.ml_solution(0.4, 3.0) < 1.0\n"
+        "sys.exit(main(['mlf', '--alpha', '0.3', '--z=-7']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert abs(float(proc.stdout) - ml_reference(0.3, -7.0)) <= 1e-12

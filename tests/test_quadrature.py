@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from jacobipc.quadrature import JacobiWeight, _RULE_CACHE, _jacobi, gauss_lobatto_rule
+from jacobipc.quadrature import (MAX_POINTS, JacobiWeight, _RULE_CACHE, _jacobi,
+                                 gauss_lobatto_rule)
 
 from golden_quadrature import GOLDEN
 from quadrature_reference import integrate, moment
@@ -107,6 +108,11 @@ def test_validation_errors():
             JacobiWeight(0.0, a)
     with pytest.raises(ValueError):
         gauss_lobatto_rule(JacobiWeight(0.0, 0.0), 2)
+    # the eigenvalue step holds an n x n matrix: sizes past the cap are refused
+    assert gauss_lobatto_rule(JacobiWeight(-0.5, 0.0), MAX_POINTS).n_points == MAX_POINTS
+    for n_points in (MAX_POINTS + 1, 100000):
+        with pytest.raises(ValueError, match="points"):
+            gauss_lobatto_rule(JacobiWeight(-0.5, 0.0), n_points)
     # the total mass 2^(a+b+1) B(a+1, b+1) overflows float64
     for a, b, n_points in ((1e5, 0.0, 11), (1e300, 0.0, 5), (0.0, 1e5, 11)):
         with pytest.raises(ValueError, match="no finite Gauss-Lobatto rule"):
