@@ -1,8 +1,11 @@
 """Fractional Adams-Bashforth-Moulton (PECE) scheme and starting values.
 
 This is the O(N^2) baseline method of order min(1 + alpha, 2) and, run at a
-refined substep, the generic starter that supplies the first stencil_size
-grid values for the predictor-corrector when no exact solution is available.
+refined substep h*10^-k, the generic starter that supplies the first
+stencil_size grid values for the predictor-corrector when no exact solution
+is available.  That fine run takes (stencil_size - 1) * 10^k substeps, at
+most MAX_STARTER_STEPS: the automatic k is clamped to it and a larger
+explicit k is refused, so the starter's cost is bounded.
 """
 
 import math
@@ -27,9 +30,9 @@ from jacobipc.trajectory import (
 EXACT = "exact"
 REFINED_ADAMS = "refined_adams"
 
-# refinement exponents beyond this make the starter cost explode; use the
-# exact-start mode for high-order stencils at fine steps instead
-MAX_REFINEMENT = 6
+# the refined starter's fine Adams run costs O(steps^2): it may take at most
+# this many substeps, (stencil_size - 1) * 10^k; past it, use the exact start
+MAX_STARTER_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -84,17 +87,26 @@ def adams_solve(problem, h, n_steps):
     return Trajectory(grid, x[:count], fc[:count], status, counters).finalize()
 
 
+def _max_refinement(stencil_size):
+    """Largest k with (stencil_size - 1) * 10^k <= MAX_STARTER_STEPS; 0 if none."""
+    k = 0
+    while (stencil_size - 1) * 10 ** (k + 1) <= MAX_STARTER_STEPS:
+        k += 1
+    return k
+
+
 def recommended_refinement(alpha, h, stencil_size):
     """Smallest k with (h*10^-k)^(1+min(alpha,1)) <= h^(stencil_size+0.5).
 
     Conservative rule making the starter error negligible against the target
-    order; capped at MAX_REFINEMENT (the refined run costs O((10^k)^2)).
+    order; capped so the fine run takes at most MAX_STARTER_STEPS substeps
+    (it costs O((10^k)^2)).
     """
     if h >= 1.0:
         raise ValueError("refinement rule assumes h < 1")
     p = 1.0 + min(alpha, 1.0)
     k = math.ceil((stencil_size + 0.5 - p) * math.log10(1.0 / h) / p - 1e-12)
-    return min(max(k, 0), MAX_REFINEMENT)
+    return min(max(k, 0), _max_refinement(stencil_size))
 
 
 def start_values(problem, h, stencil_size, cfg):
@@ -102,7 +114,8 @@ def start_values(problem, h, stencil_size, cfg):
 
     exact mode samples the problem's exact solution; the
     refined mode runs the Adams scheme at substep h*10^-k and subsamples
-    every 10^k-th value.
+    every 10^k-th value.  An explicit k whose fine run would take more than
+    MAX_STARTER_STEPS substeps is refused with ValueError before any work.
     """
     if stencil_size < 2:
         raise ValueError("stencil size must be at least 2")
@@ -111,6 +124,11 @@ def start_values(problem, h, stencil_size, cfg):
             raise ValueError("exact starter requested but no exact solution is known")
         return np.array([problem.exact(i * h) for i in range(stencil_size)])
     k = cfg.k if cfg.k is not None else recommended_refinement(problem.alpha, h, stencil_size)
+    if k > _max_refinement(stencil_size):
+        raise ValueError(
+            f"refined starter k = {k} is above {_max_refinement(stencil_size)}, the "
+            f"largest whose fine Adams run at stencil size {stencil_size} stays "
+            f"within {MAX_STARTER_STEPS} substeps")
     stride = 10**k
     fine = adams_solve(problem, h / stride, (stencil_size - 1) * stride)
     if fine.status != STATUS_OK:

@@ -13,14 +13,13 @@ error, 2 numerical divergence.
 import math
 
 import click
-from click.core import ParameterSource
 
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig
 from jacobipc.expr import compile_rhs, evaluate, parse as parse_expr
 from jacobipc.mittag import DEFAULT_TOL, MIN_ORDER, mittag_leffler
 from jacobipc.problems import ProblemSpec, make_problem, problem_ids
 from jacobipc.quadrature import MAX_POINTS, JacobiWeight, gauss_lobatto_rule
-from jacobipc.reports import (ROW_DIVERGED, export, format_table,
+from jacobipc.reports import (ROW_DIVERGED, exact_errors, export, format_table,
                               run_convergence, run_target, run_timing,
                               with_status)
 from jacobipc.solver import SolverConfig, SplitConfig, solve
@@ -31,12 +30,14 @@ class Diverged(Exception):
     """Run finished (output already emitted) but hit the divergence guard."""
 
 
-def _merge_config(ctx, kw):
-    """Overlay key=value config-file entries onto unset parameters."""
-    path = kw.get("config")
-    if not path:
-        return kw
-    by_name = {p.name: p for p in ctx.command.params}
+def _load_config(ctx, param, path):
+    """Eager ``--config`` callback: the file's key=value lines become click's
+    default map, so click converts them and explicit flags win."""
+    if path is None:
+        return
+    names = {opt[2:]: p.name for p in ctx.command.params if p is not param
+             for opt in p.opts if opt.startswith("--")}
+    defaults = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -45,14 +46,11 @@ def _merge_config(ctx, kw):
             key, sep, value = line.partition("=")
             if not sep:
                 raise click.UsageError(f"{path}:{lineno}: expected key=value")
-            name = key.strip().replace("-", "_")
-            param = by_name.get(name)
-            if param is None or name == "config":
+            name = names.get(key.strip().replace("_", "-"))
+            if name is None:
                 raise click.UsageError(f"{path}:{lineno}: unknown key {key.strip()!r}")
-            if ctx.get_parameter_source(name) == ParameterSource.COMMANDLINE:
-                continue
-            kw[name] = param.type.convert(value.strip(), param, ctx)
-    return kw
+            defaults[name] = value.strip()
+    ctx.default_map = defaults
 
 
 def _require(kw, *names):
@@ -128,6 +126,11 @@ def _build_problem(kw, need_exact=False):
                        t_end, exact=exact, name=f"rhs:{rhs}")
 
 
+def _span(problem, kw):
+    """Length of the main grid: [t0, T] for split runs, else [0, T]."""
+    return problem.T - (kw["split_t0"] or 0.0)
+
+
 def _split_config(kw):
     if kw["split_t0"] is None:
         return None
@@ -144,8 +147,9 @@ def _emit(text, output):
 
 
 _CONFIG_OPT = click.option(
-    "--config", type=click.Path(exists=True, dir_okay=False),
-    help="key=value defaults; explicit flags win")
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_load_config,
+    help="key=value defaults (long option names); explicit flags win")
 
 
 def _problem_opts(fn):
@@ -194,10 +198,8 @@ def cli():
 @click.option("--points", type=int, help=f"number of nodes (3 to {MAX_POINTS})")
 @click.option("--output", type=click.Path(dir_okay=False))
 @_CONFIG_OPT
-@click.pass_context
-def quad(ctx, **kw):
+def quad(**kw):
     """Dump Gauss-Lobatto nodes and weights as CSV."""
-    kw = _merge_config(ctx, kw)
     _require(kw, "jacobi_a", "points")
     rule = gauss_lobatto_rule(JacobiWeight(kw["jacobi_a"], kw["jacobi_b"]),
                               kw["points"])
@@ -215,43 +217,36 @@ def quad(ctx, **kw):
 @click.option("--output", type=click.Path(dir_okay=False),
               help="write the trajectory as CSV")
 @_CONFIG_OPT
-@click.pass_context
-def solve_cmd(ctx, **kw):
+def solve_cmd(**kw):
     """Solve one problem and report the endpoint (and error, if exact)."""
-    kw = _merge_config(ctx, kw)
     _require(kw, "alpha")
     if (kw["h_text"] is None) == (kw["n"] is None):
         raise click.UsageError("give exactly one of --h or --n")
     problem = _build_problem(kw)
     split = _split_config(kw)
-    span = problem.T - (split.t0 if split else 0.0)
+    span = _span(problem, kw)
     h = _parse_h(kw["h_text"]) if kw["h_text"] is not None else span / kw["n"]
     cfg = SolverConfig(h=h, stencil_size=kw["stencil"], jn=kw["jn"],
                        starter=_starter_for(kw, problem), split=split)
     tr = solve(problem, cfg)
     # the exact solution can be costly (the Mittag-Leffler oracle): evaluate it
-    # once per grid point, and only when the CSV or max_error needs it
+    # only when the CSV or max_error needs it
     exact = None
     if problem.exact is not None and (kw["output"] or tr.status == STATUS_OK):
-        exact = [problem.exact(tr.grid.t(i)) for i in range(tr.grid.count)]
+        exact, errors = exact_errors(tr, problem.exact)
 
     if kw["output"]:
         lines = ["t,x,exact,abs_error" if exact is not None else "t,x"]
         for i in range(tr.grid.count):
-            t, x = tr.grid.t(i), tr.x[i]
-            if exact is not None:
-                ex = exact[i]
-                lines.append(f"{t:.17g},{x:.17g},{ex:.17g},{abs(x - ex):.17g}")
-            else:
-                lines.append(f"{t:.17g},{x:.17g}")
-        with open(kw["output"], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            line = f"{tr.grid.t(i):.17g},{tr.x[i]:.17g}"
+            lines.append(line if exact is None else
+                         f"{line},{exact[i]:.17g},{errors[i]:.17g}")
+        _emit("\n".join(lines) + "\n", kw["output"])
 
     last = tr.grid.count - 1
     click.echo(f"t = {tr.grid.t(last):.17g}  x = {tr.x[last]:.17g}  status = {tr.status}")
     if exact is not None and tr.status == STATUS_OK:
-        err = max(abs(tr.x[i] - exact[i]) for i in range(tr.grid.count))
-        click.echo(f"max_error = {err:.17g}")
+        click.echo(f"max_error = {max(errors):.17g}")
     if tr.status != STATUS_OK:
         raise Diverged(f"solution magnitude passed the guard; "
                        f"trajectory truncated at {tr.grid.count} points")
@@ -269,11 +264,9 @@ def solve_cmd(ctx, **kw):
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False))
 @_CONFIG_OPT
-@click.pass_context
-def converge(ctx, **kw):
+def converge(**kw):
     """Step-size sweep: max errors and observed orders against the exact
     solution, table to stdout plus optional CSV/JSON export."""
-    kw = _merge_config(ctx, kw)
     _require(kw, "alpha")
     if (kw["h_list"] is None) == (kw["n_list"] is None):
         raise click.UsageError("give exactly one of --h-list or --n-list")
@@ -281,8 +274,8 @@ def converge(ctx, **kw):
     if kw["h_list"] is not None:
         hs = [_parse_h(tok) for tok in kw["h_list"].split(",")]
     else:
+        span = _span(problem, kw)
         try:
-            span = problem.T - (kw["split_t0"] or 0.0)
             hs = [span / int(tok) for tok in kw["n_list"].split(",")]
         except ValueError:
             raise click.UsageError(f"bad --n-list {kw['n_list']!r}") from None
@@ -314,10 +307,8 @@ def converge(ctx, **kw):
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False))
 @_CONFIG_OPT
-@click.pass_context
-def bench(ctx, **kw):
+def bench(**kw):
     """Wall time and f-value access counts per (method, horizon) cell."""
-    kw = _merge_config(ctx, kw)
     _require(kw, "problem", "alpha")
     methods = [tok.strip() for tok in kw["methods"].split(",") if tok.strip()]
     try:
@@ -344,10 +335,8 @@ def bench(ctx, **kw):
 @click.option("--z", type=float, help="argument (must be <= 0)")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @_CONFIG_OPT
-@click.pass_context
-def mlf(ctx, **kw):
+def mlf(**kw):
     """Evaluate the one-parameter relaxation special function at z <= 0."""
-    kw = _merge_config(ctx, kw)
     _require(kw, "alpha", "z")
     click.echo(f"{mittag_leffler(kw['alpha'], kw['z'], kw['tol']):.17g}")
 
@@ -361,10 +350,7 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         return 1
-    except Diverged as exc:
-        click.echo(f"diverged: {exc}", err=True)
-        return 2
-    except DivergenceError as exc:
+    except (Diverged, DivergenceError) as exc:
         click.echo(f"diverged: {exc}", err=True)
         return 2
     except (ValueError, OSError) as exc:

@@ -19,6 +19,7 @@ subexpression rather than silent NaNs.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -93,6 +94,9 @@ FUNCTIONS = {
     "gamma": (1, math.gamma),
     "pow": (2, math.pow),
 }
+
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": math.pow}
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -308,15 +312,7 @@ def evaluate(node, t, x, alpha):
         return _apply(fn, node, *args)
     left = evaluate(node.left, t, x, alpha)
     right = evaluate(node.right, t, x, alpha)
-    if node.op == "+":
-        return _apply(lambda: left + right, node)
-    if node.op == "-":
-        return _apply(lambda: left - right, node)
-    if node.op == "*":
-        return _apply(lambda: left * right, node)
-    if node.op == "/":
-        return _apply(lambda: left / right, node)
-    return _apply(math.pow, node, left, right)
+    return _apply(_BINARY_OPS[node.op], node, left, right)
 
 
 def compile_rhs(source, alpha):

@@ -73,6 +73,9 @@ def mittag_leffler(alpha, z, tol=DEFAULT_TOL):
     if alpha == 1.0:
         return math.exp(z)
     if alpha == 2.0:
+        if z == -math.inf:
+            raise ValueError("argument must be finite at order 2: "
+                             "E_2(z) = cos(sqrt(-z)) has no limit as z -> -inf")
         return math.cos(math.sqrt(-z))
     x = -float(z)
     if x == 0.0:

@@ -15,7 +15,7 @@ bit-identical floats.
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from jacobipc.adams import EXACT, StarterConfig, adams_solve
@@ -79,13 +79,13 @@ def observed_order(h_prev, err_prev, h, err):
     return math.log(err_prev / err) / math.log(h_prev / h)
 
 
-def _max_error(trajectory, exact):
-    worst = 0.0
-    for i in range(trajectory.grid.count):
-        err = abs(trajectory.x[i] - exact(trajectory.grid.t(i)))
-        if err > worst:
-            worst = err
-    return worst
+def exact_errors(trajectory, exact):
+    """Exact values and absolute errors on the trajectory's grid.
+
+    ``exact`` (possibly a costly oracle) is called once per grid point.
+    """
+    values = [exact(trajectory.grid.t(i)) for i in range(trajectory.grid.count)]
+    return values, [abs(x - v) for x, v in zip(trajectory.x, values)]
 
 
 def _accesses(counters):
@@ -108,7 +108,7 @@ def _run(problem, method, h, stencil_size, jn, starter, split=None):
     return adams_solve(problem, h, step_count(problem.T, h))
 
 
-def run_convergence(problem, h_list, stencil_size=3, jn=26, starter=None,
+def run_convergence(problem, h_list, stencil_size=3, jn=26, starter=StarterConfig(),
                     split=None, method="jpc"):
     """Solve at each step size (descending) and tabulate max errors and rates.
 
@@ -121,14 +121,12 @@ def run_convergence(problem, h_list, stencil_size=3, jn=26, starter=None,
         raise ValueError("convergence runs need a problem with an exact solution")
     if method == "adams" and split is not None:
         raise ValueError("split applies to the jpc method only")
-    if starter is None:
-        starter = StarterConfig()
 
     rows = []
     prev = None
     for h in sorted(set(h_list), reverse=True):
         tr = _run(problem, method, h, stencil_size, jn, starter, split)
-        err = _max_error(tr, problem.exact)
+        err = max(exact_errors(tr, problem.exact)[1])
         order = observed_order(prev[0], prev[1], h, err) if prev else None
         if tr.status != STATUS_OK:
             status = ROW_DIVERGED
@@ -149,59 +147,59 @@ def run_convergence(problem, h_list, stencil_size=3, jn=26, starter=None,
     )
 
 
-def run_timing(problem_id, alpha, h, methods, t_list, stencil_size=3, jn=26,
-               starter=None):
-    """Time each (method, horizon) cell at a fixed step size.
+def _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
+                steps):
+    """One timed row per (method, horizon) cell, at ``steps(problem, method)``,
+    which returns (N, h).
 
-    Quadrature tables are cached and warmed beforehand, so rows measure
-    marching cost.  Horizons must be integer multiples of h.
+    The quadrature rule is cached and warmed beforehand, so rows measure
+    marching cost.
     """
     for m in methods:
         _check_method(m)
-    if starter is None:
-        starter = StarterConfig()
-    probe = make_problem(problem_id, alpha, max(t_list))
-    quadrature_for(probe.alpha, jn)
-
+    quadrature_for(make_problem(problem_id, alpha, max(t_list)).alpha, jn)
     rows = []
     for method in methods:
         for t_end in sorted(t_list):
             problem = make_problem(problem_id, alpha, t_end)
-            n = step_count(t_end, h)
+            n, h = steps(problem, method)
             begin = time.perf_counter()
             tr = _run(problem, method, h, stencil_size, jn, starter)
             wall = time.perf_counter() - begin
             rows.append(TimingRow(n, wall, _accesses(tr.counters), method))
-    return TimingReport(problem=problem_id, alpha=alpha, h=h, rows=tuple(rows))
+    return tuple(rows)
+
+
+def run_timing(problem_id, alpha, h, methods, t_list, stencil_size=3, jn=26,
+               starter=StarterConfig()):
+    """Time each (method, horizon) cell at a fixed step size.
+
+    Horizons must be integer multiples of h.
+    """
+    rows = _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
+                       lambda problem, method: (step_count(problem.T, h), h))
+    return TimingReport(problem=problem_id, alpha=alpha, h=h, rows=rows)
 
 
 def run_target(problem_id, alpha, tol, methods, t_list, stencil_size=3, jn=26,
-               starter=None):
+               starter=StarterConfig()):
     """For each (method, horizon): smallest N with max error <= tol, timed.
 
     The N-search procedure is a doubling bracket plus bisection; the paper's
     analogous table does not state its search rule, so exact N agreement with
     it is not promised.
     """
-    if starter is None:
-        starter = StarterConfig()
-    probe = make_problem(problem_id, alpha, max(t_list))
-    quadrature_for(probe.alpha, jn)
+    def steps(problem, method):
+        n = smallest_n_reaching(problem, tol, stencil_size=stencil_size, jn=jn,
+                                starter=starter, method=method)
+        return n, problem.T / n
 
-    rows = []
-    for method in methods:
-        for t_end in sorted(t_list):
-            problem = make_problem(problem_id, alpha, t_end)
-            n = smallest_n_reaching(problem, tol, stencil_size=stencil_size,
-                                    jn=jn, starter=starter, method=method)
-            begin = time.perf_counter()
-            tr = _run(problem, method, t_end / n, stencil_size, jn, starter)
-            wall = time.perf_counter() - begin
-            rows.append(TimingRow(n, wall, _accesses(tr.counters), method))
-    return TimingReport(problem=problem_id, alpha=alpha, h=None, rows=tuple(rows))
+    rows = _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
+                       steps)
+    return TimingReport(problem=problem_id, alpha=alpha, h=None, rows=rows)
 
 
-def smallest_n_reaching(problem, tol, stencil_size=3, jn=26, starter=None,
+def smallest_n_reaching(problem, tol, stencil_size=3, jn=26, starter=StarterConfig(),
                         method="jpc", n_max=1 << 22):
     """Smallest step count with max error <= tol, by doubling then bisection.
 
@@ -213,12 +211,10 @@ def smallest_n_reaching(problem, tol, stencil_size=3, jn=26, starter=None,
         raise ValueError("needs a problem with an exact solution")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if starter is None:
-        starter = StarterConfig()
 
     def err(n):
         tr = _run(problem, method, problem.T / n, stencil_size, jn, starter)
-        return _max_error(tr, problem.exact)
+        return max(exact_errors(tr, problem.exact)[1])
 
     n = stencil_size
     while err(n) > tol:
@@ -256,34 +252,8 @@ def to_csv(report):
 
 
 def to_json(report):
-    if isinstance(report, ConvergenceReport):
-        payload = {
-            "kind": "convergence",
-            "alpha": report.alpha,
-            "stencil_size": report.stencil_size,
-            "jn": report.jn,
-            "method": report.method,
-            "problem": report.problem,
-            "starter": report.starter,
-            "rows": [
-                {"h": r.h, "max_error": r.max_error,
-                 "observed_order": r.observed_order, "status": r.status}
-                for r in report.rows
-            ],
-        }
-    else:
-        payload = {
-            "kind": "timing",
-            "problem": report.problem,
-            "alpha": report.alpha,
-            "h": report.h,
-            "rows": [
-                {"n_steps": r.n_steps, "wall_seconds": r.wall_seconds,
-                 "rhs_evals": r.rhs_evals, "method": r.method}
-                for r in report.rows
-            ],
-        }
-    return json.dumps(payload, indent=2) + "\n"
+    kind = "convergence" if isinstance(report, ConvergenceReport) else "timing"
+    return json.dumps({"kind": kind, **asdict(report)}, indent=2) + "\n"
 
 
 def export(report, fmt, path):
@@ -321,23 +291,17 @@ def _parse_timing_csv(lines):
     return TimingReport(problem="", alpha=None, h=None, rows=tuple(rows))
 
 
+_JSON_KINDS = {"convergence": (ConvergenceReport, ConvergenceRow),
+               "timing": (TimingReport, TimingRow)}
+
+
 def _from_json(payload):
-    if payload.get("kind") == "convergence":
-        rows = tuple(
-            ConvergenceRow(r["h"], r["max_error"], r["observed_order"],
-                           r.get("status", ROW_OK))
-            for r in payload["rows"]
-        )
-        return ConvergenceReport(payload["alpha"], payload["stencil_size"],
-                                 payload["jn"], payload["method"],
-                                 payload["problem"], payload["starter"], rows)
-    if payload.get("kind") == "timing":
-        rows = tuple(
-            TimingRow(r["n_steps"], r["wall_seconds"], r["rhs_evals"], r["method"])
-            for r in payload["rows"]
-        )
-        return TimingReport(payload["problem"], payload["alpha"], payload["h"], rows)
-    raise ValueError(f"unknown report kind {payload.get('kind')!r}")
+    kind = payload.pop("kind", None)
+    if kind not in _JSON_KINDS:
+        raise ValueError(f"unknown report kind {kind!r}")
+    report_cls, row_cls = _JSON_KINDS[kind]
+    rows = tuple(row_cls(**r) for r in payload.pop("rows"))
+    return report_cls(**payload, rows=rows)
 
 
 def loads(text):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adams_reference import adams_weights
-from jacobipc.adams import (EXACT, MAX_REFINEMENT, REFINED_ADAMS,
+from jacobipc.adams import (EXACT, MAX_STARTER_STEPS, REFINED_ADAMS,
                             StarterConfig, adams_solve, recommended_refinement,
                             start_values)
 from jacobipc.problems import ProblemSpec, make_problem
@@ -96,7 +96,9 @@ def test_recommended_refinement_rule():
     # p = 1 + min(alpha, 1); smallest k with (h 10^-k)^p <= h^(size + 0.5)
     assert recommended_refinement(0.5, 0.1, 3) == 2
     assert recommended_refinement(1.5, 0.1, 3) == 1
-    assert recommended_refinement(0.1, 1.0 / 320, 5) == MAX_REFINEMENT
+    # the rule asks for k = 11 here; the fine run's cap allows (5 - 1) * 10^2
+    assert recommended_refinement(0.1, 1.0 / 320, 5) == 2
+    assert 4 * 10**2 <= MAX_STARTER_STEPS < 4 * 10**3
     k = recommended_refinement(0.7, 0.05, 2)
     p = 1.7
     h = 0.05
@@ -134,6 +136,10 @@ def test_start_values_refined_mode():
     k = recommended_refinement(0.5, 0.1, 3)
     manual = start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS, k=k))
     assert list(auto) == list(manual)
+
+    # an explicit k whose fine run passes the cap is refused, not run
+    with pytest.raises(ValueError, match="2000 substeps"):
+        start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS, k=4))
 
 
 def test_config_validation():

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from jacobipc.cli import main
+from jacobipc.mittag import ml_solution
 from jacobipc.problems import make_problem
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.reports import loads, run_convergence, to_csv
@@ -137,6 +138,26 @@ def test_solve_divergence_exits_2(capsys):
     assert "status = diverged" in captured.out
 
 
+def test_refined_starter_is_capped(capsys):
+    # the refinement rule asks for k = 6 (3e6 O(N^2) Adams substeps); the cap
+    # of 2000 fine steps clamps it to k = 2
+    args = ["solve", "--rhs", "-x", "--init", "1", "--alpha", "0.2",
+            "--n", "100", "--stencil", "4"]
+    begin = time.perf_counter()
+    assert main(args) == 0
+    assert time.perf_counter() - begin < 2.0
+    _, x, status = endpoint_fields(capsys.readouterr().out)
+    assert status == "ok"
+    assert abs(x - ml_solution(0.2, 1.0)) < 1e-3
+
+    begin = time.perf_counter()
+    assert main(args + ["--starter", "refined:3"]) == 1
+    assert time.perf_counter() - begin < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_solve_split_flags(capsys):
     assert main(["solve", "--problem", "ml_linear", "--alpha", "0.5",
                  "--split-t0", "0.1", "--n", "45"]) == 0
@@ -249,6 +270,9 @@ def test_mlf_refuses_nan_and_orders_below_the_floor(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert main(["mlf", "--alpha", "0.5", "--z=-inf"]) == 0
     assert capsys.readouterr().out.strip() == "0"
+    assert main(["mlf", "--alpha", "2", "--z=-inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument must be finite") and "no limit" in err
 
 
 def test_config_file_defaults_and_precedence(tmp_path, capsys):
@@ -260,6 +284,20 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     # explicit flag beats the file
     assert main(["mlf", "--config", str(cfg), "--alpha", "2"]) == 0
     assert capsys.readouterr().out.strip() == format(math.cos(1.0), ".17g")
+
+    # keys are long option names, also where click's parameter name differs
+    solve_cfg = tmp_path / "solve.cfg"
+    solve_cfg.write_text("problem = poly8\nalpha = 0.5\nh = 1/10\n")
+    assert main(["solve", "--config", str(solve_cfg)]) == 0
+    t, _, status = endpoint_fields(capsys.readouterr().out)
+    assert (t, status) == (1.0, "ok")
+    conv_cfg = tmp_path / "conv.cfg"
+    path = tmp_path / "conv.json"
+    conv_cfg.write_text(f"problem = poly8\nalpha = 0.5\nn-list = 10,20\n"
+                        f"format = json\noutput = {path}\n")
+    assert main(["converge", "--config", str(conv_cfg)]) == 0
+    capsys.readouterr()
+    assert loads(path.read_text()).problem == "poly8"
 
 
 def test_config_file_rejects_unknown_and_malformed_keys(tmp_path, capsys):

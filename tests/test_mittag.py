@@ -102,6 +102,9 @@ def test_validation_and_trivial_values():
             mittag_leffler(alpha, z)
     for alpha in (MIN_ORDER, 0.5, 0.9, 1.0, 1.5, 1.99):
         assert mittag_leffler(alpha, -math.inf) == 0.0
+    # cos(sqrt(x)) has no limit as x -> inf
+    with pytest.raises(ValueError, match="no limit"):
+        mittag_leffler(2.0, -math.inf)
     # tolerances below machine epsilon are refused, not chased
     eps = sys.float_info.epsilon
     assert abs(mittag_leffler(0.5, -100.0, eps) - mittag_leffler(0.5, -100.0)) <= 1e-10

@@ -141,6 +141,53 @@ def test_json_round_trips_full_report():
     assert loads(to_json(null_h)) == null_h
 
 
+def test_json_layout_is_pinned():
+    # the JSON follows the dataclass fields; reordering one changes the format
+    conv = ConvergenceReport(0.5, 3, 26, "jpc", "poly8", "exact",
+                             (ConvergenceRow(0.1, 0.0625, None),
+                              ConvergenceRow(0.05, 0.0078125, 3.0)))
+    assert to_json(conv) == """{
+  "kind": "convergence",
+  "alpha": 0.5,
+  "stencil_size": 3,
+  "jn": 26,
+  "method": "jpc",
+  "problem": "poly8",
+  "starter": "exact",
+  "rows": [
+    {
+      "h": 0.1,
+      "max_error": 0.0625,
+      "observed_order": null,
+      "status": "ok"
+    },
+    {
+      "h": 0.05,
+      "max_error": 0.0078125,
+      "observed_order": 3.0,
+      "status": "ok"
+    }
+  ]
+}
+"""
+    timing = TimingReport("poly8", 0.5, None, (TimingRow(5, 0.25, 99, "jpc"),))
+    assert to_json(timing) == """{
+  "kind": "timing",
+  "problem": "poly8",
+  "alpha": 0.5,
+  "h": null,
+  "rows": [
+    {
+      "n_steps": 5,
+      "wall_seconds": 0.25,
+      "rhs_evals": 99,
+      "method": "jpc"
+    }
+  ]
+}
+"""
+
+
 def test_export_and_load_files(tmp_path):
     problem = make_problem("poly8", 0.5, 1.0)
     report = run_convergence(problem, [1.0 / 10, 1.0 / 20])
