@@ -8,6 +8,9 @@ stencil interpolation, giving per-step cost independent of the step index.
 Includes a fractional Adams baseline, a two-segment splitting for long
 horizons, an evaluator for the linear problem's special-function solution,
 an expression DSL for user-defined right-hand sides, and a benchmark CLI.
+Every run goes through ``solve``: its first values come from the exact
+solution or from a fine Adams run capped at ``MAX_STARTER_STEPS`` substeps,
+and a split run adds the head term over [0, t0] to the Taylor head.
 
 ``USING_COMPILED`` reports whether the compiled kernel extension (a plain C
 extension, built when a compiler is available) is active; otherwise, or with
@@ -26,7 +29,7 @@ from jacobipc.reports import (ConvergenceReport, TimingReport, export, load,
                               run_convergence, run_timing, smallest_n_reaching)
 from jacobipc.solver import (SolverConfig, SplitConfig, quadrature_for, solve,
                              step_count)
-from jacobipc.split import head_integral, solve_split
+from jacobipc.split import head_integral
 from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
                                  DivergenceError, Trajectory)
 
@@ -40,6 +43,6 @@ __all__ = [
     "gauss_lobatto_rule", "ConvergenceReport", "TimingReport",
     "export", "load", "run_convergence", "run_timing", "smallest_n_reaching",
     "SolverConfig", "SplitConfig", "quadrature_for", "solve", "step_count",
-    "head_integral", "solve_split", "GUARD", "STATUS_DIVERGED", "STATUS_OK",
+    "head_integral", "GUARD", "STATUS_DIVERGED", "STATUS_OK",
     "Counters", "DivergenceError", "Trajectory", "__version__",
 ]

@@ -1,11 +1,12 @@
 """Fractional Adams-Bashforth-Moulton (PECE) scheme and starting values.
 
 This is the O(N^2) baseline method of order min(1 + alpha, 2) and, run at a
-refined substep h*10^-k, the generic starter that supplies the first
-stencil_size grid values for the predictor-corrector when no exact solution
-is available.  That fine run takes (stencil_size - 1) * 10^k substeps, at
-most MAX_STARTER_STEPS: the automatic k is clamped to it and a larger
-explicit k is refused, so the starter's cost is bounded.
+refined substep, the generic source of the first stencil_size grid values
+when no exact solution is available.  Every such fine run goes through
+``fine_run``, which refuses more than MAX_STARTER_STEPS substeps before any
+work: the refined starter's (stencil_size - 1) * 10^k substeps (the automatic
+k is clamped to the cap, a larger explicit k is refused) and the split head
+on [0, t0] alike, so their cost is bounded.
 """
 
 import math
@@ -17,21 +18,14 @@ import numpy as np
 from jacobipc._backend import kernels
 from jacobipc.interp import UniformGrid
 from jacobipc.problems import taylor_head
-from jacobipc.trajectory import (
-    GUARD,
-    STATUS_DIVERGED,
-    STATUS_OK,
-    Counters,
-    DivergenceError,
-    Trajectory,
-    counting_rhs,
-)
+from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
+                                 DivergenceError, Trajectory, counting_rhs)
 
 EXACT = "exact"
 REFINED_ADAMS = "refined_adams"
 
-# the refined starter's fine Adams run costs O(steps^2): it may take at most
-# this many substeps, (stencil_size - 1) * 10^k; past it, use the exact start
+# a fine Adams run (refined starter or split head) costs O(steps^2): it may
+# take at most this many substeps; past it, use the exact start
 MAX_STARTER_STEPS = 2000
 
 
@@ -109,6 +103,27 @@ def recommended_refinement(alpha, h, stencil_size):
     return min(max(k, 0), _max_refinement(stencil_size))
 
 
+def fine_run(problem, h, n_steps):
+    """``adams_solve`` for start values, refused past MAX_STARTER_STEPS substeps.
+
+    A run that diverges raises DivergenceError.
+    """
+    if n_steps > MAX_STARTER_STEPS:
+        raise ValueError(f"fine Adams run of {n_steps} substeps is above the "
+                         f"{MAX_STARTER_STEPS}-substep cap")
+    fine = adams_solve(problem, h, n_steps)
+    if fine.status != STATUS_OK:
+        raise DivergenceError("fine Adams run diverged before reaching the start values")
+    return fine
+
+
+def exact_start(problem, origin, h, stencil_size):
+    """The exact solution sampled at origin, origin + h, ..., stencil_size values."""
+    if problem.exact is None:
+        raise ValueError("exact starter requested but no exact solution is known")
+    return np.array([problem.exact(origin + i * h) for i in range(stencil_size)])
+
+
 def start_values(problem, h, stencil_size, cfg):
     """First ``stencil_size`` grid values x_0 .. x_{stencil_size-1}.
 
@@ -120,9 +135,7 @@ def start_values(problem, h, stencil_size, cfg):
     if stencil_size < 2:
         raise ValueError("stencil size must be at least 2")
     if cfg.mode == EXACT:
-        if problem.exact is None:
-            raise ValueError("exact starter requested but no exact solution is known")
-        return np.array([problem.exact(i * h) for i in range(stencil_size)])
+        return exact_start(problem, 0.0, h, stencil_size)
     k = cfg.k if cfg.k is not None else recommended_refinement(problem.alpha, h, stencil_size)
     if k > _max_refinement(stencil_size):
         raise ValueError(
@@ -130,7 +143,4 @@ def start_values(problem, h, stencil_size, cfg):
             f"largest whose fine Adams run at stencil size {stencil_size} stays "
             f"within {MAX_STARTER_STEPS} substeps")
     stride = 10**k
-    fine = adams_solve(problem, h / stride, (stencil_size - 1) * stride)
-    if fine.status != STATUS_OK:
-        raise DivergenceError("starter run diverged before reaching the coarse grid")
-    return fine.x[::stride].copy()
+    return fine_run(problem, h / stride, (stencil_size - 1) * stride).x[::stride].copy()

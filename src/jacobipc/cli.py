@@ -7,7 +7,7 @@ scaling), ``mlf`` (evaluate the relaxation special function).
 Every subcommand accepts ``--config FILE`` holding ``key=value`` lines
 (keys are the long option names; ``#`` comments and blank lines allowed);
 explicit flags win over the file.  Exit codes: 0 success, 1 configuration
-error, 2 numerical divergence.
+error (including numbers too large for a float), 2 numerical divergence.
 """
 
 import math
@@ -353,7 +353,7 @@ def main(argv=None):
     except (Diverged, DivergenceError) as exc:
         click.echo(f"diverged: {exc}", err=True)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

@@ -1,4 +1,4 @@
-"""Uniform grids, barycentric weights and node mapping.
+"""Uniform grids, step counts, barycentric weights and node mapping.
 
 The solver approximates the integrand at mapped quadrature positions by
 degree-(size-1) polynomial interpolation on blocks of ``size`` consecutive
@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+REL_GRID_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,14 @@ class UniformGrid:
     @property
     def times(self):
         return self.origin + self.h * np.arange(self.count)
+
+
+def step_count(length, h):
+    """Number of steps of size h covering ``length``; rejects uneven fits."""
+    n = round(length / h)
+    if n < 1 or abs(n * h - length) > REL_GRID_TOL * max(1.0, abs(length)):
+        raise ValueError(f"step {h} does not evenly divide {length}")
+    return n
 
 
 def uniform_bary_weights(size):

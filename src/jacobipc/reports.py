@@ -15,7 +15,7 @@ bit-identical floats.
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 from jacobipc.adams import EXACT, StarterConfig, adams_solve
@@ -295,13 +295,29 @@ _JSON_KINDS = {"convergence": (ConvergenceReport, ConvergenceRow),
                "timing": (TimingReport, TimingRow)}
 
 
+def _fields(cls, data):
+    """``data`` checked to hold every field of ``cls`` without a default, and no other."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
+    known = {f.name: f for f in fields(cls)}
+    for name in data:
+        if name not in known:
+            raise ValueError(f"unknown {cls.__name__} field {name!r}")
+    missing = [repr(n) for n, f in known.items() if n not in data and f.default is MISSING]
+    if missing:
+        raise ValueError(f"{cls.__name__} is missing {', '.join(missing)}")
+    return data
+
+
 def _from_json(payload):
     kind = payload.pop("kind", None)
     if kind not in _JSON_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
     report_cls, row_cls = _JSON_KINDS[kind]
-    rows = tuple(row_cls(**r) for r in payload.pop("rows"))
-    return report_cls(**payload, rows=rows)
+    rows = _fields(report_cls, payload).pop("rows")
+    if not isinstance(rows, list):
+        raise ValueError(f"{report_cls.__name__} field 'rows' must be a list, got {rows!r}")
+    return report_cls(**payload, rows=tuple(row_cls(**_fields(row_cls, r)) for r in rows))
 
 
 def loads(text):

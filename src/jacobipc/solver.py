@@ -6,9 +6,10 @@ evaluates the integrand at the quadrature nodes by local polynomial
 interpolation of cached f values.  Cost per step is O(stencil_size * jn),
 so a whole run is O(N) for fixed configuration.
 
-``_march`` is the one marching loop: ``solve`` runs it on [0, T] after the
-Taylor head, and ``split.solve_split`` runs it on [t0, T] with the
-head-segment term added to that head.
+``solve`` is the one entry point and ``_march`` the one marching loop.
+Without a split, the march runs on [0, T] from the starter's values after
+the Taylor head; with one, it runs on [t0, T] from ``split.head_start``'s
+values, with the head-segment term added to the Taylor head.
 """
 
 import math
@@ -19,19 +20,12 @@ import numpy as np
 
 from jacobipc._backend import kernels
 from jacobipc.adams import StarterConfig, start_values
-from jacobipc.interp import UniformGrid, uniform_bary_weights
+from jacobipc.interp import UniformGrid, step_count, uniform_bary_weights
 from jacobipc.problems import taylor_head
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
-from jacobipc.trajectory import (
-    GUARD,
-    STATUS_DIVERGED,
-    STATUS_OK,
-    Counters,
-    Trajectory,
-    counting_rhs,
-)
-
-REL_GRID_TOL = 1e-9
+from jacobipc.split import head_start
+from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
+                                 Trajectory, counting_rhs)
 
 
 @dataclass(frozen=True)
@@ -71,14 +65,6 @@ class SolverConfig:
             raise ValueError("stencil size must be at least 2")
         if self.jn < 2:
             raise ValueError("quadrature index must be at least 2")
-
-
-def step_count(length, h):
-    """Number of steps of size h covering ``length``; rejects uneven fits."""
-    n = round(length / h)
-    if n < 1 or abs(n * h - length) > REL_GRID_TOL * max(1.0, abs(length)):
-        raise ValueError(f"step {h} does not evenly divide {length}")
-    return n
 
 
 def quadrature_for(alpha, jn):
@@ -145,18 +131,23 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
 
 
 def solve(problem, config):
-    """Full trajectory on [0, T] (or config.split's two-segment variant).
+    """Full trajectory on [0, T], or on [t0, T] after config.split's head.
 
-    The first stencil_size values come from the starter; the rest are
-    marched by ``_march``.
+    The first stencil_size values come from the starter (``start_values``)
+    or, in split runs, from ``split.head_start``; the rest are marched by
+    ``_march``.
     """
-    if config.split is not None:
-        from jacobipc.split import solve_split
-
-        return solve_split(problem, config)
-    n_steps = step_count(problem.T, config.h)
-    size = config.stencil_size
+    split, h, size = config.split, config.h, config.stencil_size
+    origin = 0.0 if split is None else split.t0
+    if origin >= problem.T:
+        raise ValueError("split point must lie inside [0, T]")
+    n_steps = step_count(problem.T - origin, h)
     if n_steps < size:
         raise ValueError("grid too coarse: need at least stencil_size steps")
-    x_start = start_values(problem, config.h, size, config.starter)
-    return _march(problem, config, 0.0, n_steps, x_start, lambda t: taylor_head(problem, t))
+    if split is None:
+        head, x_start = None, start_values(problem, h, size, config.starter)
+        base_at = lambda t: taylor_head(problem, t)
+    else:
+        head, x_start, head_term = head_start(problem, config)
+        base_at = lambda t: taylor_head(problem, t) + head_term(t)
+    return _march(problem, config, origin, n_steps, x_start, base_at, head=head)

@@ -4,8 +4,9 @@ Splitting moves the non-smooth neighbourhood of the origin (or, for very
 small alpha, the steep initial transient) out of the stepped segment.  The
 head contribution to each later value is a plain integral with a smooth
 kernel, evaluated with a weight-free Lobatto rule over f values read off a
-refined trajectory by the marcher's own stencil kernel; the tail is the
-standard predictor-corrector march with its prefactor measured from t0.
+refined trajectory by the marcher's own stencil kernel.  ``head_start``
+supplies what ``solver.solve`` needs to march [t0, T]: the start values and
+that head term, which is added to the Taylor head.
 """
 
 import math
@@ -13,12 +14,10 @@ import math
 import numpy as np
 
 from jacobipc._backend import kernels
-from jacobipc.adams import EXACT, adams_solve
-from jacobipc.interp import UniformGrid, map_node, uniform_bary_weights
-from jacobipc.problems import taylor_head
+from jacobipc.adams import EXACT, exact_start, fine_run
+from jacobipc.interp import UniformGrid, map_node, step_count, uniform_bary_weights
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
-from jacobipc.solver import _march, step_count
-from jacobipc.trajectory import STATUS_OK, DivergenceError, Trajectory
+from jacobipc.trajectory import Trajectory
 
 
 def head_integral(problem, head, aux_rule, stencil_size=3):
@@ -58,54 +57,29 @@ def head_integral(problem, head, aux_rule, stencil_size=3):
     return term
 
 
-def solve_split(problem, config):
-    """Trajectory on the main grid [t0, T]; the fine head rides along as aux.
+def head_start(problem, config):
+    """Head trajectory on [0, t0], start values at t0, t0 + h, ... and head term.
 
-    The head trajectory is a refined baseline run with substep
-    h/fine_factor, which must land exactly on t0.  The main starter either
-    samples the exact solution at t0, t0+h, ... or extends the same refined
-    run past t0 and subsamples it.  The main grid is marched by
-    ``solver._march`` with ``head_integral``'s term added to the Taylor head.
+    The head is a capped fine Adams run (``adams.fine_run``) at substep
+    h/fine_factor, which must land exactly on t0.  The start values either
+    sample the exact solution or continue that run past t0 and subsample it;
+    such a refined start has no k of its own, so an explicit k is refused.
     """
-    split = config.split
-    if split is None:
-        raise ValueError("config carries no split section")
-    t0, h = split.t0, config.h
-    if t0 >= problem.T:
-        raise ValueError("split point must lie inside [0, T]")
-    size = config.stencil_size
-    n_steps = step_count(problem.T - t0, h)
-    if n_steps < size:
-        raise ValueError("main grid too coarse: need at least stencil_size steps")
+    split, h, size = config.split, config.h, config.stencil_size
+    refined = config.starter.mode != EXACT
+    if refined and config.starter.k is not None:
+        raise ValueError("a split refined start continues the head run at "
+                         "h/fine_factor, so it takes no k")
     h_fine = h / split.fine_factor
-    n_fine = step_count(t0, h_fine)
-
-    exact_start = config.starter.mode == EXACT
-    n_run = n_fine if exact_start else n_fine + (size - 1) * split.fine_factor
-    fine = adams_solve(problem, h_fine, n_run)
-    if fine.status != STATUS_OK:
-        raise DivergenceError("head trajectory diverged before reaching t0")
-    if exact_start:
-        head = fine
-        if problem.exact is None:
-            raise ValueError("exact starter requested but no exact solution is known")
-        x_start = np.array([problem.exact(t0 + i * h) for i in range(size)])
-    else:
-        g = fine.grid
-        head = Trajectory(
-            UniformGrid(g.origin, g.h, n_fine + 1),
-            fine.x[: n_fine + 1],
-            fine.f_cache[: n_fine + 1],
-            fine.status,
-            fine.counters,
-        )
+    n_fine = step_count(split.t0, h_fine)
+    if refined:
+        fine = fine_run(problem, h_fine, n_fine + (size - 1) * split.fine_factor)
+        head = Trajectory(UniformGrid(0.0, h_fine, n_fine + 1), fine.x[: n_fine + 1],
+                          fine.f_cache[: n_fine + 1], fine.status, fine.counters)
         x_start = fine.x[n_fine :: split.fine_factor][:size].copy()
-
+    else:
+        x_start = exact_start(problem, split.t0, h, size)
+        head = fine_run(problem, h_fine, n_fine)
     aux_jn = split.aux_jn if split.aux_jn is not None else 2 * config.jn
     aux_rule = gauss_lobatto_rule(JacobiWeight(0.0, 0.0), aux_jn + 1)
-    head_term = head_integral(problem, head, aux_rule, size)
-
-    def base_at(t):
-        return taylor_head(problem, t) + head_term(t)
-
-    return _march(problem, config, t0, n_steps, x_start, base_at, head=head)
+    return head, x_start, head_integral(problem, head, aux_rule, size)

@@ -108,7 +108,7 @@ def _digest(backend, monkeypatch):
     record(adams_solve(make_problem("poly8", 0.5, 1.0), 1.0 / 120, 120))
     # criterion 07's first published cell
     problem = make_problem("ml_linear", 0.5, 1.1)
-    for starter in (exact, StarterConfig(mode=REFINED_ADAMS, k=1)):
+    for starter in (exact, StarterConfig(mode=REFINED_ADAMS)):
         record(solve(problem, SolverConfig(h=1.0 / 40, stencil_size=3, starter=starter,
                                            split=SplitConfig(t0=0.1, aux_jn=52))))
     return rows

@@ -150,12 +150,24 @@ def test_refined_starter_is_capped(capsys):
     assert status == "ok"
     assert abs(x - ml_solution(0.2, 1.0)) < 1e-3
 
-    begin = time.perf_counter()
-    assert main(args + ["--starter", "refined:3"]) == 1
-    assert time.perf_counter() - begin < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    split = ["--problem", "ml_linear", "--alpha", "0.5", "--split-t0"]
+    for refused in (
+        args + ["--starter", "refined:3"],
+        ["solve", "--rhs", "-x", "--init", "1", "--alpha", "0.5", "--n", "10",
+         "--starter", "refined:400"],
+        # the split head's fine run is capped too
+        ["solve"] + split + ["0.5", "--n", "10", "--split-fine", "10000"],
+        # a split refined start takes no k
+        ["converge"] + split + ["0.1", "--n-list", "9,18", "--starter", "refined:9"],
+        # an integer too large for a float is a configuration error
+        ["solve"] + split + ["0.5", "--n", "10", "--split-fine", "1" + "0" * 400],
+    ):
+        begin = time.perf_counter()
+        assert main(refused) == 1
+        assert time.perf_counter() - begin < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_solve_split_flags(capsys):

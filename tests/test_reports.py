@@ -208,6 +208,18 @@ def test_loads_rejects_garbage():
         loads("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="kind"):
         loads('{"kind": "mystery"}')
+    # malformed JSON reports name the offending field
+    meta = '"kind": "timing", "problem": "poly8", "alpha": 0.5, "h": 0.1'
+    with pytest.raises(ValueError, match="'rows'"):
+        loads('{"kind": "timing"}')
+    with pytest.raises(ValueError, match="missing 'h'"):
+        loads('{"kind": "timing", "problem": "poly8", "alpha": 0.5, "rows": []}')
+    with pytest.raises(ValueError, match="unknown TimingReport field 'backend'"):
+        loads('{' + meta + ', "rows": [], "backend": "pure"}')
+    with pytest.raises(ValueError, match="'rows' must be a list"):
+        loads('{' + meta + ', "rows": 5}')
+    with pytest.raises(ValueError, match="TimingRow is missing 'wall_seconds'"):
+        loads('{' + meta + ', "rows": [{"n_steps": 10, "rhs_evals": 3, "method": "jpc"}]}')
 
 
 def test_timing_access_column_closed_forms():

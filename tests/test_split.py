@@ -9,7 +9,7 @@ from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.problems import ProblemSpec, make_problem
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.solver import SolverConfig, SplitConfig, solve
-from jacobipc.split import head_integral, solve_split
+from jacobipc.split import head_integral
 from jacobipc.trajectory import STATUS_OK
 
 
@@ -144,5 +144,11 @@ def test_split_validation():
     with pytest.raises(ValueError, match="evenly divide"):
         solve(problem, SolverConfig(h=0.1, starter=starter,
                                     split=SplitConfig(t0=0.13)))
-    with pytest.raises(ValueError, match="no split"):
-        solve_split(problem, SolverConfig(h=0.1, starter=starter))
+    # a refined split start continues the head run, so it takes no k
+    with pytest.raises(ValueError, match="takes no k"):
+        solve(problem, SolverConfig(h=0.1, starter=StarterConfig(mode=REFINED_ADAMS, k=1),
+                                    split=SplitConfig(t0=0.1)))
+    # the head's fine Adams run is capped, and refused before any work
+    with pytest.raises(ValueError, match="2000-substep cap"):
+        solve(problem, SolverConfig(h=0.1, starter=starter,
+                                    split=SplitConfig(t0=0.5, fine_factor=10000)))
