@@ -4,7 +4,15 @@
  * Same contracts, argument lists and floating-point operation order as
  * jacobipc._kernels_py, which holds the reference semantics; the two must
  * stay bit-identical.  TIE_TOL is read from that module at import.  Buffer
- * lengths are checked once per call, before any element is read.
+ * lengths and the start node are checked once per call, before any element
+ * is read.
+ *
+ * weighted_interp_sum reports, when asked (share), the prefix of nodes whose
+ * stencil ends left of n+1 and so is the same in the predictor and the
+ * corrector phase, with the running total at its end; the corrector then
+ * resumes from that total at the first unshared node (first, total) instead
+ * of interpolating the prefix again.  See _kernels_py for why the resumed
+ * sum is bit-identical and what the counters count.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -43,13 +51,14 @@ static PyObject *
 weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"fvals", "n", "nodes", "weights", "node_count", "size",
-                             "bary", "corrector", "counters", NULL};
+                             "bary", "corrector", "counters", "first", "total", "share", NULL};
     PyObject *fobj, *nobj, *wobj, *bobj, *cobj;
-    Py_ssize_t n, node_count, size;
-    int corrector;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnOpO:weighted_interp_sum", kwlist,
+    Py_ssize_t n, node_count, size, first = 0;
+    int corrector, share = 0;
+    double total = 0.0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnOpO|ndp:weighted_interp_sum", kwlist,
                                      &fobj, &n, &nobj, &wobj, &node_count, &size,
-                                     &bobj, &corrector, &cobj))
+                                     &bobj, &corrector, &cobj, &first, &total, &share))
         return NULL;
 
     Py_buffer bufs[5];
@@ -74,19 +83,33 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
         PyErr_SetString(PyExc_IndexError, "n, node_count or size exceeds its buffer");
         goto done;
     }
+    if (first < 0 || first > node_count) {
+        PyErr_Format(PyExc_IndexError, "start node %zd lies outside [0, %zd]", first, node_count);
+        goto done;
+    }
 
     const double *fvals = bufs[0].buf, *nodes = bufs[1].buf, *weights = bufs[2].buf;
     const double *bary = bufs[3].buf;
     long long *counts = bufs[4].buf;
     Py_ssize_t ln = (size + 1) / 2, rn = size / 2;
-    double total = 0.0;
-    long long reads = 0;
-    for (Py_ssize_t j = 0; j < node_count; j++) {
+    /* the shared-prefix test is le + rn <= np1; le never exceeds usable, so
+     * without share no node fails it */
+    Py_ssize_t limit = share ? np1 - rn : usable;
+    Py_ssize_t shared = node_count;
+    double shared_total = 0.0;
+    long long reads = 0, shared_reads = 0;
+    for (Py_ssize_t j = first; j < node_count; j++) {
         double theta = 0.5 * (1.0 + nodes[j]) * np1;
         double left = floor(theta + TIE_TOL);
         /* le = left + 1 clamped to [., usable]; a target left of the grid
          * (or NaN) takes the left edge without an out-of-range cast */
         Py_ssize_t le = left >= usable ? usable : !(left >= 0.0) ? 0 : (Py_ssize_t)left + 1;
+        if (le > limit) {
+            shared = j;
+            shared_total = total;
+            shared_reads = reads;
+            limit = usable;
+        }
         Py_ssize_t start;
         if (le <= ln)
             start = 0;
@@ -115,9 +138,14 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
             reads += size;
         }
     }
-    counts[0] += node_count;
+    counts[0] += node_count - first;
     counts[1] += reads;
-    result = PyFloat_FromDouble(total);
+    if (shared == node_count) {  /* every node is shared */
+        shared_total = total;
+        shared_reads = reads;
+    }
+    result = share ? Py_BuildValue("(dndL)", total, shared, shared_total, shared_reads)
+                   : PyFloat_FromDouble(total);
 done:
     while (got-- > 0)
         PyBuffer_Release(&bufs[got]);

@@ -103,13 +103,14 @@ def recommended_refinement(alpha, h, stencil_size):
     return min(max(k, 0), _max_refinement(stencil_size))
 
 
-def fine_run(problem, h, n_steps):
+def fine_run(problem, h, n_steps, what="fine Adams run"):
     """``adams_solve`` for start values, refused past MAX_STARTER_STEPS substeps.
 
-    A run that diverges raises DivergenceError.
+    ``what`` names the run in the refusal.  A run that diverges raises
+    DivergenceError.
     """
     if n_steps > MAX_STARTER_STEPS:
-        raise ValueError(f"fine Adams run of {n_steps} substeps is above the "
+        raise ValueError(f"{what} takes {n_steps} substeps, above the "
                          f"{MAX_STARTER_STEPS}-substep cap")
     fine = adams_solve(problem, h, n_steps)
     if fine.status != STATUS_OK:

@@ -38,6 +38,11 @@ class ConvergenceRow:
     observed_order: Optional[float]  # None on the first row
     status: str = ROW_OK
 
+    def __post_init__(self):
+        if self.status not in (ROW_OK, ROW_GROWING, ROW_DIVERGED):
+            raise ValueError(f"ConvergenceRow field 'status' must be one of {ROW_OK}, "
+                             f"{ROW_GROWING}, {ROW_DIVERGED}, got {self.status!r}")
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -62,7 +67,7 @@ class TimingRow:
 class TimingReport:
     problem: str
     alpha: float
-    h: float
+    h: Optional[float]  # None for run_target, whose rows each find their own step
     rows: tuple
 
 
@@ -295,14 +300,29 @@ _JSON_KINDS = {"convergence": (ConvergenceReport, ConvergenceRow),
                "timing": (TimingReport, TimingRow)}
 
 
+# JSON value types each field annotation accepts (an int serves as a float;
+# bool, though an int subclass, serves as neither); the rows are checked apart
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    Optional[float]: ((int, float, type(None)), "a number or null"),
+    int: ((int,), "an integer"),
+    str: ((str,), "a string"),
+}
+
+
 def _fields(cls, data):
-    """``data`` checked to hold every field of ``cls`` without a default, and no other."""
+    """``data`` checked to hold every field of ``cls`` without a default, and no
+    other, each of a JSON type its annotation accepts."""
     if not isinstance(data, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {data!r}")
     known = {f.name: f for f in fields(cls)}
-    for name in data:
+    for name, value in data.items():
         if name not in known:
             raise ValueError(f"unknown {cls.__name__} field {name!r}")
+        accepted = _JSON_TYPES.get(known[name].type)
+        if accepted and (isinstance(value, bool) or not isinstance(value, accepted[0])):
+            raise ValueError(f"{cls.__name__} field {name!r} must be {accepted[1]}, "
+                             f"got {value!r}")
     missing = [repr(n) for n, f in known.items() if n not in data and f.default is MISSING]
     if missing:
         raise ValueError(f"{cls.__name__} is missing {', '.join(missing)}")

@@ -6,6 +6,15 @@ evaluates the integrand at the quadrature nodes by local polynomial
 interpolation of cached f values.  Cost per step is O(stencil_size * jn),
 so a whole run is O(N) for fixed configuration.
 
+Predictor and corrector apply the same rule to the same history and differ
+only at nodes whose stencil reaches t_{n+1}.  The kernel's predictor pass
+reports the prefix of nodes before those, with its running total there, and
+the corrector pass resumes from that total (``_kernels_py`` says why this
+is exact).  At jn = 26 that prefix holds every interior node from a few
+hundred steps on, and the corrector call is then skipped.
+The counters still count every interpolation and value read that each
+quadrature sum uses, shared or not, so their closed forms are unchanged.
+
 ``solve`` is the one entry point and ``_march`` the one marching loop.
 Without a split, the march runs on [0, T] from the starter's values after
 the Taylor head; with one, it runs on [t0, T] from ``split.head_start``'s
@@ -98,14 +107,15 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
     kc = np.zeros(2, dtype=np.int64)
     pref = 1.0 / math.gamma(alpha)
     end_w = weights[jn]
+    shared_evals = shared_reads = 0
     status = STATUS_OK
     count = n_steps + 1
     for n in range(size - 1, n_steps):
         t1 = origin + (n + 1) * h
         scale = pref * (0.5 * (n + 1) * h) ** alpha
         base = base_at(t1)
-        total = kernels.weighted_interp_sum(
-            fc, n, nodes, weights, jn + 1, size, bary, 0, kc
+        total, shared, resumed, reads = kernels.weighted_interp_sum(
+            fc, n, nodes, weights, jn + 1, size, bary, 0, kc, 0, 0.0, True
         )
         x_pred = base + scale * total
         if not abs(x_pred) <= GUARD:
@@ -114,18 +124,23 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
         f_pred = rhs(t1, x_pred)
         fc[n + 1] = f_pred
         # interior nodes only: the end node s=1 lands on t_{n+1} and uses the
-        # directly evaluated f_pred, never an interpolated value
-        total = kernels.weighted_interp_sum(
-            fc, n, nodes, weights, jn, size, bary, 1, kc
-        )
-        x_new = base + scale * (total + end_w * f_pred)
+        # directly evaluated f_pred, never an interpolated value.  The first
+        # `shared` of them have the predictor's stencils, so the corrector
+        # resumes the predictor's running total after them
+        if shared < jn:
+            resumed = kernels.weighted_interp_sum(
+                fc, n, nodes, weights, jn, size, bary, 1, kc, shared, resumed
+            )
+        shared_evals += shared
+        shared_reads += reads
+        x_new = base + scale * (resumed + end_w * f_pred)
         if not abs(x_new) <= GUARD:
             status, count = STATUS_DIVERGED, n + 1
             break
         x[n + 1] = x_new
         fc[n + 1] = rhs(t1, x_new)
-    counters.interp_evals += int(kc[0])
-    counters.value_reads += int(kc[1])
+    counters.interp_evals += int(kc[0]) + shared_evals
+    counters.value_reads += int(kc[1]) + shared_reads
     grid = UniformGrid(origin, h, count)
     return Trajectory(grid, x[:count], fc[:count], status, counters, head=head).finalize()
 

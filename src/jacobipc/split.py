@@ -69,17 +69,28 @@ def head_start(problem, config):
     refined = config.starter.mode != EXACT
     if refined and config.starter.k is not None:
         raise ValueError("a split refined start continues the head run at "
-                         "h/fine_factor, so it takes no k")
-    h_fine = h / split.fine_factor
-    n_fine = step_count(split.t0, h_fine)
+                         "h/--split-fine, so it takes no k")
+    # refusals name the CLI flags and the values given, not the substep
+    try:
+        h_fine = h / split.fine_factor
+        n_fine = step_count(split.t0, h_fine)
+    except OverflowError:
+        raise ValueError(f"--split-fine {split.fine_factor} is too large: the head "
+                         f"substep h/--split-fine is no usable float") from None
+    except ValueError:
+        raise ValueError(f"--split-t0 {split.t0} must be a whole number of head substeps, "
+                         f"but h/--split-fine = {h:.6g}/{split.fine_factor} = {h_fine:.6g} "
+                         f"does not evenly divide it") from None
+    what = (f"the split head's fine Adams run (--split-t0 {split.t0}, "
+            f"--split-fine {split.fine_factor})")
     if refined:
-        fine = fine_run(problem, h_fine, n_fine + (size - 1) * split.fine_factor)
+        fine = fine_run(problem, h_fine, n_fine + (size - 1) * split.fine_factor, what)
         head = Trajectory(UniformGrid(0.0, h_fine, n_fine + 1), fine.x[: n_fine + 1],
                           fine.f_cache[: n_fine + 1], fine.status, fine.counters)
         x_start = fine.x[n_fine :: split.fine_factor][:size].copy()
     else:
         x_start = exact_start(problem, split.t0, h, size)
-        head = fine_run(problem, h_fine, n_fine)
+        head = fine_run(problem, h_fine, n_fine, what)
     aux_jn = split.aux_jn if split.aux_jn is not None else 2 * config.jn
     aux_rule = gauss_lobatto_rule(JacobiWeight(0.0, 0.0), aux_jn + 1)
     return head, x_start, head_integral(problem, head, aux_rule, size)

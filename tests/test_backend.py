@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jacobipc
 from jacobipc import _kernels_py, adams, solver, split
@@ -53,6 +55,12 @@ def compiled(tmp_path_factory):
     return module
 
 
+@pytest.fixture(scope="session", params=["pure", "compiled"])
+def backend(request):
+    """Each kernel module in turn: the reference, then the C build."""
+    return _kernels_py if request.param == "pure" else request.getfixturevalue("compiled")
+
+
 def test_backend_flag_is_consistent():
     assert isinstance(jacobipc.USING_COMPILED, bool)
     assert jacobipc.USING_COMPILED == kernels.COMPILED
@@ -76,6 +84,89 @@ def test_weighted_interp_sum_parity(compiled):
                     fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase, kc_b)
                 assert got == want  # bitwise, not approx
                 assert list(kc_a) == list(kc_b)
+
+
+@st.composite
+def march_steps(draw):
+    """One march step: stencil size, step index n, nodes (Lobatto or snapped onto
+    grid points, so the tie path runs), weights and an f history."""
+    size = draw(st.integers(2, 5))
+    n = draw(st.one_of(st.just(size - 1), st.integers(size - 1, 3000)))
+    jn = draw(st.integers(2, 60))
+    nodes = quadrature_for(draw(st.sampled_from([0.3, 0.5, 0.8, 1.5])), jn).nodes.copy()
+    snapped = draw(st.lists(st.tuples(st.integers(1, jn - 1), st.integers(0, n + 1)),
+                            max_size=jn - 1))
+    for j, point in snapped:
+        nodes[j] = 2.0 * point / (n + 1) - 1.0
+    nodes.sort()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fvals = rng.uniform(-5.0, 5.0, size=n + 2)
+    fvals[n + 1] = 0.0  # not yet predicted
+    weights = rng.uniform(-1.0, 1.0, size=jn + 1)
+    return size, n, jn, nodes, weights, fvals, rng.uniform(-5.0, 5.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(step=march_steps())
+def test_resumed_corrector_is_bit_identical(backend, step):
+    size, n, jn, nodes, weights, fvals, f_pred = step
+    bary = uniform_bary_weights(size)
+    common = dict(n=n, nodes=nodes, weights=weights, size=size, bary=bary)
+    kc_pred = np.zeros(2, dtype=np.int64)
+    total, shared, partial, reads = backend.weighted_interp_sum(
+        fvals=fvals, node_count=jn + 1, corrector=0, counters=kc_pred, share=True, **common)
+    kc_plain = np.zeros(2, dtype=np.int64)
+    plain = backend.weighted_interp_sum(fvals=fvals, node_count=jn + 1, corrector=0,
+                                        counters=kc_plain, **common)
+    assert total.hex() == plain.hex()
+    assert list(kc_pred) == list(kc_plain)
+    # the end node s = 1 is never shared
+    assert 0 <= shared <= jn and 0 <= reads <= shared * size
+
+    fvals[n + 1] = f_pred
+    kc_full = np.zeros(2, dtype=np.int64)
+    full = backend.weighted_interp_sum(fvals=fvals, node_count=jn, corrector=1,
+                                       counters=kc_full, **common)
+    kc_resumed = np.zeros(2, dtype=np.int64)
+    resumed = backend.weighted_interp_sum(fvals=fvals, node_count=jn, corrector=1,
+                                          counters=kc_resumed, first=shared, total=partial,
+                                          **common)
+    assert resumed.hex() == full.hex()
+    assert [kc_resumed[0] + shared, kc_resumed[1] + reads] == list(kc_full)
+    if shared == jn:  # the march then skips the corrector call
+        assert resumed.hex() == partial.hex()
+
+
+def test_keyword_arguments_match_across_backends(compiled):
+    rule = quadrature_for(0.5, 26)
+    fc = np.random.default_rng(13).uniform(-3, 3, size=41)
+    got = {}
+    for name, k in (("pure", _kernels_py), ("compiled", compiled)):
+        kc = np.zeros(2, dtype=np.int64)
+        got[name] = (
+            k.weighted_interp_sum(fvals=fc, n=39, nodes=rule.nodes, weights=rule.weights,
+                                  node_count=rule.n_points - 1, size=4,
+                                  bary=uniform_bary_weights(4), corrector=1, counters=kc,
+                                  first=3, total=0.25, share=True),
+            k.adams_step_sums(fvals=fc, n=20, alpha=0.7),
+            list(kc),
+        )
+    assert got["pure"] == got["compiled"]
+    assert got["pure"][2][0] == rule.n_points - 4
+
+
+@pytest.mark.parametrize("first", [-1, 27, 10**6])
+def test_kernels_refuse_bad_start_node(backend, first):
+    rule = quadrature_for(0.5, 26)
+    kc = np.zeros(2, dtype=np.int64)
+    with pytest.raises(IndexError, match="start node"):
+        backend.weighted_interp_sum(np.zeros(41), 39, rule.nodes, rule.weights, 26, 3,
+                                    uniform_bary_weights(3), 1, kc, first, 0.0)
+    assert list(kc) == [0, 0]
+    # the last valid start node reads nothing and returns the given total
+    assert backend.weighted_interp_sum(np.zeros(41), 39, rule.nodes, rule.weights, 26, 3,
+                                       uniform_bary_weights(3), 1, kc, 26, 0.25) == 0.25
+    assert list(kc) == [0, 0]
 
 
 def test_adams_step_sums_parity(compiled):

@@ -170,6 +170,29 @@ def test_refined_starter_is_capped(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_split_refusals_name_the_flags(capsys):
+    split = ["solve", "--problem", "ml_linear", "--alpha", "0.5", "--split-t0", "0.5",
+             "--n", "10"]
+    for extra, message in (
+        # uneven head grid: h = 0.15 and 0.15 / 10 does not divide 0.5
+        (["--t-end", "2"], "--split-t0 0.5 must be a whole number of head substeps, but "
+                           "h/--split-fine = 0.15/10 = 0.015 does not evenly divide it"),
+        (["--split-fine", "10000"],
+         "the split head's fine Adams run (--split-t0 0.5, --split-fine 10000) takes "
+         "100000 substeps, above the 2000-substep cap"),
+        (["--split-fine", "1000", "--starter", "refined"],
+         "the split head's fine Adams run (--split-t0 0.5, --split-fine 1000) takes "
+         "12000 substeps, above the 2000-substep cap"),
+        (["--split-fine", "1" + "0" * 400],
+         "--split-fine 1" + "0" * 400 + " is too large: the head substep h/--split-fine "
+         "is no usable float"),
+    ):
+        assert main(split + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_solve_split_flags(capsys):
     assert main(["solve", "--problem", "ml_linear", "--alpha", "0.5",
                  "--split-t0", "0.1", "--n", "45"]) == 0

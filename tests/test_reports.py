@@ -222,6 +222,40 @@ def test_loads_rejects_garbage():
         loads('{' + meta + ', "rows": [{"n_steps": 10, "rhs_evals": 3, "method": "jpc"}]}')
 
 
+def test_loads_checks_field_types():
+    meta = '"kind": "timing", "problem": "poly8", "alpha": 0.5, "h": 0.1'
+    row = '"n_steps": 10, "rhs_evals": 3, "method": "jpc"'
+    # a string where a number belongs is refused at load, not in format_table
+    with pytest.raises(ValueError, match="TimingRow field 'wall_seconds' must be a number, got '1'"):
+        loads('{' + meta + ', "rows": [{' + row + ', "wall_seconds": "1"}]}')
+    with pytest.raises(ValueError, match="TimingRow field 'n_steps' must be an integer"):
+        loads('{' + meta + ', "rows": [{"n_steps": 10.0, "rhs_evals": 3, "method": "jpc", '
+              '"wall_seconds": 1.0}]}')
+    with pytest.raises(ValueError, match="TimingReport field 'alpha' must be a number, got True"):
+        loads('{"kind": "timing", "problem": "poly8", "alpha": true, "h": 0.1, "rows": []}')
+    with pytest.raises(ValueError, match="TimingReport field 'problem' must be a string"):
+        loads('{"kind": "timing", "problem": 8, "alpha": 0.5, "h": 0.1, "rows": []}')
+    # an int serves as a float
+    report = loads('{' + meta + ', "rows": [{' + row + ', "wall_seconds": 1}]}')
+    assert report.rows[0].wall_seconds == 1
+    assert "1.0000e+00" in format_table(report)
+
+    conv = ('{"kind": "convergence", "alpha": 0.5, "stencil_size": 3, "jn": 26, '
+            '"method": "jpc", "problem": "poly8", "starter": "exact", "rows": [%s]}')
+    # null is accepted for observed_order only
+    report = loads(conv % '{"h": 0.1, "max_error": 1e-3, "observed_order": null}')
+    assert report.rows[0].observed_order is None
+    with pytest.raises(ValueError, match="ConvergenceRow field 'max_error' must be a number, got None"):
+        loads(conv % '{"h": 0.1, "max_error": null, "observed_order": 2}')
+    with pytest.raises(ValueError, match="ConvergenceRow field 'status' must be a string"):
+        loads(conv % '{"h": 0.1, "max_error": 1e-3, "observed_order": null, "status": 0}')
+    # an unknown status would fail later in with_status
+    with pytest.raises(ValueError, match="'status' must be one of ok, growing, diverged"):
+        loads(conv % '{"h": 0.1, "max_error": 1e-3, "observed_order": null, "status": "bad"}')
+    with pytest.raises(ValueError, match="ConvergenceReport field 'jn' must be an integer"):
+        loads((conv % '').replace('"jn": 26', '"jn": "26"'))
+
+
 def test_timing_access_column_closed_forms():
     size, jn = 3, 26
     report = run_timing("poly8", 0.5, 1.0 / 20, ("jpc", "adams"), (1.0, 2.0),
