@@ -1,18 +1,17 @@
 /* Compiled hot kernels: stencil-interpolation quadrature sums and the
  * fractional Adams history sums.
  *
- * Same contracts, argument lists and floating-point operation order as
- * jacobipc._kernels_py, which holds the reference semantics; the two must
- * stay bit-identical.  TIE_TOL is read from that module at import.  Buffer
- * lengths and the start node are checked once per call, before any element
- * is read.
+ * Same contracts, argument lists, floating-point operation order and
+ * exceptions as jacobipc._kernels_py, which holds the reference semantics;
+ * the two must stay bit-identical.  TIE_TOL is read from that module at
+ * import.  Buffer lengths and the start node are checked once per call,
+ * before any element is read.
  *
- * weighted_interp_sum reports, when asked (share), the prefix of nodes whose
- * stencil ends left of n+1 and so is the same in the predictor and the
- * corrector phase, with the running total at its end; the corrector then
- * resumes from that total at the first unshared node (first, total) instead
- * of interpolating the prefix again.  See _kernels_py for why the resumed
- * sum is bit-identical and what the counters count.
+ * weighted_interp_sum returns (total, reads, J, shared_total, shared_reads):
+ * the values it read, and the prefix of nodes whose stencil ends left of n+1
+ * and so is the same in both phases, with the running total and reads at its
+ * end, from which the corrector resumes (first, total).  See _kernels_py for
+ * why the resumed sum is bit-identical.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -21,22 +20,19 @@
 
 static double TIE_TOL;
 
-/* Acquire a 1-d C-contiguous buffer of 8-byte items: float64 ('d') for
- * data, writable signed integers ('l' or 'q') for counters. */
+/* Acquire a 1-d C-contiguous float64 buffer. */
 static int
-get_buffer(PyObject *obj, Py_buffer *view, int counters, const char *name)
+get_buffer(PyObject *obj, Py_buffer *view, const char *name)
 {
-    int flags = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS;
-    if (PyObject_GetBuffer(obj, view, counters ? flags | PyBUF_WRITABLE : flags) < 0)
+    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
         return -1;
     const char *f = view->format;
     if (*f == '@' || *f == '=')
         f++;
-    int kind_ok = counters ? (f[0] == 'l' || f[0] == 'q') : f[0] == 'd';
-    if (view->ndim == 1 && view->itemsize == 8 && kind_ok && f[1] == '\0')
+    if (view->ndim == 1 && view->itemsize == 8 && f[0] == 'd' && f[1] == '\0')
         return 0;
-    PyErr_Format(PyExc_ValueError, "%s must be a 1-d C-contiguous %s buffer, got format '%s', %d-d",
-                 name, counters ? "int64" : "float64", view->format, view->ndim);
+    PyErr_Format(PyExc_ValueError, "%s must be a 1-d C-contiguous float64 buffer, got format '%s', %d-d",
+                 name, view->format, view->ndim);
     PyBuffer_Release(view);
     return -1;
 }
@@ -51,23 +47,23 @@ static PyObject *
 weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"fvals", "n", "nodes", "weights", "node_count", "size",
-                             "bary", "corrector", "counters", "first", "total", "share", NULL};
-    PyObject *fobj, *nobj, *wobj, *bobj, *cobj;
+                             "bary", "corrector", "first", "total", NULL};
+    PyObject *fobj, *nobj, *wobj, *bobj;
     Py_ssize_t n, node_count, size, first = 0;
-    int corrector, share = 0;
+    int corrector;
     double total = 0.0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnOpO|ndp:weighted_interp_sum", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnOp|nd:weighted_interp_sum", kwlist,
                                      &fobj, &n, &nobj, &wobj, &node_count, &size,
-                                     &bobj, &corrector, &cobj, &first, &total, &share))
+                                     &bobj, &corrector, &first, &total))
         return NULL;
 
-    Py_buffer bufs[5];
-    PyObject *objs[5] = {fobj, nobj, wobj, bobj, cobj};
-    const char *names[5] = {"fvals", "nodes", "weights", "bary", "counters"};
+    Py_buffer bufs[4];
+    PyObject *objs[4] = {fobj, nobj, wobj, bobj};
+    const char *names[4] = {"fvals", "nodes", "weights", "bary"};
     int got = 0;
     PyObject *result = NULL;
-    for (; got < 5; got++)
-        if (get_buffer(objs[got], &bufs[got], got == 4, names[got]) < 0)
+    for (; got < 4; got++)
+        if (get_buffer(objs[got], &bufs[got], names[got]) < 0)
             goto done;
 
     Py_ssize_t np1 = n + 1;
@@ -78,8 +74,7 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
         goto done;
     }
     if (length(&bufs[0]) < usable || node_count < 0 || length(&bufs[1]) < node_count
-            || length(&bufs[2]) < node_count || size < 0 || length(&bufs[3]) < size
-            || length(&bufs[4]) < 2) {
+            || length(&bufs[2]) < node_count || size < 0 || length(&bufs[3]) < size) {
         PyErr_SetString(PyExc_IndexError, "n, node_count or size exceeds its buffer");
         goto done;
     }
@@ -90,20 +85,27 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
 
     const double *fvals = bufs[0].buf, *nodes = bufs[1].buf, *weights = bufs[2].buf;
     const double *bary = bufs[3].buf;
-    long long *counts = bufs[4].buf;
     Py_ssize_t ln = (size + 1) / 2, rn = size / 2;
-    /* the shared-prefix test is le + rn <= np1; le never exceeds usable, so
-     * without share no node fails it */
-    Py_ssize_t limit = share ? np1 - rn : usable;
+    /* the shared-prefix test is le + rn <= np1; past the first failure, limit
+     * rises to usable, which le never exceeds */
+    Py_ssize_t limit = np1 - rn;
     Py_ssize_t shared = node_count;
     double shared_total = 0.0;
     long long reads = 0, shared_reads = 0;
     for (Py_ssize_t j = first; j < node_count; j++) {
         double theta = 0.5 * (1.0 + nodes[j]) * np1;
         double left = floor(theta + TIE_TOL);
-        /* le = left + 1 clamped to [., usable]; a target left of the grid
-         * (or NaN) takes the left edge without an out-of-range cast */
-        Py_ssize_t le = left >= usable ? usable : !(left >= 0.0) ? 0 : (Py_ssize_t)left + 1;
+        /* le = left + 1 clamped to [0, usable], without an out-of-range cast */
+        Py_ssize_t le;
+        if (left >= 0.0 && left < usable)
+            le = (Py_ssize_t)left + 1;
+        else if (isfinite(left))
+            le = left < 0.0 ? 0 : usable;
+        else {  /* raise what int(math.floor(theta)) raises */
+            PyErr_Format(isnan(left) ? PyExc_ValueError : PyExc_OverflowError,
+                         "cannot convert float %s to integer", isnan(left) ? "NaN" : "infinity");
+            goto done;
+        }
         if (le > limit) {
             shared = j;
             shared_total = total;
@@ -133,19 +135,19 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
         if (hit >= 0) {
             total += weights[j] * fvals[start + hit];
             reads += hit + 1;
+        } else if (den == 0.0) {
+            PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+            goto done;
         } else {
             total += weights[j] * (num / den);
             reads += size;
         }
     }
-    counts[0] += node_count - first;
-    counts[1] += reads;
     if (shared == node_count) {  /* every node is shared */
         shared_total = total;
         shared_reads = reads;
     }
-    result = share ? Py_BuildValue("(dndL)", total, shared, shared_total, shared_reads)
-                   : PyFloat_FromDouble(total);
+    result = Py_BuildValue("(dLndL)", total, reads, shared, shared_total, shared_reads);
 done:
     while (got-- > 0)
         PyBuffer_Release(&bufs[got]);
@@ -163,7 +165,7 @@ adams_step_sums(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Ond:adams_step_sums", kwlist,
                                      &fobj, &n, &alpha))
         return NULL;
-    if (get_buffer(fobj, &buf, 0, "fvals") < 0)
+    if (get_buffer(fobj, &buf, "fvals") < 0)
         return NULL;
     if (n < 0 || length(&buf) < n + 1) {
         PyErr_Format(PyExc_IndexError, "step %zd needs %zd f values, buffer has %zd",

@@ -10,12 +10,12 @@ The march calls ``weighted_interp_sum`` twice a step, as predictor and as
 corrector, with the same rule and the same f history.  The two phases pick
 the same stencil for every node whose stencil ends left of t_{n+1}, the one
 value the corrector adds.  Such nodes give the same interpolated value bit
-for bit, and they form a prefix of the nodes, which rise with j.  So the
-predictor pass reports its running total at the end of that prefix, and the
-corrector pass resumes from it instead of interpolating those nodes again.
-At jn = 26 every interior node is shared from a few hundred steps on (from
-n = 142 at alpha = 1.5, stencil 3, to n = 672 at alpha = 0.3, stencil 5),
-and the corrector pass then has no work left.
+for bit, and they form a prefix of the nodes, which rise with j.  So each
+pass reports its running total at the end of that prefix, and the corrector
+pass resumes from the predictor's instead of interpolating those nodes
+again.  At jn = 26 every interior node is shared from a few hundred steps on
+(from n = 142 at alpha = 1.5, stencil 3, to n = 672 at alpha = 0.3,
+stencil 5), and the corrector pass then has no work left.
 """
 
 import math
@@ -27,8 +27,8 @@ COMPILED = False
 TIE_TOL = 1e-12
 
 
-def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, corrector, counters,
-                        first=0, total=0.0, share=False):
+def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, corrector,
+                        first=0, total=0.0):
     """Quadrature-weighted sum of stencil interpolations of the f history.
 
     Computes total + sum_{first<=j<node_count} weights[j] * p_j((1+nodes[j])*(n+1)/2)
@@ -38,21 +38,22 @@ def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, correc
     history permits and rn = size//2 right of it.  In the corrector phase
     fvals[n+1] is usable and holds the predicted f value.
 
-    Shared prefix: with le grid values at or left of a node's position, a
-    node with le + rn <= n+1 has a stencil inside fvals[0..n], chosen the
-    same way in both phases, so it reads the same values and gives the same
-    interpolant bit for bit.  With share set, the call returns (total, J,
-    the running total before node J, the values read over first <= j < J)
-    instead of the total, where J is the first node from ``first`` that fails
-    that test (node_count if none does).  Both phases sum in order of j, so
-    a corrector pass started at first = J from that running total is bit for
-    bit a full corrector pass.
+    Returns (total, reads, J, shared_total, shared_reads).  reads counts the
+    f values read over first <= j < node_count (size per node, fewer at an
+    exact hit); the kernel keeps no counters, so the caller counts the
+    node_count - first interpolations and adds up the reads.  The rest
+    describe the shared prefix.  With le grid values at or left of a node's
+    position, a node with le + rn <= n+1 has a stencil inside fvals[0..n],
+    chosen the same way in both phases, so it reads the same values and gives
+    the same interpolant bit for bit.  J is the first node from ``first``
+    that fails that test (node_count if none does); shared_total and
+    shared_reads are the running total and reads before it.  Both phases sum
+    in order of j, so a corrector pass started at first = J from
+    shared_total is bit for bit a full corrector pass.
 
-    counters[0] += interpolant evaluations, counters[1] += values read, both
-    over first <= j < node_count only; a caller that resumes adds J and the
-    prefix reads itself.  Raises IndexError when the stencil cannot fit the
-    usable values (n + 1 < size in the predictor phase), first lies outside
-    [0, node_count] or a read runs past a buffer.
+    Raises IndexError when the stencil cannot fit the usable values (n + 1 <
+    size in the predictor phase), first lies outside [0, node_count] or a
+    read runs past a buffer.
     """
     fv = memoryview(fvals)
     nd = memoryview(nodes)
@@ -65,9 +66,9 @@ def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, correc
     if not 0 <= first <= node_count:
         raise IndexError(f"start node {first} lies outside [0, {node_count}]")
     ln, rn = (size + 1) // 2, size // 2
-    # the shared-prefix test is le + rn <= np1; le never exceeds usable, so
-    # without share no node fails it
-    limit = np1 - rn if share else usable
+    # the shared-prefix test is le + rn <= np1; past the first failure, limit
+    # rises to usable, which le never exceeds
+    limit = np1 - rn
     prefix = None
     reads = 0
     for j in range(first, node_count):
@@ -102,11 +103,7 @@ def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, correc
         else:
             total += wt[j] * (num / den)
             reads += size
-    counters[0] += node_count - first
-    counters[1] += reads
-    if not share:
-        return total
-    return (total,) + (prefix or (node_count, total, reads))
+    return (total, reads) + (prefix or (node_count, total, reads))
 
 
 def adams_step_sums(fvals, n, alpha):
@@ -116,8 +113,8 @@ def adams_step_sums(fvals, n, alpha):
       pred = sum_{j<=n} ((n+1-j)^a - (n-j)^a) * f_j
       corr = sum_{j<=n} a_{j,n+1} * f_j
     using the standard corrector weights; the caller applies the h^alpha
-    prefactors.  Weights are recomputed each step (they depend on n), which
-    is the O(N^2) cost this baseline is meant to exhibit.
+    prefactors.  Only the f_0 coefficient depends on n; the O(N^2) cost this
+    baseline is meant to exhibit is the whole-history sum at every step.
     """
     fv = memoryview(fvals)
     ap1 = alpha + 1.0

@@ -19,7 +19,7 @@ from jacobipc._backend import kernels
 from jacobipc.interp import UniformGrid
 from jacobipc.problems import taylor_head
 from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
-                                 DivergenceError, Trajectory, counting_rhs)
+                                 DivergenceError, Trajectory)
 
 EXACT = "exact"
 REFINED_ADAMS = "refined_adams"
@@ -51,19 +51,19 @@ def adams_solve(problem, h, n_steps):
     if h <= 0 or n_steps < 1:
         raise ValueError("need h > 0 and n_steps >= 1")
     alpha = problem.alpha
-    counters = Counters()
-    rhs = counting_rhs(problem.rhs, counters)
+    rhs = problem.rhs
     x = np.zeros(n_steps + 1)
     fc = np.zeros(n_steps + 1)
     x[0] = problem.init[0]
     fc[0] = rhs(0.0, x[0])
+    rhs_evals, history_reads = 1, 0
     c_pred = h**alpha / math.gamma(alpha + 1.0)
     c_corr = h**alpha / math.gamma(alpha + 2.0)
     status = STATUS_OK
     count = n_steps + 1
     for n in range(n_steps):
         pred, corr = kernels.adams_step_sums(fc, n, alpha)
-        counters.history_reads += 2 * (n + 1)
+        history_reads += 2 * (n + 1)
         t1 = (n + 1) * h
         head = taylor_head(problem, t1)
         x_pred = head + c_pred * pred
@@ -71,12 +71,15 @@ def adams_solve(problem, h, n_steps):
             status, count = STATUS_DIVERGED, n + 1
             break
         f_pred = rhs(t1, x_pred)
+        rhs_evals += 1
         x_new = head + c_corr * (corr + f_pred)
         if not abs(x_new) <= GUARD:
             status, count = STATUS_DIVERGED, n + 1
             break
         x[n + 1] = x_new
         fc[n + 1] = rhs(t1, x_new)
+        rhs_evals += 1
+    counters = Counters(rhs_evals=rhs_evals, history_reads=history_reads)
     grid = UniformGrid(0.0, h, count)
     return Trajectory(grid, x[:count], fc[:count], status, counters).finalize()
 

@@ -168,9 +168,9 @@ def _problem_opts(fn):
 
 def _solver_opts(fn):
     for deco in reversed([
-        click.option("--stencil", type=int, default=3, show_default=True,
-                     help="interpolation stencil size (= expected order)"),
-        click.option("--jn", type=int, default=26, show_default=True,
+        click.option("--stencil", type=int, default=SolverConfig.stencil_size,
+                     show_default=True, help="interpolation stencil size (= expected order)"),
+        click.option("--jn", type=int, default=SolverConfig.jn, show_default=True,
                      help="quadrature rule index (rule has jn+1 points)"),
         click.option("--starter",
                      help="exact, refined, or refined:K "
@@ -300,8 +300,8 @@ def converge(**kw):
 @click.option("--target-error", type=float,
               help="instead of timing at --h, search for the smallest N "
                    "whose max error meets this bound, then time it")
-@click.option("--stencil", type=int, default=3, show_default=True)
-@click.option("--jn", type=int, default=26, show_default=True)
+@click.option("--stencil", type=int, default=SolverConfig.stencil_size, show_default=True)
+@click.option("--jn", type=int, default=SolverConfig.jn, show_default=True)
 @click.option("--starter", default="exact", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)

@@ -39,7 +39,6 @@ class QuadratureRule:
     weight: JacobiWeight
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    kind: str = "gauss_lobatto"
 
     @property
     def n_points(self):

@@ -113,8 +113,8 @@ def _run(problem, method, h, stencil_size, jn, starter, split=None):
     return adams_solve(problem, h, step_count(problem.T, h))
 
 
-def run_convergence(problem, h_list, stencil_size=3, jn=26, starter=StarterConfig(),
-                    split=None, method="jpc"):
+def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
+                    jn=SolverConfig.jn, starter=StarterConfig(), split=None, method="jpc"):
     """Solve at each step size (descending) and tabulate max errors and rates.
 
     Errors are measured on the main grid only.  The problem must carry an
@@ -175,8 +175,8 @@ def _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
     return tuple(rows)
 
 
-def run_timing(problem_id, alpha, h, methods, t_list, stencil_size=3, jn=26,
-               starter=StarterConfig()):
+def run_timing(problem_id, alpha, h, methods, t_list, stencil_size=SolverConfig.stencil_size,
+               jn=SolverConfig.jn, starter=StarterConfig()):
     """Time each (method, horizon) cell at a fixed step size.
 
     Horizons must be integer multiples of h.
@@ -186,8 +186,8 @@ def run_timing(problem_id, alpha, h, methods, t_list, stencil_size=3, jn=26,
     return TimingReport(problem=problem_id, alpha=alpha, h=h, rows=rows)
 
 
-def run_target(problem_id, alpha, tol, methods, t_list, stencil_size=3, jn=26,
-               starter=StarterConfig()):
+def run_target(problem_id, alpha, tol, methods, t_list, stencil_size=SolverConfig.stencil_size,
+               jn=SolverConfig.jn, starter=StarterConfig()):
     """For each (method, horizon): smallest N with max error <= tol, timed.
 
     The N-search procedure is a doubling bracket plus bisection; the paper's
@@ -204,8 +204,9 @@ def run_target(problem_id, alpha, tol, methods, t_list, stencil_size=3, jn=26,
     return TimingReport(problem=problem_id, alpha=alpha, h=None, rows=rows)
 
 
-def smallest_n_reaching(problem, tol, stencil_size=3, jn=26, starter=StarterConfig(),
-                        method="jpc", n_max=1 << 22):
+def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
+                        jn=SolverConfig.jn, starter=StarterConfig(), method="jpc",
+                        n_max=1 << 22):
     """Smallest step count with max error <= tol, by doubling then bisection.
 
     Best-effort: assumes the error is monotone in N near the answer, which

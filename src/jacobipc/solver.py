@@ -12,8 +12,9 @@ reports the prefix of nodes before those, with its running total there, and
 the corrector pass resumes from that total (``_kernels_py`` says why this
 is exact).  At jn = 26 that prefix holds every interior node from a few
 hundred steps on, and the corrector call is then skipped.
-The counters still count every interpolation and value read that each
-quadrature sum uses, shared or not, so their closed forms are unchanged.
+The march keeps its own counters: its rhs calls, and every interpolation
+and value read that each quadrature sum uses, shared or not, with the reads
+taken from what the kernel returns.  So their closed forms are unchanged.
 
 ``solve`` is the one entry point and ``_march`` the one marching loop.
 Without a split, the march runs on [0, T] from the starter's values after
@@ -33,8 +34,7 @@ from jacobipc.interp import UniformGrid, step_count, uniform_bary_weights
 from jacobipc.problems import taylor_head
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.split import head_start
-from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
-                                 Trajectory, counting_rhs)
+from jacobipc.trajectory import GUARD, STATUS_DIVERGED, STATUS_OK, Counters, Trajectory
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
     """
     size, h, alpha = config.stencil_size, config.h, problem.alpha
     rule = quadrature_for(alpha, config.jn)
-    counters = Counters()
-    rhs = counting_rhs(problem.rhs, counters)
+    rhs = problem.rhs
     x = np.zeros(n_steps + 1)
     fc = np.zeros(n_steps + 1)
     x[:size] = x_start
@@ -104,43 +103,46 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
     weights = rule.weights
     jn = rule.n_points - 1
     bary = uniform_bary_weights(size)
-    kc = np.zeros(2, dtype=np.int64)
     pref = 1.0 / math.gamma(alpha)
     end_w = weights[jn]
-    shared_evals = shared_reads = 0
+    rhs_evals, interp_evals, value_reads = size, 0, 0
     status = STATUS_OK
     count = n_steps + 1
     for n in range(size - 1, n_steps):
         t1 = origin + (n + 1) * h
         scale = pref * (0.5 * (n + 1) * h) ** alpha
         base = base_at(t1)
-        total, shared, resumed, reads = kernels.weighted_interp_sum(
-            fc, n, nodes, weights, jn + 1, size, bary, 0, kc, 0, 0.0, True
+        total, reads, shared, resumed, resumed_reads = kernels.weighted_interp_sum(
+            fc, n, nodes, weights, jn + 1, size, bary, 0
         )
+        interp_evals += jn + 1
+        value_reads += reads
         x_pred = base + scale * total
         if not abs(x_pred) <= GUARD:
             status, count = STATUS_DIVERGED, n + 1
             break
         f_pred = rhs(t1, x_pred)
+        rhs_evals += 1
         fc[n + 1] = f_pred
         # interior nodes only: the end node s=1 lands on t_{n+1} and uses the
         # directly evaluated f_pred, never an interpolated value.  The first
         # `shared` of them have the predictor's stencils, so the corrector
-        # resumes the predictor's running total after them
+        # resumes the predictor's running total and reads after them
         if shared < jn:
-            resumed = kernels.weighted_interp_sum(
-                fc, n, nodes, weights, jn, size, bary, 1, kc, shared, resumed
-            )
-        shared_evals += shared
-        shared_reads += reads
+            resumed, reads = kernels.weighted_interp_sum(
+                fc, n, nodes, weights, jn, size, bary, 1, shared, resumed
+            )[:2]
+            resumed_reads += reads
+        interp_evals += jn
+        value_reads += resumed_reads
         x_new = base + scale * (resumed + end_w * f_pred)
         if not abs(x_new) <= GUARD:
             status, count = STATUS_DIVERGED, n + 1
             break
         x[n + 1] = x_new
         fc[n + 1] = rhs(t1, x_new)
-    counters.interp_evals += int(kc[0]) + shared_evals
-    counters.value_reads += int(kc[1]) + shared_reads
+        rhs_evals += 1
+    counters = Counters(rhs_evals, interp_evals, value_reads)
     grid = UniformGrid(origin, h, count)
     return Trajectory(grid, x[:count], fc[:count], status, counters, head=head).finalize()
 

@@ -20,14 +20,14 @@ from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.trajectory import Trajectory
 
 
-def head_integral(problem, head, aux_rule, stencil_size=3):
+def head_integral(problem, head, aux_rule, stencil_size):
     """Contribution of the head segment [origin, t0] to later solution values.
 
     Returns the function t -> (1/Gamma(alpha)) * sum_j w_j (t - tau_j)^(alpha-1)
     f(tau_j, x(tau_j)), defined for t > t0, with the aux rule mapped onto the
     head interval.  The f values at the nodes tau_j are interpolated once from
-    the head trajectory with the corrector-phase stencil of the main march;
-    those interpolations are not counted.
+    the head trajectory with the main march's corrector-phase stencil of
+    stencil_size nodes; those interpolations are not counted.
     """
     grid = head.grid
     n = grid.count - 2
@@ -39,10 +39,9 @@ def head_integral(problem, head, aux_rule, stencil_size=3):
     taus = np.array([map_node(s, grid.origin, t0) for s in aux_rule.nodes])
     bary = uniform_bary_weights(stencil_size)
     one = np.ones(1)
-    kc = np.zeros(2, dtype=np.int64)
     ftau = np.array([
         kernels.weighted_interp_sum(head.f_cache, n, aux_rule.nodes[j : j + 1], one, 1,
-                                    stencil_size, bary, 1, kc)
+                                    stencil_size, bary, 1)[0]
         for j in range(aux_rule.n_points)
     ])
     wt = aux_rule.weights * (0.5 * (t0 - grid.origin))

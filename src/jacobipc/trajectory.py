@@ -39,13 +39,3 @@ class Trajectory:
         self.x.flags.writeable = False
         self.f_cache.flags.writeable = False
         return self
-
-
-def counting_rhs(rhs, counters):
-    """Wrap a right-hand side so every evaluation bumps the counter."""
-
-    def wrapped(t, x):
-        counters.rhs_evals += 1
-        return rhs(t, x)
-
-    return wrapped

@@ -92,6 +92,28 @@ def test_counters_closed_form():
     assert tr.counters.interp_evals == 0
 
 
+@pytest.mark.parametrize("phase", ["predictor", "corrector"])
+def test_counters_when_a_guard_trips(phase):
+    # 7 steps complete; a huge f from the last corrected value trips the next
+    # predictor, a huge f_pred trips the corrector of the same step
+    done = 7
+    bad_call = 1 + 2 * done + (phase == "corrector")
+    calls = 0
+
+    def rhs(t, x):
+        nonlocal calls
+        calls += 1
+        return 1e200 if calls == bad_call else -x
+
+    tr = adams_solve(ProblemSpec(0.5, (1.0,), rhs, 1.0), 1.0 / 16, 16)
+    assert tr.status == STATUS_DIVERGED
+    assert tr.grid.count == done + 1
+    assert tr.counters.rhs_evals == bad_call
+    assert tr.counters.history_reads == (done + 1) * (done + 2)
+    assert tr.counters.value_reads == 0
+    assert tr.counters.interp_evals == 0
+
+
 def test_recommended_refinement_rule():
     # p = 1 + min(alpha, 1); smallest k with (h 10^-k)^p <= h^(size + 0.5)
     assert recommended_refinement(0.5, 0.1, 3) == 2

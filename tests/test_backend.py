@@ -8,6 +8,7 @@ when no C compiler is on PATH.
 
 import importlib.util
 import json
+import math
 import os
 import shlex
 import shutil
@@ -76,14 +77,11 @@ def test_weighted_interp_sum_parity(compiled):
         bary = uniform_bary_weights(size)
         for n in (size - 1, 17, 40):
             for phase, n_nodes in ((0, rule.n_points), (1, rule.n_points - 1)):
-                kc_a = np.zeros(2, dtype=np.int64)
-                kc_b = np.zeros(2, dtype=np.int64)
                 got = compiled.weighted_interp_sum(
-                    fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase, kc_a)
+                    fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase)
                 want = _kernels_py.weighted_interp_sum(
-                    fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase, kc_b)
+                    fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase)
                 assert got == want  # bitwise, not approx
-                assert list(kc_a) == list(kc_b)
 
 
 @st.composite
@@ -112,27 +110,20 @@ def test_resumed_corrector_is_bit_identical(backend, step):
     size, n, jn, nodes, weights, fvals, f_pred = step
     bary = uniform_bary_weights(size)
     common = dict(n=n, nodes=nodes, weights=weights, size=size, bary=bary)
-    kc_pred = np.zeros(2, dtype=np.int64)
-    total, shared, partial, reads = backend.weighted_interp_sum(
-        fvals=fvals, node_count=jn + 1, corrector=0, counters=kc_pred, share=True, **common)
-    kc_plain = np.zeros(2, dtype=np.int64)
-    plain = backend.weighted_interp_sum(fvals=fvals, node_count=jn + 1, corrector=0,
-                                        counters=kc_plain, **common)
-    assert total.hex() == plain.hex()
-    assert list(kc_pred) == list(kc_plain)
+    _, reads, shared, partial, shared_reads = backend.weighted_interp_sum(
+        fvals=fvals, node_count=jn + 1, corrector=0, **common)
     # the end node s = 1 is never shared
-    assert 0 <= shared <= jn and 0 <= reads <= shared * size
+    assert 0 <= shared <= jn and 0 <= shared_reads <= min(reads, shared * size)
 
     fvals[n + 1] = f_pred
-    kc_full = np.zeros(2, dtype=np.int64)
-    full = backend.weighted_interp_sum(fvals=fvals, node_count=jn, corrector=1,
-                                       counters=kc_full, **common)
-    kc_resumed = np.zeros(2, dtype=np.int64)
-    resumed = backend.weighted_interp_sum(fvals=fvals, node_count=jn, corrector=1,
-                                          counters=kc_resumed, first=shared, total=partial,
-                                          **common)
+    full, full_reads, *prefix = backend.weighted_interp_sum(
+        fvals=fvals, node_count=jn, corrector=1, **common)
+    # the prefix test does not depend on the phase
+    assert prefix == [shared, partial, shared_reads]
+    resumed, resumed_reads, _, _, _ = backend.weighted_interp_sum(
+        fvals=fvals, node_count=jn, corrector=1, first=shared, total=partial, **common)
     assert resumed.hex() == full.hex()
-    assert [kc_resumed[0] + shared, kc_resumed[1] + reads] == list(kc_full)
+    assert resumed_reads + shared_reads == full_reads
     if shared == jn:  # the march then skips the corrector call
         assert resumed.hex() == partial.hex()
 
@@ -142,31 +133,40 @@ def test_keyword_arguments_match_across_backends(compiled):
     fc = np.random.default_rng(13).uniform(-3, 3, size=41)
     got = {}
     for name, k in (("pure", _kernels_py), ("compiled", compiled)):
-        kc = np.zeros(2, dtype=np.int64)
         got[name] = (
             k.weighted_interp_sum(fvals=fc, n=39, nodes=rule.nodes, weights=rule.weights,
                                   node_count=rule.n_points - 1, size=4,
-                                  bary=uniform_bary_weights(4), corrector=1, counters=kc,
-                                  first=3, total=0.25, share=True),
+                                  bary=uniform_bary_weights(4), corrector=1,
+                                  first=3, total=0.25),
             k.adams_step_sums(fvals=fc, n=20, alpha=0.7),
-            list(kc),
         )
     assert got["pure"] == got["compiled"]
-    assert got["pure"][2][0] == rule.n_points - 4
+    # 23 nodes from node 3 on, none of them a grid point
+    assert got["pure"][0][1] == 4 * (rule.n_points - 4)
 
 
 @pytest.mark.parametrize("first", [-1, 27, 10**6])
 def test_kernels_refuse_bad_start_node(backend, first):
     rule = quadrature_for(0.5, 26)
-    kc = np.zeros(2, dtype=np.int64)
     with pytest.raises(IndexError, match="start node"):
         backend.weighted_interp_sum(np.zeros(41), 39, rule.nodes, rule.weights, 26, 3,
-                                    uniform_bary_weights(3), 1, kc, first, 0.0)
-    assert list(kc) == [0, 0]
+                                    uniform_bary_weights(3), 1, first, 0.0)
     # the last valid start node reads nothing and returns the given total
-    assert backend.weighted_interp_sum(np.zeros(41), 39, rule.nodes, rule.weights, 26, 3,
-                                       uniform_bary_weights(3), 1, kc, 26, 0.25) == 0.25
-    assert list(kc) == [0, 0]
+    got = backend.weighted_interp_sum(np.zeros(41), 39, rule.nodes, rule.weights, 26, 3,
+                                      uniform_bary_weights(3), 1, 26, 0.25)
+    assert got == (0.25, 0, 26, 0.25, 0)
+
+
+# positions the reference cannot take: one node at n = 9, stencil size 3
+@pytest.mark.parametrize("node,error", [(math.nan, ValueError), (math.inf, OverflowError),
+                                        (-math.inf, OverflowError),
+                                        (1e300, ZeroDivisionError),
+                                        (-1e300, ZeroDivisionError)])
+@pytest.mark.parametrize("corrector", [0, 1])
+def test_kernels_raise_alike_on_unusable_nodes(backend, corrector, node, error):
+    with pytest.raises(error):
+        backend.weighted_interp_sum(np.linspace(0.0, 1.0, 11), 9, np.array([node]), np.ones(1),
+                                    1, 3, uniform_bary_weights(3), corrector)
 
 
 def test_adams_step_sums_parity(compiled):
@@ -218,11 +218,10 @@ def test_kernels_refuse_short_buffers(backend, request):
     rule = quadrature_for(0.5, 26)
     bary = uniform_bary_weights(3)
     fc = np.linspace(0.0, 1.0, 21)
-    kc = np.zeros(2, dtype=np.int64)
 
     def interp(fvals, bary_):
         return k.weighted_interp_sum(fvals, 20, rule.nodes, rule.weights, rule.n_points,
-                                     3, bary_, 0, kc)
+                                     3, bary_, 0)
 
     interp(fc, bary)  # n = 20 reads fvals[20] at the end node s = 1
     with pytest.raises(IndexError):
@@ -233,32 +232,24 @@ def test_kernels_refuse_short_buffers(backend, request):
         k.adams_step_sums(fc[:20], 20, 0.5)
     with pytest.raises(IndexError):  # n + 1 < size: no stencil fits the history
         k.weighted_interp_sum(fc, 1, rule.nodes, rule.weights, rule.n_points,
-                              3, bary, 0, kc)
+                              3, bary, 0)
 
 
 def test_compiled_kernel_rejects_wrong_buffers(compiled):
     rule = quadrature_for(0.5, 26)
     bary = uniform_bary_weights(2)
     fc = np.zeros(10)
-    kc = np.zeros(2, dtype=np.int64)
 
-    def interp(fvals=fc, counters=kc):
+    def interp(fvals=fc):
         return compiled.weighted_interp_sum(fvals, 5, rule.nodes, rule.weights, 3, 2,
-                                            bary, 0, counters)
+                                            bary, 0)
 
-    readonly = np.zeros(2, dtype=np.int64)
-    readonly.flags.writeable = False
     for fvals in (fc.astype(np.float32), fc.reshape(2, 5), np.zeros(20)[::2]):
         with pytest.raises(ValueError):
             interp(fvals=fvals)
         with pytest.raises(ValueError):
             compiled.adams_step_sums(fvals, 3, 0.5)
-    for counters in (np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.uint64), readonly):
-        with pytest.raises(ValueError):
-            interp(counters=counters)
-    with pytest.raises(IndexError):
-        interp(counters=np.zeros(1, dtype=np.int64))
-    assert interp() == 0.0 and kc[0] == 3
+    assert interp()[0] == 0.0
 
 
 def test_forced_pure_subprocess_matches_this_backend():

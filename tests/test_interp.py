@@ -117,16 +117,17 @@ def test_kernel_matches_reference_stencil_rule(size, phase, where):
     bary = uniform_bary_weights(size)
     for theta in KERNEL_THETAS[where]:
         node = np.array([2.0 * theta / (n + 1) - 1.0])
-        kc = np.zeros(2, dtype=np.int64)
-        got = kernels.weighted_interp_sum(fvals, n, node, np.ones(1), 1, size, bary,
-                                          int(phase == CORRECTOR), kc)
+        got, reads = kernels.weighted_interp_sum(fvals, n, node, np.ones(1), 1, size, bary,
+                                                 int(phase == CORRECTOR))[:2]
         st_ = select_stencil(theta, grid, size, n, phase)
         sl = slice(st_.start, st_.start + st_.length)
         want = lagrange_eval(grid.times[sl], fvals[sl], theta)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         if where == "tie":
             assert got == fvals[int(theta)]
-        assert kc[0] == 1
+        # a target on a stencil node stops the reads there
+        k = theta - st_.start
+        assert reads == (k + 1 if k == int(k) and k < size else size)
 
 
 def test_bary_weights_alternating_binomials():

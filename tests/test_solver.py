@@ -1,5 +1,6 @@
 """Predictor-corrector solver: accuracy, counters, divergence, validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,41 @@ def test_counter_closed_forms(size, jn, n):
     assert tr.counters.interp_evals == (2 * jn + 1) * steps
     assert tr.counters.value_reads == ((2 * jn - 1) * size + 2) * steps
     assert tr.counters.history_reads == 0
+
+
+def poisoned(problem, bad_call):
+    """The problem with an rhs that returns 1e200 on its bad_call-th call (from 1)."""
+    calls = 0
+
+    def rhs(t, x):
+        nonlocal calls
+        calls += 1
+        return 1e200 if calls == bad_call else problem.rhs(t, x)
+
+    return dataclasses.replace(problem, rhs=rhs)
+
+
+@pytest.mark.parametrize("size,jn,done", [(3, 8, 5), (2, 26, 300)])
+@pytest.mark.parametrize("phase", ["predictor", "corrector"])
+def test_counters_when_a_guard_trips(size, jn, done, phase):
+    # `done` steps complete; a huge f from the last corrected value trips the
+    # next predictor, a huge f_pred trips the corrector of the same step
+    bad_call = size + 2 * done + (phase == "corrector")
+    problem = poisoned(make_problem("poly8", 0.5, 1.0), bad_call)
+    tr = run(problem, 400, size, jn)
+    assert tr.status == STATUS_DIVERGED
+    assert tr.grid.count == size + done
+    per_step = (2 * jn - 1) * size + 2
+    c = tr.counters
+    if phase == "predictor":
+        assert c.rhs_evals == size + 2 * done
+        assert c.interp_evals == (2 * jn + 1) * done + jn + 1
+        assert c.value_reads == per_step * done + jn * size + 1
+    else:
+        assert c.rhs_evals == size + 2 * done + 1
+        assert c.interp_evals == (2 * jn + 1) * (done + 1)
+        assert c.value_reads == per_step * (done + 1)
+    assert c.history_reads == 0
 
 
 def test_zero_rhs_reproduces_taylor_head():

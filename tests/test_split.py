@@ -31,7 +31,7 @@ def test_head_integral_constant_integrand_alpha_one():
     t0 = 0.4
     problem = ProblemSpec(1.0, (0.0,), lambda t, x: 1.0, 1.0)
     head = head_run(problem.rhs, 1.0, t0, 16)
-    term = head_integral(problem, head, aux_rule(12))
+    term = head_integral(problem, head, aux_rule(12), 3)
     for t_eval in (0.5, 1.0, 3.0):
         got = term(t_eval)
         assert got == pytest.approx(t0, abs=1e-13)
@@ -42,7 +42,7 @@ def test_head_integral_singular_kernel_closed_form():
     problem = ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0)
     head = head_run(problem.rhs, 0.5, 0.1, 20)
     want = 2.0 * (1.0 - math.sqrt(0.9)) / math.sqrt(math.pi)
-    got = head_integral(problem, head, aux_rule(16))(1.0)
+    got = head_integral(problem, head, aux_rule(16), 3)(1.0)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -51,18 +51,18 @@ def test_head_integral_polynomial_integrand_is_exact():
     t0 = 0.3
     problem = ProblemSpec(1.0, (0.0,), lambda t, x: t * t, 1.0)
     head = head_run(problem.rhs, 1.0, t0, 12)
-    got = head_integral(problem, head, aux_rule(8))(2.0)
+    got = head_integral(problem, head, aux_rule(8), 3)(2.0)
     assert got == pytest.approx(t0**3 / 3.0, rel=1e-13)
 
 
 def test_head_integral_requires_time_beyond_segment():
     problem = ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0)
     head = head_run(problem.rhs, 0.5, 0.2, 10)
-    term = head_integral(problem, head, aux_rule(8))
+    term = head_integral(problem, head, aux_rule(8), 3)
     with pytest.raises(ValueError, match="beyond the head segment"):
         term(0.2)
     with pytest.raises(ValueError, match="too short"):
-        head_integral(problem, head_run(problem.rhs, 0.5, 0.2, 1), aux_rule(8))
+        head_integral(problem, head_run(problem.rhs, 0.5, 0.2, 1), aux_rule(8), 3)
     with pytest.raises(ValueError, match="at least 2"):
         head_integral(problem, head, aux_rule(8), stencil_size=1)
 
