@@ -8,8 +8,9 @@ stencil interpolation, giving per-step cost independent of the step index.
 Includes a fractional Adams baseline, a two-segment splitting for long
 horizons, an evaluator for the linear problem's special-function solution,
 an expression DSL for user-defined right-hand sides, and a benchmark CLI.
-Every run goes through ``solve``: its first values come from the exact
-solution or from a fine Adams run capped at ``MAX_STARTER_STEPS`` substeps,
+Every run goes through ``solve``: ``start_values`` samples its first values
+from the exact solution or one fine Adams run (capped at
+``MAX_STARTER_STEPS`` substeps, also the head on [0, t0] of a split run),
 and a split run adds the head term over [0, t0] to the Taylor head.
 
 ``USING_COMPILED`` reports whether the compiled kernel extension (a plain C

@@ -1,12 +1,13 @@
 """Fractional Adams-Bashforth-Moulton (PECE) scheme and starting values.
 
 This is the O(N^2) baseline method of order min(1 + alpha, 2) and, run at a
-refined substep, the generic source of the first stencil_size grid values
-when no exact solution is available.  Every such fine run goes through
-``fine_run``, which refuses more than MAX_STARTER_STEPS substeps before any
-work: the refined starter's (stencil_size - 1) * 10^k substeps (the automatic
-k is clamped to the cap, a larger explicit k is refused) and the split head
-on [0, t0] alike, so their cost is bounded.
+refined substep, the generic source of start values when no exact solution
+is available.  ``start_values`` supplies them for both origins: at 0, and at
+t0 after a split run's head on [0, t0], which is itself a fine Adams run.
+It makes at most one fine run and refuses more than MAX_STARTER_STEPS
+substeps before any work: the refined starter's (stencil_size - 1) * 10^k
+substeps (the automatic k is clamped to the cap, a larger explicit k is
+refused) and the split head alike, so their cost is bounded.
 """
 
 import math
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from jacobipc._backend import kernels
-from jacobipc.interp import UniformGrid
+from jacobipc.interp import UniformGrid, step_count
 from jacobipc.problems import taylor_head
 from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
                                  DivergenceError, Trajectory)
@@ -106,45 +107,65 @@ def recommended_refinement(alpha, h, stencil_size):
     return min(max(k, 0), _max_refinement(stencil_size))
 
 
-def fine_run(problem, h, n_steps, what="fine Adams run"):
-    """``adams_solve`` for start values, refused past MAX_STARTER_STEPS substeps.
+def start_values(problem, h, stencil_size, cfg, split=None):
+    """``(head, x_start)``: x at origin + i*h for i < stencil_size, and the head.
 
-    ``what`` names the run in the refusal.  A run that diverges raises
-    DivergenceError.
-    """
-    if n_steps > MAX_STARTER_STEPS:
-        raise ValueError(f"{what} takes {n_steps} substeps, above the "
-                         f"{MAX_STARTER_STEPS}-substep cap")
-    fine = adams_solve(problem, h, n_steps)
-    if fine.status != STATUS_OK:
-        raise DivergenceError("fine Adams run diverged before reaching the start values")
-    return fine
-
-
-def exact_start(problem, origin, h, stencil_size):
-    """The exact solution sampled at origin, origin + h, ..., stencil_size values."""
-    if problem.exact is None:
-        raise ValueError("exact starter requested but no exact solution is known")
-    return np.array([problem.exact(origin + i * h) for i in range(stencil_size)])
-
-
-def start_values(problem, h, stencil_size, cfg):
-    """First ``stencil_size`` grid values x_0 .. x_{stencil_size-1}.
-
-    exact mode samples the problem's exact solution; the
-    refined mode runs the Adams scheme at substep h*10^-k and subsamples
-    every 10^k-th value.  An explicit k whose fine run would take more than
-    MAX_STARTER_STEPS substeps is refused with ValueError before any work.
+    The origin is 0 without a split (head None) and split.t0 with one, where
+    head is a fine Adams run on [0, t0] at substep h/fine_factor.  exact mode
+    samples the exact solution; refined mode takes every stride-th value,
+    from the origin on, of one fine Adams run at h/stride: stride 10^k at 0,
+    fine_factor at t0 (the run continues the head, so a k is refused).  Past
+    MAX_STARTER_STEPS substeps the run is refused; every refusal comes before
+    any rhs call, and a run that diverges raises DivergenceError.
     """
     if stencil_size < 2:
         raise ValueError("stencil size must be at least 2")
-    if cfg.mode == EXACT:
-        return exact_start(problem, 0.0, h, stencil_size)
-    k = cfg.k if cfg.k is not None else recommended_refinement(problem.alpha, h, stencil_size)
-    if k > _max_refinement(stencil_size):
-        raise ValueError(
-            f"refined starter k = {k} is above {_max_refinement(stencil_size)}, the "
-            f"largest whose fine Adams run at stencil size {stencil_size} stays "
-            f"within {MAX_STARTER_STEPS} substeps")
-    stride = 10**k
-    return fine_run(problem, h / stride, (stencil_size - 1) * stride).x[::stride].copy()
+    exact = cfg.mode == EXACT
+    if split is None:
+        origin, head_steps, stride, what = 0.0, 0, 1, "the refined starter's fine Adams run"
+        if not exact:
+            k = cfg.k if cfg.k is not None else recommended_refinement(
+                problem.alpha, h, stencil_size)
+            if k > _max_refinement(stencil_size):
+                raise ValueError(
+                    f"refined starter k = {k} is above {_max_refinement(stencil_size)}, the "
+                    f"largest whose fine Adams run at stencil size {stencil_size} stays "
+                    f"within {MAX_STARTER_STEPS} substeps")
+            stride = 10**k
+    else:
+        if not exact and cfg.k is not None:
+            raise ValueError("a split refined start continues the head run at "
+                             "h/--split-fine, so it takes no k")
+        origin, stride = split.t0, split.fine_factor
+        # refusals name the CLI flags and the values given, not the substep
+        try:
+            h_fine = h / stride
+            head_steps = step_count(origin, h_fine)
+        except OverflowError:
+            raise ValueError(f"--split-fine {stride} is too large: the head "
+                             f"substep h/--split-fine is no usable float") from None
+        except ValueError:
+            raise ValueError(f"--split-t0 {origin} must be a whole number of head substeps, "
+                             f"but h/--split-fine = {h:.6g}/{stride} = {h_fine:.6g} "
+                             f"does not evenly divide it") from None
+        what = f"the split head's fine Adams run (--split-t0 {origin}, --split-fine {stride})"
+    if exact and problem.exact is None:
+        raise ValueError("exact starter requested but no exact solution is known")
+    n_fine = head_steps if exact else head_steps + (stencil_size - 1) * stride
+    if n_fine > MAX_STARTER_STEPS:
+        raise ValueError(f"{what} takes {n_fine} substeps, above the "
+                         f"{MAX_STARTER_STEPS}-substep cap")
+    if exact:
+        x_start = np.array([problem.exact(origin + i * h) for i in range(stencil_size)])
+        if split is None:
+            return None, x_start
+    fine = adams_solve(problem, h / stride, n_fine)
+    if fine.status != STATUS_OK:
+        raise DivergenceError("fine Adams run diverged before reaching the start values")
+    if not exact:
+        x_start = fine.x[head_steps::stride][:stencil_size].copy()
+    if split is None:
+        return None, x_start
+    end = head_steps + 1
+    return Trajectory(UniformGrid(0.0, fine.grid.h, end), fine.x[:end], fine.f_cache[:end],
+                      fine.status, fine.counters), x_start

@@ -131,6 +131,13 @@ def _span(problem, kw):
     return problem.T - (kw["split_t0"] or 0.0)
 
 
+def _step_for(span, n, flag):
+    """Step h = span / n for a step count n given through ``flag``."""
+    if n < 1:
+        raise click.UsageError(f"{flag} step counts must be at least 1, got {n}")
+    return span / n
+
+
 def _split_config(kw):
     if kw["split_t0"] is None:
         return None
@@ -178,7 +185,8 @@ def _solver_opts(fn):
                           "solution, else refined]"),
         click.option("--split-t0", type=float, help="split point for a two-segment run"),
         click.option("--split-jn", type=int, help="auxiliary rule index [default: 2*jn]"),
-        click.option("--split-fine", type=int, default=10, show_default=True,
+        click.option("--split-fine", type=int, default=SplitConfig.fine_factor,
+                     show_default=True,
                      help="head-segment substep refinement factor"),
     ]):
         fn = deco(fn)
@@ -225,7 +233,7 @@ def solve_cmd(**kw):
     problem = _build_problem(kw)
     split = _split_config(kw)
     span = _span(problem, kw)
-    h = _parse_h(kw["h_text"]) if kw["h_text"] is not None else span / kw["n"]
+    h = _parse_h(kw["h_text"]) if kw["h_text"] is not None else _step_for(span, kw["n"], "--n")
     cfg = SolverConfig(h=h, stencil_size=kw["stencil"], jn=kw["jn"],
                        starter=_starter_for(kw, problem), split=split)
     tr = solve(problem, cfg)
@@ -276,7 +284,7 @@ def converge(**kw):
     else:
         span = _span(problem, kw)
         try:
-            hs = [span / int(tok) for tok in kw["n_list"].split(",")]
+            hs = [_step_for(span, int(tok), "--n-list") for tok in kw["n_list"].split(",")]
         except ValueError:
             raise click.UsageError(f"bad --n-list {kw['n_list']!r}") from None
     report = run_convergence(

@@ -36,8 +36,12 @@ class UniformGrid:
 
 
 def step_count(length, h):
-    """Number of steps of size h covering ``length``; rejects uneven fits."""
-    n = round(length / h)
+    """Number of steps of size h covering ``length``; rejects uneven fits
+    and, with OverflowError, a count that is no finite number."""
+    count = length / h if h > 0 else math.inf
+    if not math.isfinite(count):
+        raise OverflowError(f"step {h} gives no finite step count over {length}")
+    n = round(count)
     if n < 1 or abs(n * h - length) > REL_GRID_TOL * max(1.0, abs(length)):
         raise ValueError(f"step {h} does not evenly divide {length}")
     return n

@@ -30,8 +30,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if self.T <= 0.0:
-            raise ValueError("horizon T must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if len(self.init) != math.ceil(self.alpha):
             raise ValueError(
                 f"need ceil(alpha) = {math.ceil(self.alpha)} initial values, got {len(self.init)}"

@@ -16,10 +16,11 @@ The march keeps its own counters: its rhs calls, and every interpolation
 and value read that each quadrature sum uses, shared or not, with the reads
 taken from what the kernel returns.  So their closed forms are unchanged.
 
-``solve`` is the one entry point and ``_march`` the one marching loop.
-Without a split, the march runs on [0, T] from the starter's values after
-the Taylor head; with one, it runs on [t0, T] from ``split.head_start``'s
-values, with the head-segment term added to the Taylor head.
+``solve``, the one entry point, runs four phases: rules, start values
+(``start_values``, at 0 or at a split's t0), the base term and ``_march``,
+the one marching loop.  The base term is the Taylor head, plus the head term
+(``split.head_integral``) in split runs, as one array over the grid, so the
+loop calls only the kernel and the rhs per step.
 """
 
 import math
@@ -33,7 +34,7 @@ from jacobipc.adams import StarterConfig, start_values
 from jacobipc.interp import UniformGrid, step_count, uniform_bary_weights
 from jacobipc.problems import taylor_head
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
-from jacobipc.split import head_start
+from jacobipc.split import head_integral
 from jacobipc.trajectory import GUARD, STATUS_DIVERGED, STATUS_OK, Counters, Trajectory
 
 
@@ -51,8 +52,8 @@ class SplitConfig:
     fine_factor: int = 10
 
     def __post_init__(self):
-        if self.t0 <= 0:
-            raise ValueError("split point must be positive")
+        if not 0.0 < self.t0 < math.inf:
+            raise ValueError(f"split point t0 must be finite and positive, got {self.t0}")
         if self.aux_jn is not None and self.aux_jn < 2:
             raise ValueError("auxiliary rule index must be >= 2")
         if self.fine_factor < 1:
@@ -68,8 +69,8 @@ class SolverConfig:
     split: Optional[SplitConfig] = None
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"step h must be finite and positive, got {self.h}")
         if self.stencil_size < 2:
             raise ValueError("stencil size must be at least 2")
         if self.jn < 2:
@@ -81,17 +82,18 @@ def quadrature_for(alpha, jn):
     return gauss_lobatto_rule(JacobiWeight(alpha - 1.0, 0.0), jn + 1)
 
 
-def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
-    """Trajectory on the grid origin + i*h, i = 0..n_steps, from its start values.
+def _march(problem, grid, rule, x_start, base, head=None):
+    """Trajectory on ``grid`` from its start values.
 
-    x_start holds the first stencil_size values; every later index is one
-    predict/correct pass.  base_at(t) supplies everything outside the
-    quadrature integral (Taylor head, plus the head-segment term in split
-    runs); the integral runs over [origin, t].  On divergence the trajectory
-    is truncated at the last finite value and flagged rather than raising.
+    x_start holds the first stencil_size values; every later index n + 1 is
+    one predict/correct pass.  base[n + 1] holds everything outside the
+    quadrature integral there (the Taylor head, plus the head-segment term
+    in split runs; entries before stencil_size are not read), and the
+    integral runs over [grid.origin, t].  On divergence the trajectory is
+    truncated at the last finite value and flagged rather than raising.
     """
-    size, h, alpha = config.stencil_size, config.h, problem.alpha
-    rule = quadrature_for(alpha, config.jn)
+    size, n_steps = len(x_start), grid.count - 1
+    origin, h, alpha = grid.origin, grid.h, problem.alpha
     rhs = problem.rhs
     x = np.zeros(n_steps + 1)
     fc = np.zeros(n_steps + 1)
@@ -111,13 +113,13 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
     for n in range(size - 1, n_steps):
         t1 = origin + (n + 1) * h
         scale = pref * (0.5 * (n + 1) * h) ** alpha
-        base = base_at(t1)
+        base_n = base.item(n + 1)
         total, reads, shared, resumed, resumed_reads = kernels.weighted_interp_sum(
             fc, n, nodes, weights, jn + 1, size, bary, 0
         )
         interp_evals += jn + 1
         value_reads += reads
-        x_pred = base + scale * total
+        x_pred = base_n + scale * total
         if not abs(x_pred) <= GUARD:
             status, count = STATUS_DIVERGED, n + 1
             break
@@ -135,7 +137,7 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
             resumed_reads += reads
         interp_evals += jn
         value_reads += resumed_reads
-        x_new = base + scale * (resumed + end_w * f_pred)
+        x_new = base_n + scale * (resumed + end_w * f_pred)
         if not abs(x_new) <= GUARD:
             status, count = STATUS_DIVERGED, n + 1
             break
@@ -143,16 +145,15 @@ def _march(problem, config, origin, n_steps, x_start, base_at, head=None):
         fc[n + 1] = rhs(t1, x_new)
         rhs_evals += 1
     counters = Counters(rhs_evals, interp_evals, value_reads)
-    grid = UniformGrid(origin, h, count)
-    return Trajectory(grid, x[:count], fc[:count], status, counters, head=head).finalize()
+    return Trajectory(UniformGrid(origin, h, count), x[:count], fc[:count], status, counters,
+                      head=head).finalize()
 
 
 def solve(problem, config):
     """Full trajectory on [0, T], or on [t0, T] after config.split's head.
 
-    The first stencil_size values come from the starter (``start_values``)
-    or, in split runs, from ``split.head_start``; the rest are marched by
-    ``_march``.
+    Four phases: the rules, the start values (``start_values``, which also
+    runs a split's head), the base term over the whole grid, and the march.
     """
     split, h, size = config.split, config.h, config.stencil_size
     origin = 0.0 if split is None else split.t0
@@ -161,10 +162,13 @@ def solve(problem, config):
     n_steps = step_count(problem.T - origin, h)
     if n_steps < size:
         raise ValueError("grid too coarse: need at least stencil_size steps")
-    if split is None:
-        head, x_start = None, start_values(problem, h, size, config.starter)
-        base_at = lambda t: taylor_head(problem, t)
-    else:
-        head, x_start, head_term = head_start(problem, config)
-        base_at = lambda t: taylor_head(problem, t) + head_term(t)
-    return _march(problem, config, origin, n_steps, x_start, base_at, head=head)
+    rule = quadrature_for(problem.alpha, config.jn)
+    if split is not None:
+        aux_jn = split.aux_jn if split.aux_jn is not None else 2 * config.jn
+        aux_rule = gauss_lobatto_rule(JacobiWeight(0.0, 0.0), aux_jn + 1)
+    head, x_start = start_values(problem, h, size, config.starter, split)
+    grid = UniformGrid(origin, h, n_steps + 1)
+    base = taylor_head(problem, grid.times)
+    if split is not None:
+        base[size:] += head_integral(problem, head, aux_rule, size, grid.times[size:])
+    return _march(problem, grid, rule, x_start, base, head)

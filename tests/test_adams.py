@@ -11,6 +11,7 @@ from jacobipc.adams import (EXACT, MAX_STARTER_STEPS, REFINED_ADAMS,
                             StarterConfig, adams_solve, recommended_refinement,
                             start_values)
 from jacobipc.problems import ProblemSpec, make_problem
+from jacobipc.solver import SplitConfig
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK
 
 
@@ -132,12 +133,13 @@ def test_recommended_refinement_rule():
 
 def test_start_values_exact_mode():
     problem = make_problem("poly8", 0.5, 1.0)
-    vals = start_values(problem, 0.1, 3, StarterConfig(mode=EXACT))
-    assert np.allclose(vals, [problem.exact(0.0), problem.exact(0.1), problem.exact(0.2)],
-                       atol=0.0)
+    head, vals = start_values(problem, 0.1, 3, StarterConfig(mode=EXACT))
+    assert head is None
+    assert list(vals) == [problem.exact(0.0), problem.exact(0.1), problem.exact(0.2)]
 
-    override = start_values(dataclasses.replace(problem, exact=lambda t: 7.0 + t), 0.1, 2,
-                            StarterConfig(mode=EXACT))
+    head, override = start_values(dataclasses.replace(problem, exact=lambda t: 7.0 + t),
+                                  0.1, 2, StarterConfig(mode=EXACT))
+    assert head is None
     assert list(override) == [7.0, 7.1]
 
     bare = ProblemSpec(0.5, (1.0,), lambda t, x: -x, 1.0)
@@ -145,23 +147,52 @@ def test_start_values_exact_mode():
         start_values(bare, 0.1, 3, StarterConfig(mode=EXACT))
 
 
+def test_start_values_exact_mode_at_split_point():
+    # the values sample the exact solution from t0 on; the head is the fine
+    # Adams run on [0, t0] at h/fine_factor
+    problem = make_problem("ml_linear", 0.5, 1.0)
+    head, vals = start_values(problem, 0.1, 3, StarterConfig(mode=EXACT),
+                              SplitConfig(t0=0.2, fine_factor=5))
+    assert list(vals) == [problem.exact(0.2 + i * 0.1) for i in range(3)]
+    ref = adams_solve(problem, 0.1 / 5, 10)
+    assert head.grid.origin == 0.0 and head.grid.count == 11
+    assert np.array_equal(head.x, ref.x) and np.array_equal(head.f_cache, ref.f_cache)
+
+
 def test_start_values_refined_mode():
     problem = make_problem("ml_linear", 0.5, 1.0)
     cfg = StarterConfig(mode=REFINED_ADAMS, k=2)
-    vals = start_values(problem, 0.1, 3, cfg)
+    head, vals = start_values(problem, 0.1, 3, cfg)
+    assert head is None
     assert len(vals) == 3
     assert vals[0] == 1.0
     for i, v in enumerate(vals):
         assert abs(v - problem.exact(0.1 * i)) < 5e-4
+    assert np.array_equal(vals, adams_solve(problem, 0.1 / 100, 200).x[::100])
 
-    auto = start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS))
+    auto = start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS))[1]
     k = recommended_refinement(0.5, 0.1, 3)
-    manual = start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS, k=k))
+    manual = start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS, k=k))[1]
     assert list(auto) == list(manual)
 
     # an explicit k whose fine run passes the cap is refused, not run
     with pytest.raises(ValueError, match="2000 substeps"):
         start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS, k=4))
+
+
+def test_start_values_refined_mode_at_split_point():
+    # one fine Adams run at h/fine_factor: the head up to t0, then every
+    # fine_factor-th value from t0 on
+    problem = make_problem("ml_linear", 0.5, 1.0)
+    head, vals = start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS),
+                              SplitConfig(t0=0.2, fine_factor=5))
+    ref = adams_solve(problem, 0.1 / 5, 10 + 2 * 5)
+    assert np.array_equal(vals, ref.x[10::5])
+    assert head.grid.count == 11 and head.grid.h == 0.1 / 5
+    assert np.array_equal(head.x, ref.x[:11])
+    with pytest.raises(ValueError, match="takes no k"):
+        start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS, k=1),
+                     SplitConfig(t0=0.2))
 
 
 def test_config_validation():

@@ -193,6 +193,30 @@ def test_split_refusals_name_the_flags(capsys):
         assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("args,value", [
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "0"], "0"),
+    (["converge", "--problem", "poly8", "--alpha", "0.5", "--n-list", "0,10"], "0"),
+    (["converge", "--problem", "poly8", "--alpha", "0.5", "--n-list", "10,-3"], "-3"),
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--h", "nan"], "nan"),
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10", "--t-end", "nan"], "nan"),
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10", "--t-end", "inf"], "inf"),
+    (["solve", "--problem", "ml_linear", "--alpha", "0.5", "--n", "10",
+      "--split-t0", "nan"], "nan"),
+    (["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--t-list", "nan"],
+     "nan"),
+    (["converge", "--problem", "poly8", "--alpha", "0.5", "--h-list", "0.1,nan"], "nan"),
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--h", "1e-320"], "1e-320"),
+])
+def test_numeric_inputs_past_the_configs_are_refused(args, value, capsys):
+    # a config error names the offending value on its one message line, with
+    # no traceback (an exception escaping main would fail the test)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    named = [line for line in captured.err.splitlines() if value in line.split()]
+    assert len(named) == 1 and named[0].lower().startswith("error: ")
+
+
 def test_solve_split_flags(capsys):
     assert main(["solve", "--problem", "ml_linear", "--alpha", "0.5",
                  "--split-t0", "0.1", "--n", "45"]) == 0

@@ -117,11 +117,23 @@ def test_step_count():
         step_count(1.0, 0.3)
     with pytest.raises(ValueError):
         step_count(1.0, 0.30001)
+    # a count that is no finite number is refused, naming the step
+    for length, h in ((1.0, 1e-320), (1.0, 0.0), (math.inf, 0.1), (math.nan, 0.1)):
+        with pytest.raises(OverflowError, match=f"step {h} "):
+            step_count(length, h)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(h=0.0)
+    # NaN fails "0 < x < inf" as well as the infinities do
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            SolverConfig(h=bad)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            SplitConfig(t0=bad)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            ProblemSpec(0.5, (0.0,), lambda t, x: x, bad)
     with pytest.raises(ValueError):
         SolverConfig(h=0.1, stencil_size=1)
     with pytest.raises(ValueError):

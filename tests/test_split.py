@@ -1,5 +1,6 @@
 """Two-segment runs: head quadrature plus restarted stepping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,10 +32,9 @@ def test_head_integral_constant_integrand_alpha_one():
     t0 = 0.4
     problem = ProblemSpec(1.0, (0.0,), lambda t, x: 1.0, 1.0)
     head = head_run(problem.rhs, 1.0, t0, 16)
-    term = head_integral(problem, head, aux_rule(12), 3)
-    for t_eval in (0.5, 1.0, 3.0):
-        got = term(t_eval)
-        assert got == pytest.approx(t0, abs=1e-13)
+    got = head_integral(problem, head, aux_rule(12), 3, [0.5, 1.0, 3.0])
+    assert got.shape == (3,)
+    assert got == pytest.approx([t0] * 3, abs=1e-13)
 
 
 def test_head_integral_singular_kernel_closed_form():
@@ -42,8 +42,8 @@ def test_head_integral_singular_kernel_closed_form():
     problem = ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0)
     head = head_run(problem.rhs, 0.5, 0.1, 20)
     want = 2.0 * (1.0 - math.sqrt(0.9)) / math.sqrt(math.pi)
-    got = head_integral(problem, head, aux_rule(16), 3)(1.0)
-    assert got == pytest.approx(want, rel=1e-12)
+    got = head_integral(problem, head, aux_rule(16), 3, [1.0])
+    assert got == pytest.approx([want], rel=1e-12)
 
 
 def test_head_integral_polynomial_integrand_is_exact():
@@ -51,20 +51,30 @@ def test_head_integral_polynomial_integrand_is_exact():
     t0 = 0.3
     problem = ProblemSpec(1.0, (0.0,), lambda t, x: t * t, 1.0)
     head = head_run(problem.rhs, 1.0, t0, 12)
-    got = head_integral(problem, head, aux_rule(8), 3)(2.0)
-    assert got == pytest.approx(t0**3 / 3.0, rel=1e-13)
+    got = head_integral(problem, head, aux_rule(8), 3, [2.0])
+    assert got == pytest.approx([t0**3 / 3.0], rel=1e-13)
+
+
+def test_head_integral_over_many_times_equals_one_at_a_time():
+    problem = make_problem("ml_linear", 0.7, 2.0)
+    head = adams_solve(problem, 0.01, 30)
+    times = 0.3 + 0.05 * np.arange(1, 30)
+    many = head_integral(problem, head, aux_rule(20), 3, times)
+    one = [head_integral(problem, head, aux_rule(20), 3, [t])[0] for t in times]
+    assert many.tolist() == one
 
 
 def test_head_integral_requires_time_beyond_segment():
     problem = ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0)
     head = head_run(problem.rhs, 0.5, 0.2, 10)
-    term = head_integral(problem, head, aux_rule(8), 3)
-    with pytest.raises(ValueError, match="beyond the head segment"):
-        term(0.2)
+    # one check covers the whole array: any time at or before t0 is refused
+    for times in ([0.2], [0.5, 0.2, 0.7], [0.1, 0.5], [0.5, math.nan]):
+        with pytest.raises(ValueError, match="beyond the head segment"):
+            head_integral(problem, head, aux_rule(8), 3, times)
     with pytest.raises(ValueError, match="too short"):
-        head_integral(problem, head_run(problem.rhs, 0.5, 0.2, 1), aux_rule(8), 3)
+        head_integral(problem, head_run(problem.rhs, 0.5, 0.2, 1), aux_rule(8), 3, [0.5])
     with pytest.raises(ValueError, match="at least 2"):
-        head_integral(problem, head, aux_rule(8), stencil_size=1)
+        head_integral(problem, head, aux_rule(8), 1, [0.5])
 
 
 def test_split_run_tracks_plain_run():
@@ -152,3 +162,42 @@ def test_split_validation():
     with pytest.raises(ValueError, match="2000-substep cap"):
         solve(problem, SolverConfig(h=0.1, starter=starter,
                                     split=SplitConfig(t0=0.5, fine_factor=10000)))
+
+
+def counting_problem(problem):
+    """The problem with an rhs that counts its calls, and no exact solution."""
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return problem.rhs(t, x)
+
+    return dataclasses.replace(problem, rhs=rhs, exact=None), calls
+
+
+@pytest.mark.parametrize("starter,match", [
+    (StarterConfig(mode=EXACT), "no exact solution"),
+    (StarterConfig(mode=REFINED_ADAMS, k=1), "takes no k"),
+])
+def test_split_start_refusals_come_before_any_rhs_call(starter, match):
+    problem, calls = counting_problem(make_problem("ml_linear", 0.5, 1.0))
+    cfg = SolverConfig(h=1.0 / 40, starter=starter, split=SplitConfig(t0=0.1))
+    with pytest.raises(ValueError, match=match):
+        solve(problem, cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("alpha,size,fine", [(0.5, 3, 10), (1.5, 4, 4)])
+def test_split_refined_start_samples_the_fine_adams_run(alpha, size, fine):
+    # the start values at t0, t0 + h, ... are every fine-th value of one
+    # Adams run at h/fine, and the head is that run up to t0
+    problem = make_problem("ml_linear", alpha, 1.0)
+    h, t0 = 1.0 / 20, 0.25
+    tr = solve(problem, SolverConfig(h=h, stencil_size=size,
+                                     starter=StarterConfig(mode=REFINED_ADAMS),
+                                     split=SplitConfig(t0=t0, fine_factor=fine)))
+    n_fine = round(t0 * fine / h)
+    ref = adams_solve(problem, h / fine, n_fine + (size - 1) * fine)
+    assert np.array_equal(tr.x[:size], ref.x[n_fine::fine][:size])
+    assert tr.head.grid.count == n_fine + 1
+    assert np.array_equal(tr.head.x, ref.x[: n_fine + 1])
