@@ -1,30 +1,38 @@
-/* Compiled hot kernels: stencil-interpolation quadrature sums and the
- * fractional Adams history sums.
+/* Compiled hot kernels: stencil-interpolation quadrature sums, the march
+ * built on them and the fractional Adams history sums.
  *
  * Same contracts, argument lists, floating-point operation order and
  * exceptions as jacobipc._kernels_py, which holds the reference semantics;
- * the two must stay bit-identical.  TIE_TOL is read from that module at
- * import.  Buffer lengths and the start node are checked once per call,
- * before any element is read.
+ * the two must stay bit-identical.  TIE_TOL and GUARD are read from that
+ * module at import.  Buffer lengths and the start node are checked once per
+ * call, before any element is read.
  *
  * weighted_interp_sum returns (total, reads, J, shared_total, shared_reads):
  * the values it read, and the prefix of nodes whose stencil ends left of n+1
  * and so is the same in both phases, with the running total and reads at its
  * end, from which the corrector resumes (first, total).  See _kernels_py for
  * why the resumed sum is bit-identical.
+ *
+ * march is the marching loop: per step one predictor sum, the rhs (a Python
+ * callable, called with Python floats), the corrector sum resumed after the
+ * shared prefix or skipped, and the rhs again.  The pure twin plans its
+ * stencils a block of steps at a time; this one calls the scalar loop
+ * (interp_sum) twice a step, which is cheaper in C.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <errno.h>
 #include <math.h>
 
-static double TIE_TOL;
+static double TIE_TOL, GUARD;
 
-/* Acquire a 1-d C-contiguous float64 buffer. */
+/* Acquire a 1-d C-contiguous float64 buffer, with extra flags such as
+ * PyBUF_WRITABLE. */
 static int
-get_buffer(PyObject *obj, Py_buffer *view, const char *name)
+get_buffer(PyObject *obj, Py_buffer *view, const char *name, int flags)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS | flags) < 0)
         return -1;
     const char *f = view->format;
     if (*f == '@' || *f == '=')
@@ -43,48 +51,22 @@ length(const Py_buffer *view)
     return view->len / view->itemsize;
 }
 
-static PyObject *
-weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
+/* One quadrature sum of stencil interpolants: weighted_interp_sum's loop
+ * over nodes first <= j < node_count, on buffers the caller has checked.
+ * Fills out and returns 0, or sets an exception and returns -1. */
+typedef struct {
+    double total, shared_total;
+    long long reads, shared_reads;
+    Py_ssize_t shared;
+} interp_result;
+
+static int
+interp_sum(const double *fvals, Py_ssize_t n, const double *nodes, const double *weights,
+           Py_ssize_t node_count, Py_ssize_t size, const double *bary, int corrector,
+           Py_ssize_t first, double total, interp_result *out)
 {
-    static char *kwlist[] = {"fvals", "n", "nodes", "weights", "node_count", "size",
-                             "bary", "corrector", "first", "total", NULL};
-    PyObject *fobj, *nobj, *wobj, *bobj;
-    Py_ssize_t n, node_count, size, first = 0;
-    int corrector;
-    double total = 0.0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnOp|nd:weighted_interp_sum", kwlist,
-                                     &fobj, &n, &nobj, &wobj, &node_count, &size,
-                                     &bobj, &corrector, &first, &total))
-        return NULL;
-
-    Py_buffer bufs[4];
-    PyObject *objs[4] = {fobj, nobj, wobj, bobj};
-    const char *names[4] = {"fvals", "nodes", "weights", "bary"};
-    int got = 0;
-    PyObject *result = NULL;
-    for (; got < 4; got++)
-        if (get_buffer(objs[got], &bufs[got], names[got]) < 0)
-            goto done;
-
     Py_ssize_t np1 = n + 1;
     Py_ssize_t usable = corrector ? np1 + 1 : np1;
-    /* every stencil start then lies in [0, usable - size] */
-    if (usable < size) {
-        PyErr_Format(PyExc_IndexError, "stencil (size %zd) does not fit %zd usable f values", size, usable);
-        goto done;
-    }
-    if (length(&bufs[0]) < usable || node_count < 0 || length(&bufs[1]) < node_count
-            || length(&bufs[2]) < node_count || size < 0 || length(&bufs[3]) < size) {
-        PyErr_SetString(PyExc_IndexError, "n, node_count or size exceeds its buffer");
-        goto done;
-    }
-    if (first < 0 || first > node_count) {
-        PyErr_Format(PyExc_IndexError, "start node %zd lies outside [0, %zd]", first, node_count);
-        goto done;
-    }
-
-    const double *fvals = bufs[0].buf, *nodes = bufs[1].buf, *weights = bufs[2].buf;
-    const double *bary = bufs[3].buf;
     Py_ssize_t ln = (size + 1) / 2, rn = size / 2;
     /* the shared-prefix test is le + rn <= np1; past the first failure, limit
      * rises to usable, which le never exceeds */
@@ -104,7 +86,7 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
         else {  /* raise what int(math.floor(theta)) raises */
             PyErr_Format(isnan(left) ? PyExc_ValueError : PyExc_OverflowError,
                          "cannot convert float %s to integer", isnan(left) ? "NaN" : "infinity");
-            goto done;
+            return -1;
         }
         if (le > limit) {
             shared = j;
@@ -137,7 +119,7 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
             reads += hit + 1;
         } else if (den == 0.0) {
             PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-            goto done;
+            return -1;
         } else {
             total += weights[j] * (num / den);
             reads += size;
@@ -147,7 +129,171 @@ weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
         shared_total = total;
         shared_reads = reads;
     }
-    result = Py_BuildValue("(dLndL)", total, reads, shared, shared_total, shared_reads);
+    out->total = total;
+    out->reads = reads;
+    out->shared = shared;
+    out->shared_total = shared_total;
+    out->shared_reads = shared_reads;
+    return 0;
+}
+
+static PyObject *
+weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"fvals", "n", "nodes", "weights", "node_count", "size",
+                             "bary", "corrector", "first", "total", NULL};
+    PyObject *fobj, *nobj, *wobj, *bobj;
+    Py_ssize_t n, node_count, size, first = 0;
+    int corrector;
+    double total = 0.0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnOp|nd:weighted_interp_sum", kwlist,
+                                     &fobj, &n, &nobj, &wobj, &node_count, &size,
+                                     &bobj, &corrector, &first, &total))
+        return NULL;
+
+    Py_buffer bufs[4];
+    PyObject *objs[4] = {fobj, nobj, wobj, bobj};
+    const char *names[4] = {"fvals", "nodes", "weights", "bary"};
+    int got = 0;
+    PyObject *result = NULL;
+    for (; got < 4; got++)
+        if (get_buffer(objs[got], &bufs[got], names[got], 0) < 0)
+            goto done;
+
+    Py_ssize_t usable = corrector ? n + 2 : n + 1;
+    /* every stencil start then lies in [0, usable - size] */
+    if (usable < size) {
+        PyErr_Format(PyExc_IndexError, "stencil (size %zd) does not fit %zd usable f values", size, usable);
+        goto done;
+    }
+    if (length(&bufs[0]) < usable || node_count < 0 || length(&bufs[1]) < node_count
+            || length(&bufs[2]) < node_count || size < 0 || length(&bufs[3]) < size) {
+        PyErr_SetString(PyExc_IndexError, "n, node_count or size exceeds its buffer");
+        goto done;
+    }
+    if (first < 0 || first > node_count) {
+        PyErr_Format(PyExc_IndexError, "start node %zd lies outside [0, %zd]", first, node_count);
+        goto done;
+    }
+    interp_result r;
+    if (interp_sum(bufs[0].buf, n, bufs[1].buf, bufs[2].buf, node_count, size, bufs[3].buf,
+                   corrector, first, total, &r) == 0)
+        result = Py_BuildValue("(dLndL)", r.total, r.reads, r.shared, r.shared_total,
+                               r.shared_reads);
+done:
+    while (got-- > 0)
+        PyBuffer_Release(&bufs[got]);
+    return result;
+}
+
+/* f = rhs(t, x) as a C double; returns -1 with the exception set. */
+static int
+call_rhs(PyObject *rhs, double t, double x, double *f)
+{
+    PyObject *args[2] = {PyFloat_FromDouble(t), PyFloat_FromDouble(x)};
+    PyObject *value = NULL;
+    if (args[0] != NULL && args[1] != NULL)
+        value = PyObject_Vectorcall(rhs, args, 2, NULL);
+    Py_XDECREF(args[0]);
+    Py_XDECREF(args[1]);
+    if (value == NULL)
+        return -1;
+    *f = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return *f == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *
+march(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"rhs", "x", "fc", "base", "origin", "h", "alpha", "pref",
+                             "nodes", "weights", "bary", NULL};
+    PyObject *rhs, *objs[6];
+    double origin, h, alpha, pref;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOddddOOO:march", kwlist, &rhs,
+                                     &objs[0], &objs[1], &objs[2], &origin, &h, &alpha, &pref,
+                                     &objs[3], &objs[4], &objs[5]))
+        return NULL;
+
+    Py_buffer bufs[6];
+    const char *names[6] = {"x", "fc", "base", "nodes", "weights", "bary"};
+    int got = 0;
+    PyObject *result = NULL;
+    for (; got < 6; got++)
+        if (get_buffer(objs[got], &bufs[got], names[got], got < 2 ? PyBUF_WRITABLE : 0) < 0)
+            goto done;
+
+    double *x = bufs[0].buf, *fc = bufs[1].buf;
+    const double *base = bufs[2].buf, *nodes = bufs[3].buf, *weights = bufs[4].buf;
+    const double *bary = bufs[5].buf;
+    Py_ssize_t n_steps = length(&bufs[0]) - 1, size = length(&bufs[5]);
+    Py_ssize_t jn = length(&bufs[3]) - 1;
+    if (length(&bufs[1]) != n_steps + 1 || length(&bufs[2]) != n_steps + 1
+            || length(&bufs[4]) != jn + 1 || jn < 1 || size < 1) {
+        PyErr_SetString(PyExc_IndexError, "march needs len(fc) == len(base) == len(x), "
+                        "len(weights) == len(nodes) >= 2 and len(bary) >= 1");
+        goto done;
+    }
+    for (Py_ssize_t j = 0; j <= jn; j++)
+        if (!(fabs(nodes[j]) <= 1.0)) {
+            PyErr_SetString(PyExc_ValueError, "quadrature nodes must lie in [-1, 1]");
+            goto done;
+        }
+
+    double end_w = weights[jn];
+    long long rhs_evals = 0, interp_evals = 0, value_reads = 0;
+    Py_ssize_t count = n_steps + 1;
+    for (Py_ssize_t n = size - 1; n < n_steps; n++) {
+        double t1 = origin + (double)(n + 1) * h;
+        double span = 0.5 * (double)(n + 1) * h;
+        double scale = pow(span, alpha);
+        if (isinf(scale) && isfinite(span)) {  /* as float ** reports an overflow */
+            errno = ERANGE;
+            PyErr_SetFromErrno(PyExc_OverflowError);
+            goto done;
+        }
+        scale = pref * scale;
+        double base_n = base[n + 1];
+        interp_result pred;
+        if (interp_sum(fc, n, nodes, weights, jn + 1, size, bary, 0, 0, 0.0, &pred) < 0)
+            goto done;
+        interp_evals += jn + 1;
+        value_reads += pred.reads;
+        double x_pred = base_n + scale * pred.total;
+        if (!(fabs(x_pred) <= GUARD)) {
+            count = n + 1;
+            break;
+        }
+        double f_pred;
+        if (call_rhs(rhs, t1, x_pred, &f_pred) < 0)
+            goto done;
+        rhs_evals++;
+        fc[n + 1] = f_pred;
+        /* the corrector resumes the predictor's running total after the
+         * shared prefix, or is skipped when every interior node is shared */
+        double resumed = pred.shared_total;
+        long long resumed_reads = pred.shared_reads;
+        if (pred.shared < jn) {
+            interp_result corr;
+            if (interp_sum(fc, n, nodes, weights, jn, size, bary, 1, pred.shared, resumed,
+                           &corr) < 0)
+                goto done;
+            resumed = corr.total;
+            resumed_reads += corr.reads;
+        }
+        interp_evals += jn;
+        value_reads += resumed_reads;
+        double x_new = base_n + scale * (resumed + end_w * f_pred);
+        if (!(fabs(x_new) <= GUARD)) {
+            count = n + 1;
+            break;
+        }
+        x[n + 1] = x_new;
+        if (call_rhs(rhs, t1, x_new, &fc[n + 1]) < 0)
+            goto done;
+        rhs_evals++;
+    }
+    result = Py_BuildValue("(nLLL)", count, rhs_evals, interp_evals, value_reads);
 done:
     while (got-- > 0)
         PyBuffer_Release(&bufs[got]);
@@ -165,7 +311,7 @@ adams_step_sums(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Ond:adams_step_sums", kwlist,
                                      &fobj, &n, &alpha))
         return NULL;
-    if (get_buffer(fobj, &buf, "fvals") < 0)
+    if (get_buffer(fobj, &buf, "fvals", 0) < 0)
         return NULL;
     if (n < 0 || length(&buf) < n + 1) {
         PyErr_Format(PyExc_IndexError, "step %zd needs %zd f values, buffer has %zd",
@@ -197,6 +343,8 @@ adams_step_sums(PyObject *self, PyObject *args, PyObject *kwargs)
 static PyMethodDef methods[] = {
     {"weighted_interp_sum", (PyCFunction)(void (*)(void))weighted_interp_sum,
      METH_VARARGS | METH_KEYWORDS, "Quadrature-weighted sum of stencil interpolations of the f history."},
+    {"march", (PyCFunction)(void (*)(void))march,
+     METH_VARARGS | METH_KEYWORDS, "Predict and correct every step of a trajectory in place."},
     {"adams_step_sums", (PyCFunction)(void (*)(void))adams_step_sums,
      METH_VARARGS | METH_KEYWORDS, "History sums (pred, corr) for one fractional Adams PECE step."},
     {NULL, NULL, 0, NULL},
@@ -213,14 +361,18 @@ PyInit__kernels(void)
     PyObject *ref = PyImport_ImportModule("jacobipc._kernels_py");
     if (ref == NULL)
         return NULL;
-    PyObject *tol = PyObject_GetAttrString(ref, "TIE_TOL");
+    const char *names[2] = {"TIE_TOL", "GUARD"};
+    double *targets[2] = {&TIE_TOL, &GUARD};
+    for (int i = 0; i < 2; i++) {
+        PyObject *value = PyObject_GetAttrString(ref, names[i]);
+        *targets[i] = value == NULL ? -1.0 : PyFloat_AsDouble(value);
+        Py_XDECREF(value);
+        if (*targets[i] == -1.0 && PyErr_Occurred()) {
+            Py_DECREF(ref);
+            return NULL;
+        }
+    }
     Py_DECREF(ref);
-    if (tol == NULL)
-        return NULL;
-    TIE_TOL = PyFloat_AsDouble(tol);
-    Py_DECREF(tol);
-    if (TIE_TOL == -1.0 && PyErr_Occurred())
-        return NULL;
 
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddObjectRef(m, "COMPILED", Py_True) < 0)

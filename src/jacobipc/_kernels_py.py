@@ -3,28 +3,51 @@
 The compiled ``jacobipc._kernels`` (``_kernels.c``) implements the same
 functions with the same arguments and the same floating-point operation
 order, so the two backends give bit-identical results; it reads TIE_TOL
-from here.  Buffers are unwrapped through memoryview so the inner loops run
-on plain Python floats.
+and GUARD from here.  ``weighted_interp_sum`` and ``adams_step_sums``
+unwrap their buffers through memoryview so the inner loops run on plain
+Python floats.
 
-The march calls ``weighted_interp_sum`` twice a step, as predictor and as
-corrector, with the same rule and the same f history.  The two phases pick
-the same stencil for every node whose stencil ends left of t_{n+1}, the one
-value the corrector adds.  Such nodes give the same interpolated value bit
-for bit, and they form a prefix of the nodes, which rise with j.  So each
-pass reports its running total at the end of that prefix, and the corrector
-pass resumes from the predictor's instead of interpolating those nodes
-again.  At jn = 26 every interior node is shared from a few hundred steps on
-(from n = 142 at alpha = 1.5, stencil 3, to n = 672 at alpha = 0.3,
-stencil 5), and the corrector pass then has no work left.
+``march`` runs every predict/correct step of a trajectory.  Each step takes
+one ``weighted_interp_sum`` as predictor and one as corrector, with the
+same rule and the same f history.  The two phases pick the same stencil for
+every node whose stencil ends left of t_{n+1}, the one value the corrector
+adds.  Such nodes give the same interpolated value bit for bit, and they
+form a prefix of the nodes, which rise with j.  So each pass reports its
+running total at the end of that prefix, and the corrector pass resumes
+from the predictor's instead of interpolating those nodes again.  At
+jn = 26 every interior node is shared from a few hundred steps on (from
+n = 142 at alpha = 1.5, stencil 3, to n = 672 at alpha = 0.3, stencil 5),
+and the corrector pass then has no work left.
+
+Which stencil a node uses, and its barycentric coefficients, depend on the
+step and the node, not on f.  So the pure ``march`` does not call
+``weighted_interp_sum``: ``stencil_plan`` works out those for a block of
+steps at once with numpy, with the same operations in the same order, and
+``plan_totals`` gathers each step's f values and sums them in the kernel's
+order with sequential accumulates.  A block holds PLAN_BUDGET plan elements
+(steps x nodes x stencil size), so plan memory does not grow with N; the
+corrector's plan is built only for blocks where some step still needs it.
+The C ``march`` runs the same loop over the scalar kernel.
 """
 
 import math
+from typing import NamedTuple
+
+import numpy as np
+
+from jacobipc.trajectory import GUARD
 
 COMPILED = False
 
 # a grid node within TIE_TOL (grid-index units) of a target counts as lying
 # left of it, and as an exact interpolation hit
 TIE_TOL = 1e-12
+
+# plan elements (steps x nodes x stencil size) per block of march steps
+PLAN_BUDGET = 8192
+
+MARCH_LENGTHS = ("march needs len(fc) == len(base) == len(x), len(weights) == len(nodes) >= 2 "
+                 "and len(bary) >= 1")
 
 
 def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, corrector,
@@ -104,6 +127,168 @@ def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, correc
             total += wt[j] * (num / den)
             reads += size
     return (total, reads) + (prefix or (node_count, total, reads))
+
+
+class StencilPlan(NamedTuple):
+    """What ``weighted_interp_sum`` works out before it reads an f value, for
+    one phase and each step of a block, and the work buffers of
+    ``plan_totals``.
+
+    Node j of step i reads fvals[idx[i, k, j]] with coefficient coef[i, k, j]
+    = bary[k] / (x - k) for k in order, and den[i, j] is the sum of those
+    coefficients.  A node with an exact hit reads its one value with
+    coefficient 1 for k = 0 and 0 after, so its den is 1.  reads[i, j]
+    counts the values read before node j, and shared[i] is J, the first node
+    outside the shared prefix.  weights holds the node_count weights.
+    """
+
+    idx: np.ndarray
+    coef: np.ndarray
+    den: np.ndarray
+    reads: np.ndarray
+    shared: np.ndarray
+    weights: np.ndarray
+    num: np.ndarray
+    acc: np.ndarray
+
+
+def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
+    """Stencil plan of the steps n_lo <= n < n_hi over the first node_count nodes.
+
+    This is the stencil rule of ``weighted_interp_sum`` as array code: the
+    same operations on the same values, so each coefficient and each den is
+    the float that function computes.  The nodes must lie in [-1, 1].  A den
+    of zero at a node with no hit is left in for the caller to refuse.
+    """
+    np1 = np.arange(n_lo + 1, n_hi + 1)[:, None]
+    usable = np1 + 1 if corrector else np1
+    ln, rn = (size + 1) // 2, size // 2
+    theta = 0.5 * (1.0 + nodes[:node_count]) * np1
+    le = np.minimum(np.floor(theta + TIE_TOL).astype(np.int64) + 1, usable)
+    outside = le > np1 - rn
+    shared = np.where(outside.any(axis=1), outside.argmax(axis=1), node_count)
+    start = np.where(le <= ln, 0, np.where(le + rn >= usable, usable - size, le - ln))
+    x = theta - start
+    # x - k is exact within 0.5 of k, so only the integer nearest x can be hit
+    # (x >= -TIE_TOL, so that integer is never negative)
+    near = np.rint(x)
+    hit = (np.abs(x - near) < TIE_TOL) & (near < size)
+    hit_k = near.astype(np.int64)
+    k = np.arange(size)[:, None]
+    # zero coefficients at a hit (bary / inf), then 1 for k = 0
+    coef = bary[:, None] / (np.where(hit, np.inf, x)[:, None, :] - k.astype(float))
+    coef[:, 0] += hit
+    den = np.zeros(x.shape)
+    for c in coef.transpose(1, 0, 2):
+        den = den + c
+    idx = start[:, None, :] + np.where(hit[:, None, :], hit_k[:, None, :], k)
+    reads = np.zeros((len(np1), node_count + 1), dtype=np.int64)
+    np.cumsum(np.where(hit, hit_k + 1, size), axis=1, out=reads[:, 1:])
+    return StencilPlan(idx, coef, den, reads, shared, weights[:node_count],
+                       np.zeros((size + 1, node_count)), np.empty(node_count + 1))
+
+
+def plan_totals(plan, i, fvals, first=0, total=0.0):
+    """Running totals of step i of ``plan`` from node ``first`` on.
+
+    Element m is the total before node first + m, element 0 being ``total``
+    and the last the whole sum: with finite f values, the floats
+    ``weighted_interp_sum`` adds up, in its order.  Accumulates are
+    sequential, unlike np.sum and np.dot.  A hit node's value is
+    0 + 1*f + 0*f + ..., which is f, except that a zero f may lose its sign;
+    no total started from 0.0 can show that.  A non-finite f value gives a
+    non-finite total here as in the scalar kernel (nan where it may give
+    inf), and the march reads each new f value at its last node, which is
+    never a hit, so it leaves the guard at the same step with either.
+
+    The result is a view of the plan's work buffer, which the next call
+    overwrites.
+    """
+    coef, idx, den = plan.coef[i], plan.idx[i], plan.den[i]
+    num, acc, weights = plan.num, plan.acc, plan.weights
+    if first:
+        coef, idx, den = coef[:, first:], idx[:, first:], den[first:]
+        num, acc, weights = num[:, first:], acc[first:], weights[first:]
+    np.multiply(coef, fvals[idx], out=num[1:])
+    np.add.accumulate(num, axis=0, out=num)
+    acc[0] = total
+    terms = acc[1:]
+    np.divide(num[-1], den, out=terms)
+    np.multiply(weights, terms, out=terms)
+    return np.add.accumulate(acc, out=acc)
+
+
+def block_steps(node_count, size):
+    """Steps in one plan block: PLAN_BUDGET plan elements, at least one step."""
+    return max(1, PLAN_BUDGET // (node_count * size))
+
+
+@np.errstate(all="ignore")
+def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
+    """Predict and correct steps n = size - 1, ..., len(x) - 2 of x and fc in place.
+
+    ``solver._march`` describes the scheme.  size = len(bary); x[:size] and
+    fc[:size] hold the start values and their f values; base[n + 1] is the
+    term outside the integral at step n and pref = 1 / Gamma(alpha).  The
+    nodes must lie in [-1, 1] (ValueError otherwise).  Returns (count,
+    rhs_evals, interp_evals, value_reads): the number of valid entries, less
+    than len(x) if a step left the guard, and the counters of the steps.
+
+    The stencil plans are built a block of steps at a time; per step the
+    march gathers f values and sums them in ``weighted_interp_sum``'s order,
+    so the result is bit for bit that of calling it twice a step.  numpy's
+    floating-point errors are ignored inside, the rhs calls included, so
+    the march is as silent as arithmetic on Python floats.
+    """
+    size, n_steps, jn = len(bary), len(x) - 1, len(nodes) - 1
+    if not len(fc) == len(base) == n_steps + 1 or len(weights) != jn + 1 or jn < 1 or size < 1:
+        raise IndexError(MARCH_LENGTHS)
+    if not np.all(np.abs(nodes) <= 1.0):
+        raise ValueError("quadrature nodes must lie in [-1, 1]")
+    end_w = weights.item(jn)
+    rhs_evals = interp_evals = value_reads = 0
+    span = block_steps(jn + 1, size)
+    for n_lo in range(size - 1, n_steps, span):
+        n_hi = min(n_lo + span, n_steps)
+        rows = np.arange(n_hi - n_lo)
+        pred = stencil_plan(n_lo, n_hi, nodes, weights, jn + 1, size, bary, 0)
+        shared = pred.shared
+        # the corrector's reads: the shared prefix, then its own from J on
+        reads_c = pred.reads[rows, shared]
+        unusable = not pred.den.all()
+        corr = None
+        if np.any(shared < jn):
+            corr = stencil_plan(n_lo, n_hi, nodes, weights, jn, size, bary, 1)
+            reads_c = reads_c + corr.reads[:, -1] - corr.reads[rows, shared]
+            unusable |= np.any((corr.den == 0.0) & (np.arange(jn) >= shared[:, None]))
+        if unusable:
+            raise ZeroDivisionError("float division by zero")
+        for i, n, cut, r_p, r_c in zip(rows.tolist(), range(n_lo, n_hi), shared.tolist(),
+                                       pred.reads[:, -1].tolist(), reads_c.tolist()):
+            t1 = origin + (n + 1) * h
+            scale = pref * (0.5 * (n + 1) * h) ** alpha
+            base_n = base.item(n + 1)
+            acc = plan_totals(pred, i, fc)
+            interp_evals += jn + 1
+            value_reads += r_p
+            x_pred = base_n + scale * acc.item(jn + 1)
+            if not abs(x_pred) <= GUARD:
+                return n + 1, rhs_evals, interp_evals, value_reads
+            f_pred = rhs(t1, x_pred)
+            rhs_evals += 1
+            fc[n + 1] = f_pred
+            resumed = acc.item(cut)
+            if cut < jn:
+                resumed = plan_totals(corr, i, fc, cut, resumed).item(-1)
+            interp_evals += jn
+            value_reads += r_c
+            x_new = base_n + scale * (resumed + end_w * f_pred)
+            if not abs(x_new) <= GUARD:
+                return n + 1, rhs_evals, interp_evals, value_reads
+            x[n + 1] = x_new
+            fc[n + 1] = rhs(t1, x_new)
+            rhs_evals += 1
+    return n_steps + 1, rhs_evals, interp_evals, value_reads
 
 
 def adams_step_sums(fvals, n, alpha):

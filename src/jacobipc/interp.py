@@ -48,8 +48,15 @@ def step_count(length, h):
 
 
 def uniform_bary_weights(size):
-    """Barycentric weights for ``size`` equispaced nodes: (-1)^k C(size-1, k)."""
-    return np.array([(-1.0) ** k * math.comb(size - 1, k) for k in range(size)])
+    """Barycentric weights for ``size`` equispaced nodes: (-1)^k C(size-1, k).
+
+    Raises ValueError for a size whose weights exceed the float range.
+    """
+    try:
+        return np.array([(-1.0) ** k * math.comb(size - 1, k) for k in range(size)])
+    except OverflowError:
+        raise ValueError(f"stencil size {size} is too large: its barycentric weights "
+                         "overflow a float") from None
 
 
 def map_node(s, left, right):

@@ -10,11 +10,14 @@ weights from Gamma-function ratios evaluated in lgamma.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_RULE_CACHE = {}
+# the most recently used rules, least recent first
+_RULE_CACHE = OrderedDict()
+CACHED_RULES = 64
 MAX_POINTS = 1025  # the eigenvalue step holds an (n-2) x (n-2) matrix
 
 
@@ -86,11 +89,13 @@ def gauss_lobatto_rule(weight, n_points):
     all weights are positive and finite (ValueError otherwise, and for
     ``n_points`` outside [3, MAX_POINTS]).  The rule
     integrates polynomials up to degree 2*n_points - 3 exactly against the
-    weight.  Results are cached per (weight, n_points).
+    weight.  The CACHED_RULES most recently used results are cached per
+    (weight, n_points).
     """
     key = (weight.a, weight.b, n_points)
     cached = _RULE_CACHE.get(key)
     if cached is not None:
+        _RULE_CACHE.move_to_end(key)
         return cached
     if not 3 <= n_points <= MAX_POINTS:
         raise ValueError(f"Lobatto rules need 3 to {MAX_POINTS} points, got {n_points}")
@@ -116,4 +121,6 @@ def gauss_lobatto_rule(weight, n_points):
     weights.flags.writeable = False
     rule = QuadratureRule(weight=weight, nodes=nodes, weights=weights)
     _RULE_CACHE[key] = rule
+    if len(_RULE_CACHE) > CACHED_RULES:
+        _RULE_CACHE.popitem(last=False)
     return rule

@@ -7,20 +7,21 @@ interpolation of cached f values.  Cost per step is O(stencil_size * jn),
 so a whole run is O(N) for fixed configuration.
 
 Predictor and corrector apply the same rule to the same history and differ
-only at nodes whose stencil reaches t_{n+1}.  The kernel's predictor pass
-reports the prefix of nodes before those, with its running total there, and
-the corrector pass resumes from that total (``_kernels_py`` says why this
-is exact).  At jn = 26 that prefix holds every interior node from a few
-hundred steps on, and the corrector call is then skipped.
-The march keeps its own counters: its rhs calls, and every interpolation
-and value read that each quadrature sum uses, shared or not, with the reads
-taken from what the kernel returns.  So their closed forms are unchanged.
+only at nodes whose stencil reaches t_{n+1}.  The corrector resumes the
+predictor's running total after the prefix of nodes before those
+(``_kernels_py`` says why this is exact).  At jn = 26 that prefix holds
+every interior node from a few hundred steps on, and the corrector pass is
+then skipped.  The counters count rhs calls, and every interpolation and
+value read that each quadrature sum uses, shared or not, so their closed
+forms are unchanged.
 
 ``solve``, the one entry point, runs four phases: rules, start values
-(``start_values``, at 0 or at a split's t0), the base term and ``_march``,
-the one marching loop.  The base term is the Taylor head, plus the head term
-(``split.head_integral``) in split runs, as one array over the grid, so the
-loop calls only the kernel and the rhs per step.
+(``start_values``, at 0 or at a split's t0), the base term and ``_march``.
+The base term is the Taylor head, plus the head term (``split.head_integral``)
+in split runs, as one array over the grid.  ``_march`` allocates the
+trajectory, evaluates f at the start values and hands the steps to
+``kernels.march``, the one marching loop, in C or in its pure twin; it
+calls only the quadrature sums and the rhs per step.
 """
 
 import math
@@ -35,7 +36,7 @@ from jacobipc.interp import UniformGrid, step_count, uniform_bary_weights
 from jacobipc.problems import taylor_head
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.split import head_integral
-from jacobipc.trajectory import GUARD, STATUS_DIVERGED, STATUS_OK, Counters, Trajectory
+from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, Counters, Trajectory
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,7 @@ class SolverConfig:
             raise ValueError(f"step h must be finite and positive, got {self.h}")
         if self.stencil_size < 2:
             raise ValueError("stencil size must be at least 2")
+        uniform_bary_weights(self.stencil_size)  # refuses sizes whose weights overflow
         if self.jn < 2:
             raise ValueError("quadrature index must be at least 2")
 
@@ -86,11 +88,12 @@ def _march(problem, grid, rule, x_start, base, head=None):
     """Trajectory on ``grid`` from its start values.
 
     x_start holds the first stencil_size values; every later index n + 1 is
-    one predict/correct pass.  base[n + 1] holds everything outside the
-    quadrature integral there (the Taylor head, plus the head-segment term
-    in split runs; entries before stencil_size are not read), and the
-    integral runs over [grid.origin, t].  On divergence the trajectory is
-    truncated at the last finite value and flagged rather than raising.
+    one predict/correct pass of ``kernels.march``.  base[n + 1] holds
+    everything outside the quadrature integral there (the Taylor head, plus
+    the head-segment term in split runs; entries before stencil_size are not
+    read), and the integral runs over [grid.origin, t].  On divergence the
+    trajectory is truncated at the last finite value and flagged rather than
+    raising.
     """
     size, n_steps = len(x_start), grid.count - 1
     origin, h, alpha = grid.origin, grid.h, problem.alpha
@@ -100,51 +103,11 @@ def _march(problem, grid, rule, x_start, base, head=None):
     x[:size] = x_start
     for i in range(size):
         fc[i] = rhs(origin + i * h, x[i])
-
-    nodes = rule.nodes
-    weights = rule.weights
-    jn = rule.n_points - 1
-    bary = uniform_bary_weights(size)
-    pref = 1.0 / math.gamma(alpha)
-    end_w = weights[jn]
-    rhs_evals, interp_evals, value_reads = size, 0, 0
-    status = STATUS_OK
-    count = n_steps + 1
-    for n in range(size - 1, n_steps):
-        t1 = origin + (n + 1) * h
-        scale = pref * (0.5 * (n + 1) * h) ** alpha
-        base_n = base.item(n + 1)
-        total, reads, shared, resumed, resumed_reads = kernels.weighted_interp_sum(
-            fc, n, nodes, weights, jn + 1, size, bary, 0
-        )
-        interp_evals += jn + 1
-        value_reads += reads
-        x_pred = base_n + scale * total
-        if not abs(x_pred) <= GUARD:
-            status, count = STATUS_DIVERGED, n + 1
-            break
-        f_pred = rhs(t1, x_pred)
-        rhs_evals += 1
-        fc[n + 1] = f_pred
-        # interior nodes only: the end node s=1 lands on t_{n+1} and uses the
-        # directly evaluated f_pred, never an interpolated value.  The first
-        # `shared` of them have the predictor's stencils, so the corrector
-        # resumes the predictor's running total and reads after them
-        if shared < jn:
-            resumed, reads = kernels.weighted_interp_sum(
-                fc, n, nodes, weights, jn, size, bary, 1, shared, resumed
-            )[:2]
-            resumed_reads += reads
-        interp_evals += jn
-        value_reads += resumed_reads
-        x_new = base_n + scale * (resumed + end_w * f_pred)
-        if not abs(x_new) <= GUARD:
-            status, count = STATUS_DIVERGED, n + 1
-            break
-        x[n + 1] = x_new
-        fc[n + 1] = rhs(t1, x_new)
-        rhs_evals += 1
-    counters = Counters(rhs_evals, interp_evals, value_reads)
+    count, rhs_evals, interp_evals, value_reads = kernels.march(
+        rhs, x, fc, base, origin, h, alpha, 1.0 / math.gamma(alpha), rule.nodes,
+        rule.weights, uniform_bary_weights(size))
+    status = STATUS_OK if count == n_steps + 1 else STATUS_DIVERGED
+    counters = Counters(size + rhs_evals, interp_evals, value_reads)
     return Trajectory(UniformGrid(origin, h, count), x[:count], fc[:count], status, counters,
                       head=head).finalize()
 

@@ -206,6 +206,9 @@ def test_split_refusals_name_the_flags(capsys):
      "nan"),
     (["converge", "--problem", "poly8", "--alpha", "0.5", "--h-list", "0.1,nan"], "nan"),
     (["solve", "--problem", "poly8", "--alpha", "0.5", "--h", "1e-320"], "1e-320"),
+    # the barycentric weights of this stencil overflow a float
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "1100", "--stencil", "1100"],
+     "1100"),
 ])
 def test_numeric_inputs_past_the_configs_are_refused(args, value, capsys):
     # a config error names the offending value on its one message line, with

@@ -1,0 +1,203 @@
+"""``kernels.march`` on both backends against the one-step-at-a-time loop.
+
+``march_reference.march`` calls the scalar kernel twice a step, as the
+march did before it moved behind ``kernels.march``.  Every cell must give
+the same x, f values, status and counters bit for bit; the cells are long
+enough to cross several plan blocks of the pure twin.
+"""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import march_reference
+from jacobipc import _kernels_py, solver
+from jacobipc.adams import EXACT, StarterConfig
+from jacobipc.interp import uniform_bary_weights
+from jacobipc.problems import make_problem
+from jacobipc.solver import SolverConfig, SplitConfig, quadrature_for, solve
+from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK
+
+EXACT_START = StarterConfig(mode=EXACT)
+
+
+def poly8(alpha, n, size, jn=26):
+    return make_problem("poly8", alpha, 1.0), SolverConfig(
+        h=1.0 / n, stencil_size=size, jn=jn, starter=EXACT_START)
+
+
+def crit07_long(alpha, size):
+    """Criterion 07's long-horizon split cell."""
+    return make_problem("ml_linear", alpha, 50.0), SolverConfig(
+        h=49.0 / 490, stencil_size=size, starter=EXACT_START,
+        split=SplitConfig(t0=1.0, aux_jn=52, fine_factor=20))
+
+
+def poisoned(problem, bad_call):
+    """The problem with an rhs that returns 1e200 on its bad_call-th call (from 1)."""
+    calls = 0
+
+    def rhs(t, x):
+        nonlocal calls
+        calls += 1
+        return 1e200 if calls == bad_call else problem.rhs(t, x)
+
+    return dataclasses.replace(problem, rhs=rhs)
+
+
+# a guard trip at step index TRIP, past the first plan block: a huge f from the
+# corrector of the step before trips the predictor, a huge f_pred the corrector
+TRIP_SIZE, TRIP = 3, 1500
+
+
+def tripped(phase):
+    problem, config = poly8(0.5, 2000, TRIP_SIZE)
+    bad_call = TRIP_SIZE + 2 * TRIP + (phase == "corrector")
+    return poisoned(problem, bad_call), config
+
+
+CELLS = {f"poly8 a={alpha} s={size} n={n}": (poly8, (alpha, n, size))
+         for alpha in (0.3, 1.5) for size in (2, 3, 4, 5) for n in (300, 1000, 2000)}
+CELLS["poly8 a=0.5 s=8 jn=200 n=400"] = (poly8, (0.5, 400, 8, 200))
+CELLS.update({f"crit07 long a={alpha} s={size}": (crit07_long, (alpha, size))
+              for alpha in (0.2, 0.5) for size in (2, 3)})
+CELLS.update({f"guard trip in the {phase}": (tripped, (phase,))
+              for phase in ("predictor", "corrector")})
+
+_REFERENCE = {}
+
+
+def reference(cell, monkeypatch):
+    if cell not in _REFERENCE:
+        make, args = CELLS[cell]
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_march", march_reference.march)
+            _REFERENCE[cell] = solve(*make(*args))
+    return _REFERENCE[cell]
+
+
+def hexes(values):
+    return [v.hex() for v in values.tolist()]
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_march_matches_reference(backend, cell, monkeypatch):
+    want = reference(cell, monkeypatch)
+    monkeypatch.setattr(solver, "kernels", backend)
+    make, args = CELLS[cell]
+    got = solve(*make(*args))
+    assert got.status == want.status
+    assert got.counters == want.counters
+    assert hexes(got.x) == hexes(want.x)
+    assert hexes(got.f_cache) == hexes(want.f_cache)
+
+
+@pytest.mark.parametrize("phase", ["predictor", "corrector"])
+def test_guard_trips_after_the_first_block(phase, monkeypatch):
+    tr = reference(f"guard trip in the {phase}", monkeypatch)
+    assert tr.status == STATUS_DIVERGED
+    assert tr.grid.count == TRIP_SIZE + TRIP
+    assert tr.counters.rhs_evals == TRIP_SIZE + 2 * TRIP + (phase == "corrector")
+    assert TRIP > _kernels_py.block_steps(27, TRIP_SIZE)
+
+
+def test_pure_plans_are_bounded_and_correctors_stop(monkeypatch):
+    built = []
+
+    def recording(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
+        plan = stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector)
+        built.append((corrector, plan.coef.size))
+        return plan
+
+    stencil_plan = _kernels_py.stencil_plan
+    monkeypatch.setattr(_kernels_py, "stencil_plan", recording)
+    monkeypatch.setattr(solver, "kernels", _kernels_py)
+    for n in (2000, 8000):
+        built.clear()
+        assert solve(*poly8(0.5, n, 3)).status == STATUS_OK
+        # every plan fits the budget, whatever N
+        assert max(elements for _, elements in built) <= _kernels_py.PLAN_BUDGET
+        predictors = sum(1 for corrector, _ in built if not corrector)
+        assert predictors == -(-(n - 2) // _kernels_py.block_steps(27, 3))
+        # every interior node is shared from n = 672 on at most
+        assert len(built) - predictors <= -(-672 // _kernels_py.block_steps(27, 3))
+
+
+@pytest.mark.parametrize("nodes", [[-1.0, 0.5, 1.5], [-1.0, np.nan, 1.0]])
+def test_march_refuses_nodes_outside_the_interval(backend, nodes):
+    x, fc = np.zeros(20), np.zeros(20)
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        backend.march(lambda t, y: 0.0, x, fc, np.zeros(20), 0.0, 0.05, 0.5, 1.0,
+                      np.array(nodes), np.ones(3), uniform_bary_weights(3))
+
+
+def test_march_refuses_mismatched_buffers(backend):
+    rule = quadrature_for(0.5, 8)
+    args = dict(rhs=lambda t, y: 0.0, x=np.zeros(20), fc=np.zeros(20), base=np.zeros(20),
+                origin=0.0, h=0.05, alpha=0.5, pref=1.0, nodes=rule.nodes,
+                weights=rule.weights, bary=uniform_bary_weights(3))
+    assert backend.march(**args) == (20, 2 * 17, 17 * 17, 17 * (15 * 3 + 2))
+    for changed in ({"fc": np.zeros(19)}, {"base": np.zeros(21)},
+                    {"weights": rule.weights[:-1]}, {"bary": np.zeros(0)},
+                    {"nodes": rule.nodes[:1], "weights": rule.weights[:1]}):
+        with pytest.raises(IndexError, match=re.escape(_kernels_py.MARCH_LENGTHS)):
+            backend.march(**dict(args, **changed))
+
+
+def test_march_raises_what_float_pow_raises_on_overflow(backend):
+    # h^alpha overflows at the first step, as (0.5 * 3 * 1e200) ** 2.0 does
+    rule = quadrature_for(1.5, 8)
+    with pytest.raises(OverflowError) as caught:
+        backend.march(lambda t, y: 0.0, np.zeros(5), np.zeros(5), np.zeros(5), 0.0, 1e200,
+                      2.0, 1.0, rule.nodes, rule.weights, uniform_bary_weights(3))
+    with pytest.raises(OverflowError) as want:
+        (0.5 * 3 * 1e200) ** 2.0
+    assert str(caught.value) == str(want.value)
+
+
+@st.composite
+def plan_rows(draw):
+    """One step n of a block, its stencil size, nodes (Lobatto, or snapped onto
+    grid points so ties occur), weights and an f history."""
+    size = draw(st.integers(2, 6))
+    n = draw(st.one_of(st.just(size - 1), st.integers(size - 1, 3000)))
+    n_lo = max(size - 1, n - draw(st.integers(0, 5)))
+    n_hi = n + 1 + draw(st.integers(0, 3))
+    jn = draw(st.integers(2, 60))
+    nodes = quadrature_for(draw(st.sampled_from([0.3, 0.5, 0.8, 1.5])), jn).nodes.copy()
+    snapped = draw(st.lists(st.tuples(st.integers(1, jn - 1), st.integers(0, n + 1)),
+                            max_size=jn - 1))
+    for j, point in snapped:
+        nodes[j] = 2.0 * point / (n + 1) - 1.0
+    nodes.sort()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fvals = rng.uniform(-5.0, 5.0, size=n + 2)
+    weights = rng.uniform(-1.0, 1.0, size=jn + 1)
+    return size, n, n_lo, n_hi, jn, nodes, weights, fvals
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=plan_rows())
+def test_plan_row_matches_scalar_kernel(row):
+    size, n, n_lo, n_hi, jn, nodes, weights, fvals = row
+    bary = uniform_bary_weights(size)
+    for corrector, node_count in ((0, jn + 1), (1, jn)):
+        plan = _kernels_py.stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary,
+                                        corrector)
+        i = n - n_lo
+        acc = _kernels_py.plan_totals(plan, i, fvals).copy()
+        cut = int(plan.shared[i])
+        got = (acc[-1].hex(), int(plan.reads[i, -1]), cut, acc[cut].hex(),
+               int(plan.reads[i, cut]))
+        total, reads, shared, shared_total, shared_reads = _kernels_py.weighted_interp_sum(
+            fvals, n, nodes, weights, node_count, size, bary, corrector)
+        assert got == (total.hex(), reads, shared, shared_total.hex(), shared_reads)
+        # resumed from the shared prefix, as the march's corrector is
+        resumed = _kernels_py.plan_totals(plan, i, fvals, cut, shared_total)[-1]
+        want = _kernels_py.weighted_interp_sum(fvals, n, nodes, weights, node_count, size,
+                                               bary, corrector, cut, shared_total)[0]
+        assert resumed.hex() == want.hex()

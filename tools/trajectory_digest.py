@@ -15,7 +15,10 @@ same backend and diff the output.
 The grid: poly8 over alpha {0.3, 0.5, 0.8, 1.0, 1.5, 2.0} x stencils 2-5 x
 N {40, 300} plus one refined-starter run; split ml_linear (t0 = 1, T = 10,
 h = 0.25, aux_jn 52, fine_factor 20) over alpha {0.2, 0.5, 0.9, 1.5} with
-exact and refined starts; and the six cells of acceptance criterion 07.
+exact and refined starts; the six cells of acceptance criterion 07; and
+poly8 at alpha 0.5, N = 2000 with stencils 2 and 5, which span many stencil
+plan blocks of the pure march, and with stencil 16, which leaves the guard
+at step 944, inside a later block.
 """
 
 import hashlib
@@ -58,6 +61,10 @@ def cases():
             yield (f"crit07 long a={alpha} s={size}", make_problem("ml_linear", alpha, 50.0),
                    SolverConfig(h=49.0 / 490, stencil_size=size, starter=exact,
                                 split=split))
+    problem = make_problem("poly8", 0.5, 1.0)
+    for size in (2, 5, 16):
+        yield (f"poly8 a=0.5 s={size} n=2000", problem,
+               SolverConfig(h=1.0 / 2000, stencil_size=size, starter=exact))
 
 
 def sha(*arrays):
