@@ -1,23 +1,21 @@
-/* Compiled hot kernels: stencil-interpolation quadrature sums, the march
- * built on them and the fractional Adams history sums.
+/* Compiled hot kernels: the march and the fractional Adams history sums.
  *
  * Same contracts, argument lists, floating-point operation order and
  * exceptions as jacobipc._kernels_py, which holds the reference semantics;
  * the two must stay bit-identical.  TIE_TOL and GUARD are read from that
- * module at import.  Buffer lengths and the start node are checked once per
- * call, before any element is read.
+ * module at import.  Buffer lengths are checked once per call, before any
+ * element is read.
  *
- * weighted_interp_sum returns (total, reads, J, shared_total, shared_reads):
- * the values it read, and the prefix of nodes whose stencil ends left of n+1
- * and so is the same in both phases, with the running total and reads at its
- * end, from which the corrector resumes (first, total).  See _kernels_py for
- * why the resumed sum is bit-identical.
- *
- * march is the marching loop: per step one predictor sum, the rhs (a Python
- * callable, called with Python floats), the corrector sum resumed after the
- * shared prefix or skipped, and the rhs again.  The pure twin plans its
- * stencils a block of steps at a time; this one calls the scalar loop
- * (interp_sum) twice a step, which is cheaper in C.
+ * march is the marching loop: per step one predictor sum of stencil
+ * interpolants (interp_sum, the stencil rule of _kernels_py.stencil_plan as
+ * a scalar loop), the rhs (a Python callable, called with Python floats),
+ * the corrector sum resumed after the shared prefix or skipped, and the rhs
+ * again.  interp_sum reports the prefix of nodes whose stencil ends left of
+ * n+1 and so is the same in both phases, with the running total and reads
+ * at its end, from which the corrector resumes; see stencil_plan for why the
+ * resumed sum is bit-identical.  The pure twin plans its stencils a block of
+ * steps at a time; this one runs the scalar loop twice a step, which is
+ * cheaper in C.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -51,9 +49,10 @@ length(const Py_buffer *view)
     return view->len / view->itemsize;
 }
 
-/* One quadrature sum of stencil interpolants: weighted_interp_sum's loop
- * over nodes first <= j < node_count, on buffers the caller has checked.
- * Fills out and returns 0, or sets an exception and returns -1. */
+/* One quadrature sum of stencil interpolants over nodes first <= j <
+ * node_count, starting from total, on buffers the caller has checked and
+ * with nodes in [-1, 1].  Fills out and returns 0, or sets an exception and
+ * returns -1. */
 typedef struct {
     double total, shared_total;
     long long reads, shared_reads;
@@ -75,19 +74,10 @@ interp_sum(const double *fvals, Py_ssize_t n, const double *nodes, const double 
     double shared_total = 0.0;
     long long reads = 0, shared_reads = 0;
     for (Py_ssize_t j = first; j < node_count; j++) {
+        /* theta lies in [0, n+1], as the node lies in [-1, 1] */
         double theta = 0.5 * (1.0 + nodes[j]) * np1;
         double left = floor(theta + TIE_TOL);
-        /* le = left + 1 clamped to [0, usable], without an out-of-range cast */
-        Py_ssize_t le;
-        if (left >= 0.0 && left < usable)
-            le = (Py_ssize_t)left + 1;
-        else if (isfinite(left))
-            le = left < 0.0 ? 0 : usable;
-        else {  /* raise what int(math.floor(theta)) raises */
-            PyErr_Format(isnan(left) ? PyExc_ValueError : PyExc_OverflowError,
-                         "cannot convert float %s to integer", isnan(left) ? "NaN" : "infinity");
-            return -1;
-        }
+        Py_ssize_t le = left < usable ? (Py_ssize_t)left + 1 : usable;
         if (le > limit) {
             shared = j;
             shared_total = total;
@@ -135,55 +125,6 @@ interp_sum(const double *fvals, Py_ssize_t n, const double *nodes, const double 
     out->shared_total = shared_total;
     out->shared_reads = shared_reads;
     return 0;
-}
-
-static PyObject *
-weighted_interp_sum(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"fvals", "n", "nodes", "weights", "node_count", "size",
-                             "bary", "corrector", "first", "total", NULL};
-    PyObject *fobj, *nobj, *wobj, *bobj;
-    Py_ssize_t n, node_count, size, first = 0;
-    int corrector;
-    double total = 0.0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OnOOnnOp|nd:weighted_interp_sum", kwlist,
-                                     &fobj, &n, &nobj, &wobj, &node_count, &size,
-                                     &bobj, &corrector, &first, &total))
-        return NULL;
-
-    Py_buffer bufs[4];
-    PyObject *objs[4] = {fobj, nobj, wobj, bobj};
-    const char *names[4] = {"fvals", "nodes", "weights", "bary"};
-    int got = 0;
-    PyObject *result = NULL;
-    for (; got < 4; got++)
-        if (get_buffer(objs[got], &bufs[got], names[got], 0) < 0)
-            goto done;
-
-    Py_ssize_t usable = corrector ? n + 2 : n + 1;
-    /* every stencil start then lies in [0, usable - size] */
-    if (usable < size) {
-        PyErr_Format(PyExc_IndexError, "stencil (size %zd) does not fit %zd usable f values", size, usable);
-        goto done;
-    }
-    if (length(&bufs[0]) < usable || node_count < 0 || length(&bufs[1]) < node_count
-            || length(&bufs[2]) < node_count || size < 0 || length(&bufs[3]) < size) {
-        PyErr_SetString(PyExc_IndexError, "n, node_count or size exceeds its buffer");
-        goto done;
-    }
-    if (first < 0 || first > node_count) {
-        PyErr_Format(PyExc_IndexError, "start node %zd lies outside [0, %zd]", first, node_count);
-        goto done;
-    }
-    interp_result r;
-    if (interp_sum(bufs[0].buf, n, bufs[1].buf, bufs[2].buf, node_count, size, bufs[3].buf,
-                   corrector, first, total, &r) == 0)
-        result = Py_BuildValue("(dLndL)", r.total, r.reads, r.shared, r.shared_total,
-                               r.shared_reads);
-done:
-    while (got-- > 0)
-        PyBuffer_Release(&bufs[got]);
-    return result;
 }
 
 /* f = rhs(t, x) as a C double; returns -1 with the exception set. */
@@ -341,8 +282,6 @@ adams_step_sums(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyMethodDef methods[] = {
-    {"weighted_interp_sum", (PyCFunction)(void (*)(void))weighted_interp_sum,
-     METH_VARARGS | METH_KEYWORDS, "Quadrature-weighted sum of stencil interpolations of the f history."},
     {"march", (PyCFunction)(void (*)(void))march,
      METH_VARARGS | METH_KEYWORDS, "Predict and correct every step of a trajectory in place."},
     {"adams_step_sums", (PyCFunction)(void (*)(void))adams_step_sums,

@@ -1,36 +1,36 @@
 """Hot solver kernels in pure Python: the reference semantics.
 
-The compiled ``jacobipc._kernels`` (``_kernels.c``) implements the same
-functions with the same arguments and the same floating-point operation
-order, so the two backends give bit-identical results; it reads TIE_TOL
-and GUARD from here.  ``weighted_interp_sum`` and ``adams_step_sums``
-unwrap their buffers through memoryview so the inner loops run on plain
-Python floats.
+The compiled ``jacobipc._kernels`` (``_kernels.c``) implements ``march`` and
+``adams_step_sums`` with the same arguments and the same floating-point
+operation order, so the two backends give bit-identical results; it reads
+TIE_TOL and GUARD from here.  ``adams_step_sums`` unwraps its buffer through
+memoryview so the inner loop runs on plain Python floats.
 
 ``march`` runs every predict/correct step of a trajectory.  Each step takes
-one ``weighted_interp_sum`` as predictor and one as corrector, with the
-same rule and the same f history.  The two phases pick the same stencil for
-every node whose stencil ends left of t_{n+1}, the one value the corrector
-adds.  Such nodes give the same interpolated value bit for bit, and they
-form a prefix of the nodes, which rise with j.  So each pass reports its
-running total at the end of that prefix, and the corrector pass resumes
-from the predictor's instead of interpolating those nodes again.  At
-jn = 26 every interior node is shared from a few hundred steps on (from
+one quadrature sum of stencil interpolants of the f history as predictor
+and one as corrector, with the same rule and the same f history.  The two
+phases pick the same stencil for every node whose stencil ends left of
+t_{n+1}, the one value the corrector adds.  Such nodes give the same
+interpolated value bit for bit, and they form a prefix of the nodes, which
+rise with j.  So the corrector sum resumes from the predictor's running
+total at the end of that prefix instead of interpolating those nodes again.
+At jn = 26 every interior node is shared from a few hundred steps on (from
 n = 142 at alpha = 1.5, stencil 3, to n = 672 at alpha = 0.3, stencil 5),
 and the corrector pass then has no work left.
 
 Which stencil a node uses, and its barycentric coefficients, depend on the
-step and the node, not on f.  So the pure ``march`` does not call
-``weighted_interp_sum``: ``stencil_plan`` works out those for a block of
-steps at once with numpy, with the same operations in the same order, and
-``plan_totals`` gathers each step's f values and sums them in the kernel's
-order with sequential accumulates.  A block holds PLAN_BUDGET plan elements
-(steps x nodes x stencil size), so plan memory does not grow with N; the
-corrector's plan is built only for blocks where some step still needs it.
-The C ``march`` runs the same loop over the scalar kernel.
+step and the node, not on f.  So ``stencil_plan`` works out those for a
+block of steps at once with numpy, ``plan_values`` gathers a step's f
+values and divides, and ``plan_totals`` sums the weighted values in order
+of the nodes with sequential accumulates.  A block holds PLAN_BUDGET plan
+elements (steps x nodes x stencil size), so plan memory does not grow with
+N; the corrector's plan is built only for blocks where some step still
+needs it.  The C ``march`` runs the same loop with a scalar loop over the
+nodes in place of the plans, with the same operations in the same order.
+The split head (``split.head_integral``) reads its node values from one
+plan row, so both backends share that code.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -50,89 +50,10 @@ MARCH_LENGTHS = ("march needs len(fc) == len(base) == len(x), len(weights) == le
                  "and len(bary) >= 1")
 
 
-def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, corrector,
-                        first=0, total=0.0):
-    """Quadrature-weighted sum of stencil interpolations of the f history.
-
-    Computes total + sum_{first<=j<node_count} weights[j] * p_j((1+nodes[j])*(n+1)/2)
-    where p_j is the degree-(size-1) interpolant of fvals on the stencil
-    chosen for that position (grid-index coordinates), summed in order of j.
-    The stencil keeps ln = ceil(size/2) nodes at or left of the target where
-    history permits and rn = size//2 right of it.  In the corrector phase
-    fvals[n+1] is usable and holds the predicted f value.
-
-    Returns (total, reads, J, shared_total, shared_reads).  reads counts the
-    f values read over first <= j < node_count (size per node, fewer at an
-    exact hit); the kernel keeps no counters, so the caller counts the
-    node_count - first interpolations and adds up the reads.  The rest
-    describe the shared prefix.  With le grid values at or left of a node's
-    position, a node with le + rn <= n+1 has a stencil inside fvals[0..n],
-    chosen the same way in both phases, so it reads the same values and gives
-    the same interpolant bit for bit.  J is the first node from ``first``
-    that fails that test (node_count if none does); shared_total and
-    shared_reads are the running total and reads before it.  Both phases sum
-    in order of j, so a corrector pass started at first = J from
-    shared_total is bit for bit a full corrector pass.
-
-    Raises IndexError when the stencil cannot fit the usable values (n + 1 <
-    size in the predictor phase), first lies outside [0, node_count] or a
-    read runs past a buffer.
-    """
-    fv = memoryview(fvals)
-    nd = memoryview(nodes)
-    wt = memoryview(weights)
-    by = memoryview(bary)
-    np1 = n + 1
-    usable = np1 + 1 if corrector else np1
-    if usable < size:
-        raise IndexError(f"stencil (size {size}) does not fit {usable} usable f values")
-    if not 0 <= first <= node_count:
-        raise IndexError(f"start node {first} lies outside [0, {node_count}]")
-    ln, rn = (size + 1) // 2, size // 2
-    # the shared-prefix test is le + rn <= np1; past the first failure, limit
-    # rises to usable, which le never exceeds
-    limit = np1 - rn
-    prefix = None
-    reads = 0
-    for j in range(first, node_count):
-        theta = 0.5 * (1.0 + nd[j]) * np1
-        le = int(math.floor(theta + TIE_TOL)) + 1
-        if le > usable:
-            le = usable
-        if le > limit:
-            prefix = (j, total, reads)
-            limit = usable
-        if le <= ln:
-            start = 0
-        elif corrector:
-            start = np1 + 1 - size if le + rn >= np1 + 1 else le - ln
-        else:
-            start = np1 - size if le + rn >= np1 else le - ln
-        x = theta - start
-        num = 0.0
-        den = 0.0
-        hit = -1
-        for k in range(size):
-            d = x - k
-            if -TIE_TOL < d < TIE_TOL:
-                hit = k
-                break
-            c = by[k] / d
-            num += c * fv[start + k]
-            den += c
-        if hit >= 0:
-            total += wt[j] * fv[start + hit]
-            reads += hit + 1
-        else:
-            total += wt[j] * (num / den)
-            reads += size
-    return (total, reads) + (prefix or (node_count, total, reads))
-
-
 class StencilPlan(NamedTuple):
-    """What ``weighted_interp_sum`` works out before it reads an f value, for
-    one phase and each step of a block, and the work buffers of
-    ``plan_totals``.
+    """What the stencil rule works out before it reads an f value, for one
+    phase and each step of a block, and the work buffers of ``plan_values``
+    and ``plan_totals``.
 
     Node j of step i reads fvals[idx[i, k, j]] with coefficient coef[i, k, j]
     = bary[k] / (x - k) for k in order, and den[i, j] is the sum of those
@@ -155,10 +76,29 @@ class StencilPlan(NamedTuple):
 def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
     """Stencil plan of the steps n_lo <= n < n_hi over the first node_count nodes.
 
-    This is the stencil rule of ``weighted_interp_sum`` as array code: the
-    same operations on the same values, so each coefficient and each den is
-    the float that function computes.  The nodes must lie in [-1, 1].  A den
-    of zero at a node with no hit is left in for the caller to refuse.
+    The stencil rule: node j of step n sits at theta = (1 + nodes[j]) * (n+1) / 2
+    in grid-index coordinates, and its value is the degree-(size-1)
+    interpolant of the f history on the stencil chosen for that position.
+    The stencil keeps ln = ceil(size/2) grid values at or left of the target
+    where history permits and rn = size//2 right of it, clamped to the start
+    of the grid or to the newest usable value; in the corrector phase
+    fvals[n+1] is usable and holds the predicted f value.  A grid point
+    within TIE_TOL of theta counts as left of it and as an exact hit, whose
+    value is read as it is.  Otherwise the value is num / den in barycentric
+    form, with x = theta - start, c_k = bary[k] / (x - k), num = sum c_k *
+    fvals[start + k] and den = sum c_k, summed in order of k.
+
+    With le grid values at or left of a node's position, a node with le + rn
+    <= n+1 has a stencil inside fvals[0..n], chosen the same way in both
+    phases, so it reads the same values and gives the same value bit for bit.
+    J is the first node that fails that test (node_count if none does).
+    Quadrature sums run in order of the nodes, so a corrector sum started at
+    J from the predictor's running total before J is bit for bit a full
+    corrector sum.
+
+    The C march's scalar loop computes each coefficient and each den with
+    the same operations on the same values.  The nodes must lie in [-1, 1].
+    A den of zero at a node with no hit is left in for the caller to refuse.
     """
     np1 = np.arange(n_lo + 1, n_hi + 1)[:, None]
     usable = np1 + 1 if corrector else np1
@@ -188,34 +128,47 @@ def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
                        np.zeros((size + 1, node_count)), np.empty(node_count + 1))
 
 
+def plan_values(plan, i, fvals, first=0, out=None):
+    """Interpolated f values of step i of ``plan`` at its nodes from ``first`` on.
+
+    Gathers the step's f values, sums coefficient times value in order of k
+    and divides by den, into ``out`` if given.  With finite f values each
+    value is the float the stencil rule gives, except that a hit node's
+    0 + 1*f + 0*f + ... loses the sign of a zero f.  A non-finite f value
+    gives non-finite values (nan where the rule may give inf).  Overwrites
+    the plan's num buffer.
+    """
+    coef, idx, den, num = plan.coef[i], plan.idx[i], plan.den[i], plan.num
+    if first:
+        coef, idx, den, num = coef[:, first:], idx[:, first:], den[first:], num[:, first:]
+    np.multiply(coef, fvals[idx], out=num[1:])
+    # axis, dtype and out by position: as keywords they cost about as much as
+    # a Python call, and the march runs this once or twice a step
+    np.add.accumulate(num, 0, None, num)
+    return np.divide(num[-1], den, out=out)
+
+
 def plan_totals(plan, i, fvals, first=0, total=0.0):
     """Running totals of step i of ``plan`` from node ``first`` on.
 
     Element m is the total before node first + m, element 0 being ``total``
-    and the last the whole sum: with finite f values, the floats
-    ``weighted_interp_sum`` adds up, in its order.  Accumulates are
-    sequential, unlike np.sum and np.dot.  A hit node's value is
-    0 + 1*f + 0*f + ..., which is f, except that a zero f may lose its sign;
-    no total started from 0.0 can show that.  A non-finite f value gives a
-    non-finite total here as in the scalar kernel (nan where it may give
-    inf), and the march reads each new f value at its last node, which is
-    never a hit, so it leaves the guard at the same step with either.
+    and the last the whole sum of weight times ``plan_values``, added in
+    order of the nodes with sequential accumulates, unlike np.sum and
+    np.dot.  No total started from 0.0 can show the sign a hit node's value
+    may lose.  The march reads each new f value at its last node, which is
+    never a hit, so with a non-finite f value it leaves the guard at the
+    same step on both backends.
 
     The result is a view of the plan's work buffer, which the next call
     overwrites.
     """
-    coef, idx, den = plan.coef[i], plan.idx[i], plan.den[i]
-    num, acc, weights = plan.num, plan.acc, plan.weights
+    acc, weights = plan.acc, plan.weights
     if first:
-        coef, idx, den = coef[:, first:], idx[:, first:], den[first:]
-        num, acc, weights = num[:, first:], acc[first:], weights[first:]
-    np.multiply(coef, fvals[idx], out=num[1:])
-    np.add.accumulate(num, axis=0, out=num)
+        acc, weights = acc[first:], weights[first:]
     acc[0] = total
-    terms = acc[1:]
-    np.divide(num[-1], den, out=terms)
+    terms = plan_values(plan, i, fvals, first, acc[1:])
     np.multiply(weights, terms, out=terms)
-    return np.add.accumulate(acc, out=acc)
+    return np.add.accumulate(acc, 0, None, acc)
 
 
 def block_steps(node_count, size):
@@ -235,8 +188,8 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
     than len(x) if a step left the guard, and the counters of the steps.
 
     The stencil plans are built a block of steps at a time; per step the
-    march gathers f values and sums them in ``weighted_interp_sum``'s order,
-    so the result is bit for bit that of calling it twice a step.  numpy's
+    march gathers f values and sums them in the C march's order, so the
+    result is bit for bit that of its two scalar passes a step.  numpy's
     floating-point errors are ignored inside, the rhs calls included, so
     the march is as silent as arithmetic on Python floats.
     """

@@ -2,8 +2,10 @@
 
 This is the O(N^2) baseline method of order min(1 + alpha, 2) and, run at a
 refined substep, the generic source of start values when no exact solution
-is available.  ``start_values`` supplies them for both origins: at 0, and at
-t0 after a split run's head on [0, t0], which is itself a fine Adams run.
+is available.  A run of more than MAX_ADAMS_STEPS steps is refused before
+any work, so its cost is bounded.  ``start_values`` supplies start values
+for both origins: at 0, and at t0 after a split run's head on [0, t0],
+which is itself a fine Adams run.
 It makes at most one fine run and refuses more than MAX_STARTER_STEPS
 substeps before any work: the refined starter's (stencil_size - 1) * 10^k
 substeps (the automatic k is clamped to the cap, a larger explicit k is
@@ -29,6 +31,9 @@ REFINED_ADAMS = "refined_adams"
 # take at most this many substeps; past it, use the exact start
 MAX_STARTER_STEPS = 2000
 
+# any Adams run costs O(steps^2): it may take at most this many steps
+MAX_ADAMS_STEPS = 8192
+
 
 @dataclass(frozen=True)
 class StarterConfig:
@@ -47,10 +52,14 @@ def adams_solve(problem, h, n_steps):
 
     Returns a trajectory over the uniform grid {0, h, ..., n_steps*h}; on
     divergence the trajectory is truncated at the last finite value and
-    flagged.  Cost is O(n_steps^2).
+    flagged.  Cost is O(n_steps^2), so n_steps above MAX_ADAMS_STEPS is
+    refused with ValueError before the rhs is called.
     """
     if h <= 0 or n_steps < 1:
         raise ValueError("need h > 0 and n_steps >= 1")
+    if n_steps > MAX_ADAMS_STEPS:
+        raise ValueError(f"Adams run of {n_steps} steps is above the "
+                         f"{MAX_ADAMS_STEPS}-step cap")
     alpha = problem.alpha
     rhs = problem.rhs
     x = np.zeros(n_steps + 1)

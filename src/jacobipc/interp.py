@@ -5,8 +5,9 @@ degree-(size-1) polynomial interpolation on blocks of ``size`` consecutive
 grid nodes.  Stencils are chosen to keep the target centered where history
 permits, clamped to the left edge of the grid or to the newest nodes
 otherwise.  That selection rule, the split of a stencil into left and right
-halves, and the barycentric evaluation live in the kernel
-(``weighted_interp_sum``); this module holds their inputs.
+halves, and the barycentric evaluation live in the kernels (the C march's
+scalar loop, and ``_kernels_py.stencil_plan``, which the pure march and the
+split head use); this module holds their inputs.
 """
 
 import math

@@ -4,16 +4,17 @@ Splitting moves the non-smooth neighbourhood of the origin (or, for very
 small alpha, the steep initial transient) out of the stepped segment.  The
 head contribution to each later value is a plain integral with a smooth
 kernel, evaluated with a weight-free Lobatto rule over f values read off the
-head trajectory (from ``adams.start_values``) by the marcher's own stencil
-kernel.  ``solver.solve`` adds it, as one array over the marched points, to
-the Taylor head.
+head trajectory (from ``adams.start_values``) with the march's own stencil
+rule: one corrector-phase row of ``stencil_plan``, the same numpy code on
+both kernel backends.  ``solver.solve`` adds it, as one array over the
+marched points, to the Taylor head.
 """
 
 import math
 
 import numpy as np
 
-from jacobipc._backend import kernels
+from jacobipc._kernels_py import plan_values, stencil_plan
 from jacobipc.interp import map_node, uniform_bary_weights
 
 
@@ -24,8 +25,9 @@ def head_integral(problem, head, aux_rule, stencil_size, times):
     f(tau_j, x(tau_j)) over ``times``, every one of which must lie beyond t0,
     with the aux rule mapped onto the head interval.  The f values at the
     nodes tau_j are interpolated once from the head trajectory with the main
-    march's corrector-phase stencil of stencil_size nodes; those
-    interpolations are not counted.
+    march's corrector-phase stencil rule of stencil_size nodes at step n =
+    count - 2, so every value of the head is usable; those interpolations
+    are not counted.
     """
     grid = head.grid
     n = grid.count - 2
@@ -38,13 +40,9 @@ def head_integral(problem, head, aux_rule, stencil_size, times):
     if not np.all(times > t0):
         raise ValueError("evaluation times must lie beyond the head segment")
     taus = np.array([map_node(s, grid.origin, t0) for s in aux_rule.nodes])
-    bary = uniform_bary_weights(stencil_size)
-    one = np.ones(1)
-    ftau = np.array([
-        kernels.weighted_interp_sum(head.f_cache, n, aux_rule.nodes[j : j + 1], one, 1,
-                                    stencil_size, bary, 1)[0]
-        for j in range(aux_rule.n_points)
-    ])
+    plan = stencil_plan(n, n + 1, aux_rule.nodes, aux_rule.weights, aux_rule.n_points,
+                        stencil_size, uniform_bary_weights(stencil_size), 1)
+    ftau = plan_values(plan, 0, head.f_cache)
     wt = aux_rule.weights * (0.5 * (t0 - grid.origin))
     am1 = problem.alpha - 1.0
     c = 1.0 / math.gamma(problem.alpha)

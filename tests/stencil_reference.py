@@ -1,10 +1,10 @@
 """Reference form of the kernel's stencil rule, for tests only.
 
-``select_stencil`` picks the interpolation block the way
-``weighted_interp_sum`` does, and ``lagrange_eval`` evaluates the
-interpolant on arbitrary nodes.  The kernel fuses both into one loop in
+``select_stencil`` picks the interpolation block the way the kernels'
+stencil rule (``_kernels_py.stencil_plan``) does, and ``lagrange_eval``
+evaluates the interpolant on arbitrary nodes.  The kernels fuse both in
 grid-index coordinates; these spell them out in time coordinates so tests
-can check the kernel against them.
+can check the kernels against them.
 """
 
 import math

@@ -115,6 +115,20 @@ def test_counters_when_a_guard_trips(phase):
     assert tr.counters.interp_evals == 0
 
 
+def test_adams_solve_refuses_runs_above_the_step_cap():
+    # the run costs O(N^2): 8193 steps are refused, naming N and the cap,
+    # before the rhs is called once
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return -x
+
+    with pytest.raises(ValueError, match=r"8193 steps.*8192-step cap"):
+        adams_solve(ProblemSpec(0.5, (1.0,), rhs, 1.0), 1.0 / 8193, 8193)
+    assert calls == []
+
+
 def test_recommended_refinement_rule():
     # p = 1 + min(alpha, 1); smallest k with (h 10^-k)^p <= h^(size + 0.5)
     assert recommended_refinement(0.5, 0.1, 3) == 2

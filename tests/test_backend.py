@@ -18,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jacobipc
-from jacobipc import _kernels_py, adams, solver, split
+from jacobipc import _kernels_py, adams, solver
 from jacobipc._backend import kernels
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.interp import uniform_bary_weights
 from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, SplitConfig, quadrature_for, solve
+from march_reference import weighted_interp_sum
 
 
 def test_backend_flag_is_consistent():
@@ -32,20 +33,22 @@ def test_backend_flag_is_consistent():
     assert _kernels_py.COMPILED is False
 
 
-def test_weighted_interp_sum_parity(compiled):
+def test_march_parity(compiled):
     assert compiled.COMPILED is True
-    rng = np.random.default_rng(11)
     rule = quadrature_for(0.5, 26)
-    fc = rng.uniform(-3, 3, size=60)
+    rng = np.random.default_rng(11)
+    base, start = rng.uniform(-1, 1, size=61), rng.uniform(-3, 3, size=5)
     for size in (2, 3, 4, 5):
-        bary = uniform_bary_weights(size)
-        for n in (size - 1, 17, 40):
-            for phase, n_nodes in ((0, rule.n_points), (1, rule.n_points - 1)):
-                got = compiled.weighted_interp_sum(
-                    fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase)
-                want = _kernels_py.weighted_interp_sum(
-                    fc, n, rule.nodes, rule.weights, n_nodes, size, bary, phase)
-                assert got == want  # bitwise, not approx
+        got = {}
+        for name, k in (("pure", _kernels_py), ("compiled", compiled)):
+            x, fc = np.zeros(61), np.zeros(61)
+            x[:size] = fc[:size] = start[:size]
+            counts = k.march(lambda t, y: math.sin(7.0 * t) - 0.8 * y, x, fc, base, 0.0,
+                             1.0 / 60, 0.5, 1.0 / math.gamma(0.5), rule.nodes, rule.weights,
+                             uniform_bary_weights(size))
+            got[name] = (counts, [v.hex() for v in x.tolist()], [v.hex() for v in fc.tolist()])
+        assert got["pure"] == got["compiled"]  # bitwise, not approx
+        assert got["pure"][0][0] == 61
 
 
 @st.composite
@@ -68,60 +71,67 @@ def march_steps(draw):
     return size, n, jn, nodes, weights, fvals, rng.uniform(-5.0, 5.0)
 
 
+def marched_step(backend, size, n, nodes, weights, fvals, f_pred, base, h, alpha):
+    """x[n + 1] from the backend's march, whose f history is fvals[:n + 1] at step n
+    and whose predicted f value there is f_pred: the rhs hands out those values."""
+    supply = iter(np.repeat(fvals[size : n + 1], 2).tolist() + [f_pred, 0.0])
+    x, fc = np.zeros(n + 2), np.zeros(n + 2)
+    fc[:size] = fvals[:size]
+    backend.march(lambda t, y: next(supply), x, fc, np.full(n + 2, base), 0.0, h, alpha,
+                  1.0, nodes, weights, uniform_bary_weights(size))
+    return x[n + 1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(step=march_steps())
 def test_resumed_corrector_is_bit_identical(backend, step):
     size, n, jn, nodes, weights, fvals, f_pred = step
     bary = uniform_bary_weights(size)
     common = dict(n=n, nodes=nodes, weights=weights, size=size, bary=bary)
-    _, reads, shared, partial, shared_reads = backend.weighted_interp_sum(
+    _, reads, shared, partial, shared_reads = weighted_interp_sum(
         fvals=fvals, node_count=jn + 1, corrector=0, **common)
     # the end node s = 1 is never shared
     assert 0 <= shared <= jn and 0 <= shared_reads <= min(reads, shared * size)
 
+    history = fvals.copy()
     fvals[n + 1] = f_pred
-    full, full_reads, *prefix = backend.weighted_interp_sum(
+    full, full_reads, *prefix = weighted_interp_sum(
         fvals=fvals, node_count=jn, corrector=1, **common)
     # the prefix test does not depend on the phase
     assert prefix == [shared, partial, shared_reads]
-    resumed, resumed_reads, _, _, _ = backend.weighted_interp_sum(
+    resumed, resumed_reads, _, _, _ = weighted_interp_sum(
         fvals=fvals, node_count=jn, corrector=1, first=shared, total=partial, **common)
     assert resumed.hex() == full.hex()
     assert resumed_reads + shared_reads == full_reads
-    if shared == jn:  # the march then skips the corrector call
+    if shared == jn:  # the march then skips the corrector pass
         assert resumed.hex() == partial.hex()
+
+    # the backend's march, which resumes, gives the full corrector pass's step
+    base, h, alpha = 0.25, 1.0 / 64, 0.5
+    want = base + 1.0 * (0.5 * (n + 1) * h) ** alpha * (full + weights[jn] * f_pred)
+    got = marched_step(backend, size, n, nodes, weights, history, f_pred, base, h, alpha)
+    assert got.hex() == want.hex()
 
 
 def test_keyword_arguments_match_across_backends(compiled):
     rule = quadrature_for(0.5, 26)
-    fc = np.random.default_rng(13).uniform(-3, 3, size=41)
+    fc0 = np.random.default_rng(13).uniform(-3, 3, size=41)
     got = {}
     for name, k in (("pure", _kernels_py), ("compiled", compiled)):
+        x, fc = np.zeros(41), fc0.copy()
         got[name] = (
-            k.weighted_interp_sum(fvals=fc, n=39, nodes=rule.nodes, weights=rule.weights,
-                                  node_count=rule.n_points - 1, size=4,
-                                  bary=uniform_bary_weights(4), corrector=1,
-                                  first=3, total=0.25),
-            k.adams_step_sums(fvals=fc, n=20, alpha=0.7),
+            k.march(rhs=lambda t, y: math.cos(t) - y, x=x, fc=fc, base=np.ones(41),
+                    origin=0.25, h=0.05, alpha=0.7, pref=1.0, nodes=rule.nodes,
+                    weights=rule.weights, bary=uniform_bary_weights(4)),
+            x.tolist(), fc.tolist(),
+            k.adams_step_sums(fvals=fc0, n=20, alpha=0.7),
         )
     assert got["pure"] == got["compiled"]
-    # 23 nodes from node 3 on, none of them a grid point
-    assert got["pure"][0][1] == 4 * (rule.n_points - 4)
+    # 37 steps from n = 3 to 39, two rhs calls each, none leaving the guard
+    assert got["pure"][0][:2] == (41, 2 * 37)
 
 
-@pytest.mark.parametrize("first", [-1, 27, 10**6])
-def test_kernels_refuse_bad_start_node(backend, first):
-    rule = quadrature_for(0.5, 26)
-    with pytest.raises(IndexError, match="start node"):
-        backend.weighted_interp_sum(np.zeros(41), 39, rule.nodes, rule.weights, 26, 3,
-                                    uniform_bary_weights(3), 1, first, 0.0)
-    # the last valid start node reads nothing and returns the given total
-    got = backend.weighted_interp_sum(np.zeros(41), 39, rule.nodes, rule.weights, 26, 3,
-                                      uniform_bary_weights(3), 1, 26, 0.25)
-    assert got == (0.25, 0, 26, 0.25, 0)
-
-
-# positions the reference cannot take: one node at n = 9, stencil size 3
+# positions the stencil rule cannot take: one node at n = 9, stencil size 3
 @pytest.mark.parametrize("node,error", [(math.nan, ValueError), (math.inf, OverflowError),
                                         (-math.inf, OverflowError),
                                         (1e300, ZeroDivisionError),
@@ -129,8 +139,15 @@ def test_kernels_refuse_bad_start_node(backend, first):
 @pytest.mark.parametrize("corrector", [0, 1])
 def test_kernels_raise_alike_on_unusable_nodes(backend, corrector, node, error):
     with pytest.raises(error):
-        backend.weighted_interp_sum(np.linspace(0.0, 1.0, 11), 9, np.array([node]), np.ones(1),
-                                    1, 3, uniform_bary_weights(3), corrector)
+        weighted_interp_sum(np.linspace(0.0, 1.0, 11), 9, np.array([node]), np.ones(1), 1, 3,
+                            uniform_bary_weights(3), corrector)
+    # so both marches refuse the node with one error, before any rhs call
+    calls = []
+    with pytest.raises(ValueError, match=r"quadrature nodes must lie in \[-1, 1\]"):
+        backend.march(lambda t, y: calls.append(t) or 0.0, np.zeros(11), np.zeros(11),
+                      np.zeros(11), 0.0, 0.1, 0.5, 1.0, np.array([-1.0, node, 1.0]),
+                      np.ones(3), uniform_bary_weights(3))
+    assert calls == []
 
 
 def test_adams_step_sums_parity(compiled):
@@ -146,7 +163,7 @@ def test_adams_step_sums_parity(compiled):
 
 def _digest(backend, monkeypatch):
     """Endpoint hex and all counters for poly8, Adams and a split cell."""
-    for module in (solver, adams, split):
+    for module in (solver, adams):
         monkeypatch.setattr(module, "kernels", backend)
     rows = []
 
@@ -180,40 +197,44 @@ def test_solves_bit_identical_across_backends(compiled, monkeypatch):
 def test_kernels_refuse_short_buffers(backend, request):
     k = _kernels_py if backend == "pure" else request.getfixturevalue("compiled")
     rule = quadrature_for(0.5, 26)
-    bary = uniform_bary_weights(3)
     fc = np.linspace(0.0, 1.0, 21)
 
-    def interp(fvals, bary_):
-        return k.weighted_interp_sum(fvals, 20, rule.nodes, rule.weights, rule.n_points,
-                                     3, bary_, 0)
+    def march(fc=fc, base=np.zeros(21), weights=rule.weights, bary=uniform_bary_weights(3)):
+        return k.march(lambda t, y: 0.0, np.zeros(21), fc.copy(), base, 0.0, 0.05, 0.5, 1.0,
+                       rule.nodes, weights, bary)
 
-    interp(fc, bary)  # n = 20 reads fvals[20] at the end node s = 1
-    with pytest.raises(IndexError):
-        interp(fc[:20], bary)
-    with pytest.raises(IndexError):
-        interp(fc, bary[:2])
+    assert march()[0] == 21  # the last step reads fc[20] at the end node s = 1
+    for short in ({"fc": fc[:20]}, {"base": np.zeros(20)}, {"weights": rule.weights[:-1]},
+                  {"bary": np.zeros(0)}):
+        with pytest.raises(IndexError):
+            march(**short)
     with pytest.raises(IndexError):
         k.adams_step_sums(fc[:20], 20, 0.5)
-    with pytest.raises(IndexError):  # n + 1 < size: no stencil fits the history
-        k.weighted_interp_sum(fc, 1, rule.nodes, rule.weights, rule.n_points,
-                              3, bary, 0)
 
 
 def test_compiled_kernel_rejects_wrong_buffers(compiled):
-    rule = quadrature_for(0.5, 26)
-    bary = uniform_bary_weights(2)
+    rule = quadrature_for(0.5, 8)
+    good = dict(x=np.zeros(10), fc=np.zeros(10), base=np.zeros(10), nodes=rule.nodes,
+                weights=rule.weights, bary=uniform_bary_weights(2))
+
+    def march(**changed):
+        a = dict(good, **changed)
+        return compiled.march(lambda t, y: 0.0, a["x"], a["fc"], a["base"], 0.0, 0.1, 0.5,
+                              1.0, a["nodes"], a["weights"], a["bary"])
+
     fc = np.zeros(10)
-
-    def interp(fvals=fc):
-        return compiled.weighted_interp_sum(fvals, 5, rule.nodes, rule.weights, 3, 2,
-                                            bary, 0)
-
-    for fvals in (fc.astype(np.float32), fc.reshape(2, 5), np.zeros(20)[::2]):
+    for wrong in (fc.astype(np.float32), fc.reshape(2, 5), np.zeros(20)[::2]):
+        for name in good:
+            with pytest.raises(ValueError):
+                march(**{name: wrong})
         with pytest.raises(ValueError):
-            interp(fvals=fvals)
+            compiled.adams_step_sums(wrong, 3, 0.5)
+    read_only = np.zeros(10)
+    read_only.flags.writeable = False
+    for name in ("x", "fc"):  # the march writes both
         with pytest.raises(ValueError):
-            compiled.adams_step_sums(fvals, 3, 0.5)
-    assert interp()[0] == 0.0
+            march(**{name: read_only})
+    assert march()[0] == 10
 
 
 def test_forced_pure_subprocess_matches_this_backend():

@@ -307,6 +307,19 @@ def test_bench_timing_and_target(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    # the target search doubles N past the Adams step cap
+    ["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--methods", "adams",
+     "--t-list", "1", "--target-error", "1e-9"],
+    ["converge", "--problem", "poly8", "--alpha", "0.5", "--method", "adams",
+     "--n-list", "1000000"],
+])
+def test_adams_runs_above_the_step_cap_exit_1(args, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "8192-step cap" in err
+
+
 def test_mlf_prints_17_digits(capsys):
     assert main(["mlf", "--alpha", "1", "--z=-1"]) == 0
     assert capsys.readouterr().out.strip() == format(math.exp(-1.0), ".17g")

@@ -2,7 +2,8 @@
 
 The selection and evaluation checks run on the test-only reference in
 ``stencil_reference``; ``test_kernel_matches_reference_stencil_rule`` ties
-the kernel's fused form to it.
+the kernels' fused form, the stencil plan the split head reads its node
+values from, to it.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobipc._backend import kernels
+from jacobipc._kernels_py import plan_values, stencil_plan
 from jacobipc.interp import UniformGrid, map_node, uniform_bary_weights
 from stencil_reference import (CENTERED, CORRECTOR, LEFT_EDGE, PREDICTOR,
                                RIGHT_EDGE_CLOSED, RIGHT_EDGE_OPEN, lagrange_eval,
@@ -117,8 +118,8 @@ def test_kernel_matches_reference_stencil_rule(size, phase, where):
     bary = uniform_bary_weights(size)
     for theta in KERNEL_THETAS[where]:
         node = np.array([2.0 * theta / (n + 1) - 1.0])
-        got, reads = kernels.weighted_interp_sum(fvals, n, node, np.ones(1), 1, size, bary,
-                                                 int(phase == CORRECTOR))[:2]
+        plan = stencil_plan(n, n + 1, node, np.ones(1), 1, size, bary, int(phase == CORRECTOR))
+        got, reads = plan_values(plan, 0, fvals)[0], plan.reads[0, -1]
         st_ = select_stencil(theta, grid, size, n, phase)
         sl = slice(st_.start, st_.start + st_.length)
         want = lagrange_eval(grid.times[sl], fvals[sl], theta)

@@ -193,11 +193,11 @@ def test_plan_row_matches_scalar_kernel(row):
         cut = int(plan.shared[i])
         got = (acc[-1].hex(), int(plan.reads[i, -1]), cut, acc[cut].hex(),
                int(plan.reads[i, cut]))
-        total, reads, shared, shared_total, shared_reads = _kernels_py.weighted_interp_sum(
+        total, reads, shared, shared_total, shared_reads = march_reference.weighted_interp_sum(
             fvals, n, nodes, weights, node_count, size, bary, corrector)
         assert got == (total.hex(), reads, shared, shared_total.hex(), shared_reads)
         # resumed from the shared prefix, as the march's corrector is
         resumed = _kernels_py.plan_totals(plan, i, fvals, cut, shared_total)[-1]
-        want = _kernels_py.weighted_interp_sum(fvals, n, nodes, weights, node_count, size,
-                                               bary, corrector, cut, shared_total)[0]
+        want = march_reference.weighted_interp_sum(fvals, n, nodes, weights, node_count,
+                                                   size, bary, corrector, cut, shared_total)[0]
         assert resumed.hex() == want.hex()

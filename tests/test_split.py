@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.problems import ProblemSpec, make_problem
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.solver import SolverConfig, SplitConfig, solve
+from jacobipc.interp import UniformGrid, uniform_bary_weights
 from jacobipc.split import head_integral
-from jacobipc.trajectory import STATUS_OK
+from jacobipc.trajectory import STATUS_OK, Trajectory
+from march_reference import weighted_interp_sum
 
 
 def aux_rule(jn):
@@ -62,6 +65,41 @@ def test_head_integral_over_many_times_equals_one_at_a_time():
     many = head_integral(problem, head, aux_rule(20), 3, times)
     one = [head_integral(problem, head, aux_rule(20), 3, [t])[0] for t in times]
     assert many.tolist() == one
+
+
+def head_node_values(head, aux, size):
+    """The f values ``head_integral`` interpolates at the aux nodes, read off it.
+
+    With alpha = 1 the kernel (t - tau)^0 is 1 and Gamma(1) = 1, and over a head
+    segment [0, 2] the mapped weights are the rule's own; with the unit weight
+    vector e_j the integral is then exactly the value at node j.
+    """
+    problem = ProblemSpec(1.0, (0.0,), lambda t, x: 0.0, 4.0)
+    assert head.grid.origin == 0.0 and head.grid.t(head.grid.count - 1) == 2.0
+    return [head_integral(problem, head, SimpleNamespace(nodes=aux.nodes, weights=unit,
+                                                         n_points=aux.n_points),
+                          size, [3.0])[0]
+            for unit in np.eye(aux.n_points)]
+
+
+@pytest.mark.parametrize("aux_jn", [2, 4, 52, 104])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_head_node_values_match_the_scalar_reference(size, aux_jn):
+    # every rule has the end nodes -1 and 1 and the middle node 0, which lands on
+    # the head grid point (n + 1) / 2 when n + 1 is even: ties at the ends and in
+    # the middle, and none elsewhere
+    aux = aux_rule(aux_jn)
+    bary = uniform_bary_weights(size)
+    rng = np.random.default_rng(size * 1000 + aux_jn)
+    for points in sorted({size, size + 1, 8, 9, 16, 21, 40}):
+        n = points - 1
+        fvals = rng.uniform(-5.0, 5.0, size=n + 2)
+        head = Trajectory(UniformGrid(0.0, 2.0 / points, n + 2), np.zeros(n + 2), fvals)
+        want = [weighted_interp_sum(fvals, n, aux.nodes[j : j + 1], np.ones(1), 1, size,
+                                    bary, 1)[0]
+                for j in range(aux.n_points)]
+        got = head_node_values(head, aux, size)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_head_integral_requires_time_beyond_segment():

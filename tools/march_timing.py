@@ -9,8 +9,10 @@ compiled ones):
 Two marches are timed: poly8 with N = 8000, stencil 3, jn 26 and the exact
 start, and criterion 07's split cell (ml_linear, alpha 0.5, t0 = 1, T = 50,
 h = 0.1, stencil 3, aux_jn 52, fine_factor 20).  Only ``solver._march`` is
-timed, so the start values and the split's head term are left out.  Run it
-on two trees back to back and compare; the numbers move with host load.
+timed, so the start values and the split's head term are left out.  For the
+split cell the head term, ``split.head_integral`` over the marched points,
+is timed on its own too (milliseconds per solve, min of k).  Run it on two
+trees back to back and compare; the numbers move with host load.
 """
 
 import sys
@@ -34,32 +36,41 @@ CASES = (
 )
 
 
-def march_seconds(problem, config):
-    """Seconds spent in ``solver._march`` by one solve, and the steps it marched."""
-    march = solver._march
-    spent = []
+def phase_seconds(problem, config):
+    """Seconds spent in ``solver._march`` and in the split head term by one
+    solve, and the steps it marched."""
+    spent = {}
+    originals = {name: getattr(solver, name) for name in ("_march", "head_integral")}
 
-    def timed(*args, **kwargs):
-        begin = time.perf_counter()
-        tr = march(*args, **kwargs)
-        spent.append(time.perf_counter() - begin)
-        return tr
+    def timed(name):
+        def call(*args, **kwargs):
+            begin = time.perf_counter()
+            result = originals[name](*args, **kwargs)
+            spent[name] = time.perf_counter() - begin
+            return result
+        return call
 
-    solver._march = timed
+    for name in originals:
+        setattr(solver, name, timed(name))
     try:
         tr = solve(problem, config)
     finally:
-        solver._march = march
-    return spent[0], tr.grid.count - config.stencil_size
+        for name, original in originals.items():
+            setattr(solver, name, original)
+    return spent, tr.grid.count - config.stencil_size
 
 
 def main():
     print("backend", "compiled" if USING_COMPILED else "pure")
     for label, problem, config, k in CASES:
-        runs = [march_seconds(problem, config) for _ in range(k)]
-        seconds = min(s for s, _ in runs)
+        runs = [phase_seconds(problem, config) for _ in range(k)]
+        seconds = min(spent["_march"] for spent, _ in runs)
         steps = runs[0][1]
         print(f"{label}: {seconds / steps * 1e6:.2f} us/step (min of {k}, {steps} steps)")
+        if config.split is not None:
+            head = min(spent["head_integral"] for spent, _ in runs)
+            print(f"{label} head_integral: {head * 1e3:.3f} ms/solve (min of {k}, "
+                  f"{steps} points)")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ same backend and diff the output.
 The grid: poly8 over alpha {0.3, 0.5, 0.8, 1.0, 1.5, 2.0} x stencils 2-5 x
 N {40, 300} plus one refined-starter run; split ml_linear (t0 = 1, T = 10,
 h = 0.25, aux_jn 52, fine_factor 20) over alpha {0.2, 0.5, 0.9, 1.5} with
-exact and refined starts; the six cells of acceptance criterion 07; and
+exact and refined starts, at the default stencil 3 and at stencils 4 and 5;
+the six cells of acceptance criterion 07; and
 poly8 at alpha 0.5, N = 2000 with stencils 2 and 5, which span many stencil
 plan blocks of the pure march, and with stencil 16, which leaves the guard
 at step 944, inside a later block.
@@ -51,6 +52,10 @@ def cases():
         for mode in (EXACT, REFINED_ADAMS):
             yield (f"ml_linear split a={alpha} {mode}", problem,
                    SolverConfig(h=0.25, starter=StarterConfig(mode=mode), split=split))
+            for size in (4, 5):
+                yield (f"ml_linear split a={alpha} s={size} {mode}", problem,
+                       SolverConfig(h=0.25, stencil_size=size, starter=StarterConfig(mode=mode),
+                                    split=split))
     # acceptance criterion 07
     for alpha, size, n in ((0.5, 3, 40), (0.2, 2, 160)):
         yield (f"crit07 a={alpha} s={size} n={n}", make_problem("ml_linear", alpha, 1.1),
