@@ -4,7 +4,9 @@ The compiled ``jacobipc._kernels`` (``_kernels.c``) implements ``march`` and
 ``adams_step_sums`` with the same arguments and the same floating-point
 operation order, so the two backends give bit-identical results; it reads
 TIE_TOL and GUARD from here.  ``adams_step_sums`` unwraps its buffer through
-memoryview so the inner loop runs on plain Python floats.
+memoryview so the inner loop runs on plain Python floats, and reads its
+history weights from tables cached per order (``_history_weights``), where
+the C loop computes them with ``pow`` in place.
 
 ``march`` runs every predict/correct step of a trajectory.  Each step takes
 one quadrature sum of stencil interpolants of the f history as predictor
@@ -31,6 +33,7 @@ The split head (``split.head_integral``) reads its node values from one
 plan row, so both backends share that code.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -244,6 +247,19 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
     return n_steps + 1, rhs_evals, interp_evals, value_reads
 
 
+@functools.lru_cache(maxsize=16)
+def _history_weights(alpha, length):
+    """(b, c) with b[m] = m^a - (m-1)^a and c[m] = (m+1)^(a+1) - 2 m^(a+1) +
+    (m-1)^(a+1) for 1 <= m <= length, each with the operations of the C
+    twin's loop (0^a and 0^(a+1) taken as 0, 1^(a+1) as 1)."""
+    ap1 = alpha + 1.0
+    p = [0.0] + [float(m) ** alpha for m in range(1, length + 1)]
+    q = [0.0, 1.0] + [float(m) ** ap1 for m in range(2, length + 2)]
+    b = (0.0,) + tuple(p[m] - p[m - 1] for m in range(1, length + 1))
+    c = (0.0,) + tuple(q[m + 1] - 2.0 * q[m] + q[m - 1] for m in range(1, length + 1))
+    return b, c
+
+
 def adams_step_sums(fvals, n, alpha):
     """History sums for one fractional Adams PECE step n -> n+1.
 
@@ -253,22 +269,21 @@ def adams_step_sums(fvals, n, alpha):
     using the standard corrector weights; the caller applies the h^alpha
     prefactors.  Only the f_0 coefficient depends on n; the O(N^2) cost this
     baseline is meant to exhibit is the whole-history sum at every step.
+
+    The weights depend on alpha and the lag m = n+1-j only, so they come
+    from ``_history_weights``, cached per alpha for lags up to the next
+    power of two above n: an Adams run computes O(N) powers, not O(N^2).
+    The C twin keeps its two ``pow`` calls per term inside the loop, where
+    they are cheap next to its per-step overhead, and gives the same floats.
     """
     fv = memoryview(fvals)
-    ap1 = alpha + 1.0
+    if n < 0 or len(fv) < n + 1:
+        raise IndexError(f"step {n} needs {n + 1} f values, buffer has {len(fv)}")
+    b, c = _history_weights(alpha, 1 << n.bit_length())
     pred = 0.0
-    corr = (float(n) ** ap1 - (n - alpha) * float(n + 1) ** alpha) * fv[0]
-    pm1 = 0.0  # (m-1)^alpha
-    qm1 = 0.0  # (m-1)^(alpha+1)
-    qm = 1.0  # m^(alpha+1), starting at m=1
-    for m in range(1, n + 1):  # history term for f_{n+1-m}
-        pm = float(m) ** alpha
-        qp = float(m + 1) ** ap1
-        fj = fv[n + 1 - m]
-        pred += (pm - pm1) * fj
-        corr += (qp - 2.0 * qm + qm1) * fj
-        pm1 = pm
-        qm1 = qm
-        qm = qp
-    pred += (float(n + 1) ** alpha - pm1) * fv[0]
+    corr = (float(n) ** (alpha + 1.0) - (n - alpha) * float(n + 1) ** alpha) * fv[0]
+    for bm, cm, fj in zip(b[1:n + 1], c[1:n + 1], fv[n:0:-1]):  # f_{n+1-m}
+        pred += bm * fj
+        corr += cm * fj
+    pred += b[n + 1] * fv[0]
     return pred, corr

@@ -61,8 +61,11 @@ def uniform_bary_weights(size):
 
 
 def map_node(s, left, right):
-    """Affine image of s in [-1, 1] onto [left, right]; endpoints map exactly."""
-    if not -1.0 <= s <= 1.0:
+    """Affine image of s in [-1, 1] onto [left, right]; endpoints map exactly.
+
+    s may be an array of nodes, each mapped with the same operations.
+    """
+    if not np.all(np.abs(s) <= 1.0):
         raise ValueError("node outside [-1, 1]")
     if not left < right:
         raise ValueError("need left < right")

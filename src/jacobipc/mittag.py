@@ -26,8 +26,16 @@ Cost: at most 2L/h + 2 = 2 L^2 / (a pi^2) + 2 nodes, that is 195 / a at
 the default tolerance and 393 / a at tol = machine epsilon (the smallest
 accepted), so 19,500 and 39,300 at a = MIN_ORDER; lower orders are
 refused.  a = 1 and a = 2 short-circuit to exp and cos(sqrt(.)).
+
+The nodes on [-L, L], e^s and the denominator (e^s + 2 cos(a pi)) e^s + 1
+depend on (a, tol) only, so ``_trapezoid_table`` builds them once per pair
+(a small LRU cache) and each value reads the first m = ceil(hi/h) - lo of
+them, with the same operations as a table built for that value alone.  m
+is clamped at 0: hi < -L (x beyond about 745^a e^L) leaves no node, where a
+negative m would keep the head of the table, on which exp overflows.
 """
 
+import functools
 import math
 import sys
 
@@ -39,15 +47,31 @@ ACCURACY_MARGIN = 8.0  # L - ln(1/tol): an error of 3.4 e^-L is then 1.1e-3 tol
 LN_UNDERFLOW = math.log(745.0)  # exp(-745) is zero in float64
 
 
-def _evaluate(alpha, x, tol):
-    """E_alpha(-x) for 0 < x < inf and alpha in [MIN_ORDER, 2), alpha != 1."""
+@functools.lru_cache(maxsize=8)
+def _trapezoid_table(alpha, tol):
+    """(L, h, lo, s, e^s, (e^s + 2 cos(a pi)) e^s + 1) for order alpha and tol.
+
+    The nodes s = (k + 1/2) h run over lo <= k < ceil(L/h), that is over
+    [-L, L]; the arrays are read-only.
+    """
     big_l = ACCURACY_MARGIN - math.log(min(tol, 1.0))
     h = alpha * math.pi ** 2 / big_l
-    hi = min(big_l, alpha * LN_UNDERFLOW - math.log(x))
-    s = (np.arange(math.floor(-big_l / h), math.ceil(hi / h)) + 0.5) * h
+    lo = math.floor(-big_l / h)
+    s = (np.arange(lo, math.ceil(big_l / h)) + 0.5) * h
     es = np.exp(s)
-    f = np.exp(-np.exp((s + math.log(x)) / alpha)) * es
-    f /= (es + 2.0 * math.cos(alpha * math.pi)) * es + 1.0
+    den = (es + 2.0 * math.cos(alpha * math.pi)) * es + 1.0
+    for a in (s, es, den):
+        a.flags.writeable = False
+    return big_l, h, lo, s, es, den
+
+
+def _evaluate(alpha, x, tol):
+    """E_alpha(-x) for 0 < x < inf and alpha in [MIN_ORDER, 2), alpha != 1."""
+    big_l, h, lo, s, es, den = _trapezoid_table(alpha, tol)
+    hi = min(big_l, alpha * LN_UNDERFLOW - math.log(x))
+    m = max(math.ceil(hi / h) - lo, 0)  # hi < -L leaves no node
+    f = np.exp(-np.exp((s[:m] + math.log(x)) / alpha)) * es[:m]
+    f /= den[:m]
     total = math.sin(alpha * math.pi) / (alpha * math.pi) * h * math.fsum(f.tolist())
     r = math.exp(min(math.log(x) / alpha, 700.0))  # x^(1/a), finite
     gap = abs(1.0 - alpha)

@@ -15,13 +15,13 @@ bit-identical floats.
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Optional
 
-from jacobipc.adams import EXACT, StarterConfig, adams_solve
+from jacobipc.adams import EXACT, MAX_ADAMS_STEPS, StarterConfig, adams_solve
 from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, quadrature_for, solve, step_count
-from jacobipc.trajectory import STATUS_OK
+from jacobipc.trajectory import STATUS_OK, DivergenceError
 
 ROW_OK = "ok"
 ROW_GROWING = "growing"  # error failed to shrink under refinement
@@ -120,6 +120,10 @@ def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
     Errors are measured on the main grid only.  The problem must carry an
     exact solution.  ``method`` is "jpc" or "adams"; the adams baseline takes
     no starter and no split (stencil_size/jn are recorded but unused by it).
+
+    The exact solution (possibly a costly oracle) is called once per
+    distinct time over the whole sweep, with a scalar t: nested step sizes
+    share their grid points, and the exact start values share them too.
     """
     _check_method(method)
     if problem.exact is None:
@@ -127,6 +131,14 @@ def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
     if method == "adams" and split is not None:
         raise ValueError("split applies to the jpc method only")
 
+    oracle, memo = problem.exact, {}
+
+    def exact(t):
+        if t not in memo:
+            memo[t] = oracle(t)
+        return memo[t]
+
+    problem = replace(problem, exact=exact)
     rows = []
     prev = None
     for h in sorted(set(h_list), reverse=True):
@@ -210,26 +222,38 @@ def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
     """Smallest step count with max error <= tol, by doubling then bisection.
 
     Best-effort: assumes the error is monotone in N near the answer, which
-    holds in the asymptotic regime the tables report.
+    holds in the asymptotic regime the tables report.  The doubling stops at
+    n_max, and for the adams baseline at MAX_ADAMS_STEPS, with ValueError if
+    the error is still above tol there.  A run that diverges stops the search
+    with DivergenceError: its error, taken over its truncated grid, says
+    nothing of the target.
     """
     _check_method(method)
     if problem.exact is None:
         raise ValueError("needs a problem with an exact solution")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if method == "adams" and n_max >= MAX_ADAMS_STEPS:
+        n_max, cap = MAX_ADAMS_STEPS, f"the Adams baseline's {MAX_ADAMS_STEPS}-step cap"
+    else:
+        cap = f"n_max = {n_max}"
 
     def err(n):
         tr = _run(problem, method, problem.T / n, stencil_size, jn, starter)
+        if tr.status != STATUS_OK:
+            raise DivergenceError(f"{method} run at N={n} diverged at t = "
+                                  f"{tr.grid.t(tr.grid.count - 1):g}, so the search for "
+                                  f"an error of {tol:g} stops")
         return max(exact_errors(tr, problem.exact)[1])
 
-    n = stencil_size
+    lo, n = None, stencil_size
     while err(n) > tol:
-        n *= 2
-        if n > n_max:
-            raise ValueError(f"error still above {tol:g} at N={n // 2}")
-    if n == stencil_size:
+        if n >= n_max:
+            raise ValueError(f"error still above {tol:g} at N={n}, {cap}")
+        lo, n = n, min(2 * n, n_max)
+    if lo is None:
         return n
-    lo, hi = n // 2, n  # err(lo) > tol >= err(hi)
+    hi = n  # err(lo) > tol >= err(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if err(mid) <= tol:

@@ -17,6 +17,9 @@ import numpy as np
 from jacobipc._kernels_py import plan_values, stencil_plan
 from jacobipc.interp import map_node, uniform_bary_weights
 
+# kernel elements (times x aux nodes) per block of the head term
+HEAD_BLOCK = 1 << 16
+
 
 def head_integral(problem, head, aux_rule, stencil_size, times):
     """Contribution of the head segment [origin, t0] at each of ``times``.
@@ -39,11 +42,16 @@ def head_integral(problem, head, aux_rule, stencil_size, times):
     times = np.asarray(times, dtype=float)
     if not np.all(times > t0):
         raise ValueError("evaluation times must lie beyond the head segment")
-    taus = np.array([map_node(s, grid.origin, t0) for s in aux_rule.nodes])
+    taus = map_node(aux_rule.nodes, grid.origin, t0)
     plan = stencil_plan(n, n + 1, aux_rule.nodes, aux_rule.weights, aux_rule.n_points,
                         stencil_size, uniform_bary_weights(stencil_size), 1)
     ftau = plan_values(plan, 0, head.f_cache)
     wt = aux_rule.weights * (0.5 * (t0 - grid.origin))
     am1 = problem.alpha - 1.0
     c = 1.0 / math.gamma(problem.alpha)
-    return np.array([c * float(np.dot(wt * (t - taus) ** am1, ftau)) for t in times])
+    out = np.empty(len(times))
+    rows = max(1, HEAD_BLOCK // len(taus))
+    for lo in range(0, len(times), rows):
+        kernel = wt * (times[lo:lo + rows, None] - taus) ** am1
+        out[lo:lo + rows] = [c * float(np.dot(row, ftau)) for row in kernel]
+    return out

@@ -11,6 +11,7 @@ near s = 0.
 import math
 
 import mpmath as mp
+import numpy as np
 
 DIGITS = 30
 SERIES_MAX_PEAK = 150.0  # x^(1/a) above this: the series needs too many digits
@@ -74,3 +75,30 @@ def ml_reference(alpha, z, digits=DIGITS):
     if alpha == 1.0:
         return math.exp(-x)
     return ml_quad(alpha, x, digits)
+
+
+def evaluate_per_call(alpha, x, tol):
+    """``mittag._evaluate`` with the nodes, e^s and the denominator built
+    afresh at every call, over [-L, hi] only.  The evaluator, which reads
+    them from its cached table, must give the same float bit for bit."""
+    from jacobipc.mittag import ACCURACY_MARGIN, LN_UNDERFLOW
+
+    big_l = ACCURACY_MARGIN - math.log(min(tol, 1.0))
+    h = alpha * math.pi ** 2 / big_l
+    hi = min(big_l, alpha * LN_UNDERFLOW - math.log(x))
+    s = (np.arange(math.floor(-big_l / h), math.ceil(hi / h)) + 0.5) * h
+    es = np.exp(s)
+    f = np.exp(-np.exp((s + math.log(x)) / alpha)) * es
+    f /= (es + 2.0 * math.cos(alpha * math.pi)) * es + 1.0
+    total = math.sin(alpha * math.pi) / (alpha * math.pi) * h * math.fsum(f.tolist())
+    r = math.exp(min(math.log(x) / alpha, 700.0))  # x^(1/a), finite
+    gap = abs(1.0 - alpha)
+    if gap < 0.5 * alpha:  # the poles s = +-i gap pi lie inside the strip
+        phi = gap * math.pi / alpha
+        pole = math.exp(-r * math.cos(phi)) * math.cos(r * math.sin(phi))
+        pole *= (2.0 / alpha) / (1.0 + math.exp(2.0 * math.pi ** 2 * gap / h))
+        total += pole if alpha < 1.0 else -pole
+    if alpha > 1.0:
+        th = math.pi / alpha
+        total += (2.0 / alpha) * math.exp(r * math.cos(th)) * math.cos(r * math.sin(th))
+    return total

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from adams_reference import adams_weights
+from adams_reference import STEP_SUM_NS, adams_step_sums_loop, adams_weights
+from jacobipc import _kernels_py
 from jacobipc.adams import (EXACT, MAX_STARTER_STEPS, REFINED_ADAMS,
                             StarterConfig, adams_solve, recommended_refinement,
                             start_values)
@@ -50,6 +51,22 @@ def test_weight_arrays_match_kernel_sums():
     assert np.dot(w.predictor, f[: n + 1]) == pytest.approx(
         h**alpha / alpha * pred, rel=1e-12)
     assert np.dot(w.corrector[: n + 1], f[: n + 1]) == pytest.approx(corr, rel=1e-12)
+
+
+def test_pure_step_sums_match_the_scalar_loop_bit_for_bit():
+    f = np.random.default_rng(17).uniform(-2, 2, size=8192)
+    for alpha in (0.01, 0.3, 0.5, 1.0, 1.7, 1.99):
+        for n in STEP_SUM_NS:
+            got = _kernels_py.adams_step_sums(f, n, alpha)
+            want = adams_step_sums_loop(f, n, alpha)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (alpha, n)
+
+
+def test_pure_step_sums_refuse_steps_the_buffer_cannot_hold():
+    f = np.ones(5)
+    for n in (-1, 5):
+        with pytest.raises(IndexError):
+            _kernels_py.adams_step_sums(f, n, 0.5)
 
 
 def test_alpha_one_second_order_convergence():

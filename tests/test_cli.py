@@ -7,6 +7,8 @@ import time
 
 import pytest
 
+from jacobipc import reports
+from jacobipc.adams import MAX_ADAMS_STEPS, adams_solve
 from jacobipc.cli import main
 from jacobipc.mittag import ml_solution
 from jacobipc.problems import make_problem
@@ -314,10 +316,28 @@ def test_bench_timing_and_target(tmp_path, capsys):
     ["converge", "--problem", "poly8", "--alpha", "0.5", "--method", "adams",
      "--n-list", "1000000"],
 ])
-def test_adams_runs_above_the_step_cap_exit_1(args, capsys):
+def test_adams_runs_above_the_step_cap_exit_1(args, capsys, monkeypatch):
+    steps = []
+
+    def recording(problem, h, n_steps):
+        steps.append(n_steps)
+        return adams_solve(problem, h, n_steps)
+
+    monkeypatch.setattr(reports, "adams_solve", recording)
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "8192-step cap" in err
+    if args[0] == "bench":  # the search runs at the cap last, never above it
+        assert max(steps) == steps[-1] == MAX_ADAMS_STEPS
+
+
+def test_target_search_stops_at_a_diverged_run_exit_2(capsys):
+    # alpha 0.1 with stencil 5 leaves the guard from N = 1280 on; the error
+    # of the truncated grid must not stand in for the run's
+    assert main(["bench", "--problem", "poly8", "--alpha", "0.1", "--stencil", "5",
+                 "--methods", "jpc", "--t-list", "1", "--target-error", "1e-14"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("diverged: jpc run at N=1280 diverged")
 
 
 def test_mlf_prints_17_digits(capsys):

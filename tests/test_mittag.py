@@ -4,12 +4,15 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from jacobipc import mittag
 from jacobipc.mittag import MIN_ORDER, mittag_leffler, ml_solution
-from mittag_reference import ml_reference
+from mittag_reference import evaluate_per_call, ml_reference
 
 
 def test_order_one_is_exp():
@@ -113,8 +116,38 @@ def test_validation_and_trivial_values():
             mittag_leffler(0.5, -100.0, tol)
 
 
+def test_cached_table_changes_no_bits():
+    # many x per (alpha, tol), so each cached table is read many times,
+    # from x = 1e-10 to x = 1e300, where no node is left at small alpha
+    rng = np.random.default_rng(29)
+    alphas = np.concatenate([[MIN_ORDER, 0.5, 0.999, 1.001, 1.5, 1.99],
+                             rng.uniform(MIN_ORDER, 1.99, size=14)])
+    for alpha in alphas.tolist():
+        for tol in (sys.float_info.epsilon, 1e-10, 1e-3):
+            xs = 10.0 ** np.concatenate([[-10.0, 0.0, 300.0], rng.uniform(-10, 4, size=12),
+                                         rng.uniform(4, 300, size=4)])
+            for x in xs.tolist():
+                got = mittag_leffler(alpha, -x, tol)
+                assert got.hex() == evaluate_per_call(alpha, x, tol).hex(), (alpha, x, tol)
+
+
+def test_cached_table_is_read_only_and_an_empty_range_gives_no_nodes():
+    big_l, h, lo, s, es, den = mittag._trapezoid_table(MIN_ORDER, 1e-10)
+    assert abs(s[0] + big_l) <= h and abs(s[-1] - big_l) <= h  # the nodes span [-L, L]
+    for a in (s, es, den):
+        assert not a.flags.writeable
+    # hi = MIN_ORDER ln 745 - ln x < -L: the sum is empty, not the table's
+    # head, where exp overflows before the integrand underflows to 0
+    for x in (1e20, 1e300):
+        assert MIN_ORDER * mittag.LN_UNDERFLOW - math.log(x) < -big_l
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mittag._evaluate(MIN_ORDER, x, 1e-10) == 0.0
+
+
 def test_lowest_order_is_fast():
     mittag_leffler(MIN_ORDER, -1.05)  # warm numpy
+    mittag._trapezoid_table.cache_clear()  # time the table build too
     begin = time.perf_counter()
     mittag_leffler(MIN_ORDER, -1.05)
     assert time.perf_counter() - begin < 0.05

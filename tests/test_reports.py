@@ -1,10 +1,12 @@
 """Report objects: sweeps, serialization round-trips, instrumentation columns."""
 
+import dataclasses
 import math
 
 import pytest
 
-from jacobipc.adams import REFINED_ADAMS, StarterConfig, adams_solve
+from jacobipc import reports
+from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.problems import ProblemSpec, make_problem
 from jacobipc.reports import (ConvergenceReport, ConvergenceRow, ROW_DIVERGED,
                               ROW_GROWING, ROW_OK, TimingReport, TimingRow,
@@ -12,7 +14,8 @@ from jacobipc.reports import (ConvergenceReport, ConvergenceRow, ROW_DIVERGED,
                               observed_order, run_convergence, run_target,
                               run_timing, smallest_n_reaching, starter_label,
                               to_csv, to_json, with_status)
-from jacobipc.solver import SolverConfig, solve
+from jacobipc.solver import SolverConfig, SplitConfig, solve
+from jacobipc.trajectory import DivergenceError
 
 
 def direct_max_error(problem, h, size, jn):
@@ -303,6 +306,53 @@ def test_smallest_n_reaching_is_minimal():
         smallest_n_reaching(ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0), 1e-3)
     with pytest.raises(ValueError, match="still above"):
         smallest_n_reaching(problem, 1e-30, n_max=64)
+
+
+def test_convergence_sweep_calls_the_oracle_once_per_time():
+    # split ml_linear on [1, 10]: the h = 0.5 grid and the exact start values
+    # lie on the h = 0.25 grid, 37 distinct times in all
+    base = make_problem("ml_linear", 0.4, 10.0)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return base.exact(t)
+
+    split = SplitConfig(t0=1.0, aux_jn=52, fine_factor=20)
+    starter = StarterConfig(mode=EXACT)
+    report = run_convergence(dataclasses.replace(base, exact=counted), [0.25, 0.5],
+                             starter=starter, split=split)
+    assert len(calls) == len(set(calls)) == 37
+    want, prev = [], None
+    for h in (0.5, 0.25):
+        tr = solve(base, SolverConfig(h=h, starter=starter, split=split))
+        err = max(abs(x - base.exact(tr.grid.t(i))) for i, x in enumerate(tr.x))
+        want.append((h.hex(), err.hex(), None if prev is None else
+                     observed_order(prev[0], prev[1], h, err).hex()))
+        prev = (h, err)
+    got = [(r.h.hex(), r.max_error.hex(), r.observed_order and r.observed_order.hex())
+           for r in report.rows]
+    assert got == want
+    assert [r.status for r in report.rows] == [ROW_OK, ROW_OK]
+
+
+def test_target_search_stops_at_the_adams_cap_and_at_divergence(monkeypatch):
+    problem = make_problem("poly8", 0.5, 1.0)
+    steps = []
+
+    def recording(problem, h, n_steps):
+        steps.append(n_steps)
+        return adams_solve(problem, h, n_steps)
+
+    monkeypatch.setattr(reports, "adams_solve", recording)
+    with pytest.raises(ValueError, match="still above 1e-30 at N=100, n_max = 100"):
+        smallest_n_reaching(problem, 1e-30, method="adams", n_max=100)
+    assert steps == [3, 6, 12, 24, 48, 96, 100]
+    # x' = x^3 from x(0) = 1 leaves the guard on any grid
+    blowup = ProblemSpec(0.5, (1.0,), lambda t, x: x ** 3, 4.0, exact=lambda t: 1.0)
+    for method in ("jpc", "adams"):
+        with pytest.raises(DivergenceError, match=rf"{method} run at N=\d+ diverged"):
+            smallest_n_reaching(blowup, 1e-3, method=method)
 
 
 def test_run_target_reports_minimal_steps():

@@ -1,4 +1,5 @@
-"""Microseconds per marched step, min of k, on the backend the import selects.
+"""Microseconds per marched step, and the cost of the split convergence path,
+min of k, on the backend the import selects.
 
 Usage (from a checkout; set JACOBIPC_PURE=1 for the pure kernels, or build
 the extension in place with ``python setup.py build_ext --inplace`` for the
@@ -11,8 +12,19 @@ start, and criterion 07's split cell (ml_linear, alpha 0.5, t0 = 1, T = 50,
 h = 0.1, stencil 3, aux_jn 52, fine_factor 20).  Only ``solver._march`` is
 timed, so the start values and the split's head term are left out.  For the
 split cell the head term, ``split.head_integral`` over the marched points,
-is timed on its own too (milliseconds per solve, min of k).  Run it on two
-trees back to back and compare; the numbers move with host load.
+and the head's fine Adams run, ``adams.adams_solve`` (200 substeps), are
+timed on their own too (milliseconds per solve, min of k).
+
+Then the split convergence path: the oracle ``ml_solution`` in microseconds
+per call (alpha 0.4, the 37 times of the h = 0.25 grid on [1, 10], min of k
+passes), and one relax-kind ``reports.run_convergence`` cell (split
+ml_linear, T = 10, h = 0.5 and 0.25, t0 = 1, aux_jn 52, fine_factor 20,
+stencil 3, exact start) in process CPU time, min of k.  Each repeat of that
+cell takes an order 1e-7 apart, so its rules, oracle tables and Adams
+weights are built cold every time, as in perfbench's ``relax``.
+
+Run it on two trees back to back and compare; the numbers move with host
+load.
 """
 
 import sys
@@ -21,26 +33,30 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from jacobipc import USING_COMPILED, solver  # noqa: E402
+from jacobipc import USING_COMPILED, adams, solver  # noqa: E402
 from jacobipc.adams import EXACT, StarterConfig  # noqa: E402
+from jacobipc.mittag import ml_solution  # noqa: E402
 from jacobipc.problems import make_problem  # noqa: E402
+from jacobipc.reports import run_convergence  # noqa: E402
 from jacobipc.solver import SolverConfig, SplitConfig, solve  # noqa: E402
 
 EXACT_START = StarterConfig(mode=EXACT)
+SPLIT = SplitConfig(t0=1.0, aux_jn=52, fine_factor=20)
 CASES = (
     ("poly8 N=8000 stencil 3", make_problem("poly8", 0.5, 1.0),
      SolverConfig(h=1.0 / 8000, stencil_size=3, starter=EXACT_START), 7),
     ("criterion 07 split march", make_problem("ml_linear", 0.5, 50.0),
      SolverConfig(h=0.1, stencil_size=3, starter=EXACT_START,
-                  split=SplitConfig(t0=1.0, aux_jn=52, fine_factor=20)), 40),
+                  split=SPLIT), 40),
 )
+PHASES = ((solver, "_march"), (solver, "head_integral"), (adams, "adams_solve"))
 
 
 def phase_seconds(problem, config):
-    """Seconds spent in ``solver._march`` and in the split head term by one
-    solve, and the steps it marched."""
+    """Seconds spent in ``solver._march``, in the split head term and in the
+    head's fine Adams run by one solve, and the steps it marched."""
     spent = {}
-    originals = {name: getattr(solver, name) for name in ("_march", "head_integral")}
+    originals = {name: getattr(module, name) for module, name in PHASES}
 
     def timed(name):
         def call(*args, **kwargs):
@@ -50,14 +66,37 @@ def phase_seconds(problem, config):
             return result
         return call
 
-    for name in originals:
-        setattr(solver, name, timed(name))
+    for module, name in PHASES:
+        setattr(module, name, timed(name))
     try:
         tr = solve(problem, config)
     finally:
-        for name, original in originals.items():
-            setattr(solver, name, original)
+        for module, name in PHASES:
+            setattr(module, name, originals[name])
     return spent, tr.grid.count - config.stencil_size
+
+
+def oracle_seconds(times, k):
+    """Seconds per ``ml_solution`` call at alpha 0.4 over ``times``, min of k passes."""
+    best = float("inf")
+    for _ in range(k):
+        begin = time.perf_counter()
+        for t in times:
+            ml_solution(0.4, t)
+        best = min(best, (time.perf_counter() - begin) / len(times))
+    return best
+
+
+def relax_cell_seconds(k):
+    """Process CPU seconds of one relax-kind convergence cell, min of k, each at
+    a fresh order."""
+    best = float("inf")
+    for i in range(k):
+        problem = make_problem("ml_linear", 0.4 + 1e-7 * i, 10.0)
+        begin = time.process_time()
+        run_convergence(problem, [0.5, 0.25], starter=EXACT_START, split=SPLIT)
+        best = min(best, time.process_time() - begin)
+    return best
 
 
 def main():
@@ -71,6 +110,13 @@ def main():
             head = min(spent["head_integral"] for spent, _ in runs)
             print(f"{label} head_integral: {head * 1e3:.3f} ms/solve (min of {k}, "
                   f"{steps} points)")
+            fine = min(spent["adams_solve"] for spent, _ in runs)
+            print(f"{label} head Adams run: {fine * 1e3:.3f} ms/solve (min of {k})")
+    times = [1.0 + 0.25 * i for i in range(37)]
+    print(f"oracle ml_solution: {oracle_seconds(times, 20) * 1e6:.1f} us/call "
+          f"(alpha 0.4, {len(times)} times on [1, 10], min of 20)")
+    print(f"relax-kind run_convergence cell: {relax_cell_seconds(15) * 1e3:.2f} ms CPU "
+          f"(min of 15)")
 
 
 if __name__ == "__main__":

@@ -8,9 +8,12 @@ JACOBIPC_PURE=1 for the pure kernels, or build the extension in place with
 
 The first line names the backend.  Then one line per solve: its label, the
 endpoint as ``float.hex``, a sha256 of ``x`` and ``f_cache``, a sha256 of the
-split head's ``x`` (``-`` without a split), the status and the counters.  The
-last line is a sha256 over the solve lines.  Run it on two trees with the
-same backend and diff the output.
+split head's ``x`` (``-`` without a split), the status and the counters, and
+a ``combined`` line, a sha256 over the solve lines.  After it come the
+oracle lines: ``ml_solution`` as ``float.hex`` over a grid of alpha and t,
+and the ``run_convergence`` rows of relax-kind cells, closed by their own
+``combined oracle`` line.  Run it on two trees with the same backend and
+diff the output.
 
 The grid: poly8 over alpha {0.3, 0.5, 0.8, 1.0, 1.5, 2.0} x stencils 2-5 x
 N {40, 300} plus one refined-starter run; split ml_linear (t0 = 1, T = 10,
@@ -20,6 +23,13 @@ the six cells of acceptance criterion 07; and
 poly8 at alpha 0.5, N = 2000 with stencils 2 and 5, which span many stencil
 plan blocks of the pure march, and with stencil 16, which leaves the guard
 at step 944, inside a later block.
+
+The oracle grid: alpha {0.01, 0.2, 0.45, 0.7, 0.999, 1.001, 1.3, 1.7, 1.99}
+x t {1e-8, 0.01, 0.5, 1, 3.75, 10, 23, 50, 1e3, 1e6} at the default tolerance,
+and at alpha 0.45 also at tolerances machine epsilon and 1e-3.  The
+relax-kind cells: split ml_linear (t0 = 1, aux_jn 52, fine_factor 20,
+stencil 3, jn 26, exact start) at h = 0.5, 0.25, with T = 10 at alpha
+{0.2, 0.35, 0.55} and T = 50 at alpha 0.4.
 """
 
 import hashlib
@@ -31,8 +41,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jacobipc import USING_COMPILED  # noqa: E402
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig  # noqa: E402
+from jacobipc.mittag import ml_solution  # noqa: E402
 from jacobipc.problems import make_problem  # noqa: E402
+from jacobipc.reports import run_convergence  # noqa: E402
 from jacobipc.solver import SolverConfig, SplitConfig, solve  # noqa: E402
+
+ORACLE_ALPHAS = (0.01, 0.2, 0.45, 0.7, 0.999, 1.001, 1.3, 1.7, 1.99)
+ORACLE_TIMES = (1e-8, 0.01, 0.5, 1.0, 3.75, 10.0, 23.0, 50.0, 1e3, 1e6)
+RELAX_CELLS = ((0.2, 10.0), (0.35, 10.0), (0.55, 10.0), (0.4, 50.0))
 
 
 def cases():
@@ -72,6 +88,24 @@ def cases():
                SolverConfig(h=1.0 / 2000, stencil_size=size, starter=exact))
 
 
+def oracle_lines():
+    """``float.hex`` lines of the oracle and of relax-kind convergence rows."""
+    for alpha in ORACLE_ALPHAS:
+        values = [ml_solution(alpha, t).hex() for t in ORACLE_TIMES]
+        yield f"ml_solution a={alpha}: {' '.join(values)}"
+    for tol in (sys.float_info.epsilon, 1e-3):
+        values = [ml_solution(0.45, t, tol).hex() for t in ORACLE_TIMES]
+        yield f"ml_solution a=0.45 tol={tol:g}: {' '.join(values)}"
+    for alpha, t_end in RELAX_CELLS:
+        report = run_convergence(make_problem("ml_linear", alpha, t_end), [0.5, 0.25],
+                                 starter=StarterConfig(mode=EXACT),
+                                 split=SplitConfig(t0=1.0, aux_jn=52, fine_factor=20))
+        rows = [f"{r.h.hex()} {r.max_error.hex()} "
+                f"{'-' if r.observed_order is None else r.observed_order.hex()} {r.status}"
+                for r in report.rows]
+        yield f"relax a={alpha} T={t_end}: {'; '.join(rows)}"
+
+
 def sha(*arrays):
     digest = hashlib.sha256()
     for a in arrays:
@@ -89,6 +123,11 @@ def main():
                      f"{head} {tr.status} {astuple(tr.counters)}")
         print(lines[-1], flush=True)
     print("combined", hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    oracle = []
+    for line in oracle_lines():
+        oracle.append(line)
+        print(line, flush=True)
+    print("combined oracle", hashlib.sha256("\n".join(oracle).encode()).hexdigest())
 
 
 if __name__ == "__main__":
