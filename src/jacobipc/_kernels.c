@@ -84,13 +84,7 @@ interp_sum(const double *fvals, Py_ssize_t n, const double *nodes, const double 
             shared_reads = reads;
             limit = usable;
         }
-        Py_ssize_t start;
-        if (le <= ln)
-            start = 0;
-        else if (corrector)
-            start = le + rn >= np1 + 1 ? np1 + 1 - size : le - ln;
-        else
-            start = le + rn >= np1 ? np1 - size : le - ln;
+        Py_ssize_t start = le <= ln ? 0 : le + rn >= usable ? usable - size : le - ln;
         double x = theta - start;
         double num = 0.0, den = 0.0;
         Py_ssize_t hit = -1;

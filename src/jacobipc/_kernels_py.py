@@ -5,8 +5,8 @@ The compiled ``jacobipc._kernels`` (``_kernels.c``) implements ``march`` and
 operation order, so the two backends give bit-identical results; it reads
 TIE_TOL and GUARD from here.  ``adams_step_sums`` unwraps its buffer through
 memoryview so the inner loop runs on plain Python floats, and reads its
-history weights from tables cached per order (``_history_weights``), where
-the C loop computes them with ``pow`` in place.
+history weights from tables cached per order and buffer length
+(``_history_weights``), where the C loop computes them with ``pow`` in place.
 
 ``march`` runs every predict/correct step of a trajectory.  Each step takes
 one quadrature sum of stencil interpolants of the f history as predictor
@@ -271,15 +271,15 @@ def adams_step_sums(fvals, n, alpha):
     baseline is meant to exhibit is the whole-history sum at every step.
 
     The weights depend on alpha and the lag m = n+1-j only, so they come
-    from ``_history_weights``, cached per alpha for lags up to the next
-    power of two above n: an Adams run computes O(N) powers, not O(N^2).
+    from ``_history_weights``, cached per alpha and buffer length: an Adams
+    run builds one table of O(N) powers, not O(N^2) powers.
     The C twin keeps its two ``pow`` calls per term inside the loop, where
     they are cheap next to its per-step overhead, and gives the same floats.
     """
     fv = memoryview(fvals)
     if n < 0 or len(fv) < n + 1:
         raise IndexError(f"step {n} needs {n + 1} f values, buffer has {len(fv)}")
-    b, c = _history_weights(alpha, 1 << n.bit_length())
+    b, c = _history_weights(alpha, len(fv))
     pred = 0.0
     corr = (float(n) ** (alpha + 1.0) - (n - alpha) * float(n + 1) ** alpha) * fv[0]
     for bm, cm, fj in zip(b[1:n + 1], c[1:n + 1], fv[n:0:-1]):  # f_{n+1-m}

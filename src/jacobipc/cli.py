@@ -19,15 +19,11 @@ from jacobipc.expr import compile_rhs, evaluate, parse as parse_expr
 from jacobipc.mittag import DEFAULT_TOL, MIN_ORDER, mittag_leffler
 from jacobipc.problems import ProblemSpec, make_problem, problem_ids
 from jacobipc.quadrature import MAX_POINTS, JacobiWeight, gauss_lobatto_rule
-from jacobipc.reports import (ROW_DIVERGED, exact_errors, export, format_table,
-                              run_convergence, run_target, run_timing,
-                              with_status)
+from jacobipc.reports import (ROW_DIVERGED, csv_text, exact_errors, export,
+                              format_table, run_convergence, run_target,
+                              run_timing, with_status)
 from jacobipc.solver import SolverConfig, SplitConfig, solve
 from jacobipc.trajectory import STATUS_OK, DivergenceError
-
-
-class Diverged(Exception):
-    """Run finished (output already emitted) but hit the divergence guard."""
 
 
 def _load_config(ctx, param, path):
@@ -211,10 +207,7 @@ def quad(**kw):
     _require(kw, "jacobi_a", "points")
     rule = gauss_lobatto_rule(JacobiWeight(kw["jacobi_a"], kw["jacobi_b"]),
                               kw["points"])
-    lines = ["node,weight"]
-    for s, w in zip(rule.nodes, rule.weights):
-        lines.append(f"{s:.17g},{w:.17g}")
-    _emit("\n".join(lines) + "\n", kw["output"])
+    _emit(csv_text(("node", "weight"), zip(rule.nodes, rule.weights)), kw["output"])
 
 
 @cli.command(name="solve")
@@ -244,20 +237,20 @@ def solve_cmd(**kw):
         exact, errors = exact_errors(tr, problem.exact)
 
     if kw["output"]:
-        lines = ["t,x,exact,abs_error" if exact is not None else "t,x"]
-        for i in range(tr.grid.count):
-            line = f"{tr.grid.t(i):.17g},{tr.x[i]:.17g}"
-            lines.append(line if exact is None else
-                         f"{line},{exact[i]:.17g},{errors[i]:.17g}")
-        _emit("\n".join(lines) + "\n", kw["output"])
+        times = [tr.grid.t(i) for i in range(tr.grid.count)]
+        if exact is None:
+            text = csv_text(("t", "x"), zip(times, tr.x))
+        else:
+            text = csv_text(("t", "x", "exact", "abs_error"), zip(times, tr.x, exact, errors))
+        _emit(text, kw["output"])
 
     last = tr.grid.count - 1
     click.echo(f"t = {tr.grid.t(last):.17g}  x = {tr.x[last]:.17g}  status = {tr.status}")
     if exact is not None and tr.status == STATUS_OK:
         click.echo(f"max_error = {max(errors):.17g}")
     if tr.status != STATUS_OK:
-        raise Diverged(f"solution magnitude passed the guard; "
-                       f"trajectory truncated at {tr.grid.count} points")
+        raise DivergenceError(f"solution magnitude passed the guard; "
+                              f"trajectory truncated at {tr.grid.count} points")
 
 
 @cli.command()
@@ -295,7 +288,7 @@ def converge(**kw):
     if kw["output"]:
         export(report, kw["fmt"], kw["output"])
     if with_status(report) == ROW_DIVERGED:
-        raise Diverged("at least one sweep cell hit the divergence guard")
+        raise DivergenceError("at least one sweep cell hit the divergence guard")
 
 
 @cli.command()
@@ -358,7 +351,7 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (Diverged, DivergenceError) as exc:
+    except DivergenceError as exc:
         click.echo(f"diverged: {exc}", err=True)
         return 2
     except (ValueError, OverflowError, OSError) as exc:

@@ -1,34 +1,32 @@
 """Convergence and timing reports: sweep drivers, CSV/JSON export, parsing.
 
-A convergence report holds (h, max_error, observed_order) rows plus the
-configuration that produced them; a timing report holds (N, wall_seconds,
-rhs_evals, method) rows.  The ``rhs_evals`` column counts f-value accesses
-(fresh evaluations plus stored-history reads), the quantity that separates
-the linear-cost marcher from the quadratic baseline; fresh evaluations alone
-are linear in N for both methods.
+A convergence report holds (h, max_error, observed_order, status) rows plus
+the configuration that produced them; a timing report holds (n_steps,
+wall_seconds, rhs_evals, method) rows.  The ``rhs_evals`` column counts
+f-value accesses (fresh evaluations plus stored-history reads), the quantity
+that separates the linear-cost marcher from the quadratic baseline; fresh
+evaluations alone are linear in N for both methods.
 
-CSV carries exactly the row columns; JSON carries rows and metadata.  All
-reals are written as 17-significant-digit decimals so parsing returns
-bit-identical floats.
+Both formats follow the dataclass fields.  CSV carries the row fields, with
+the field names as its header; JSON carries rows and metadata.  ``csv_text``
+writes every CSV of the program, the CLI's included, with reals as
+17-significant-digit decimals, so parsing returns bit-identical floats.
 """
 
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 from typing import Optional
 
 from jacobipc.adams import EXACT, MAX_ADAMS_STEPS, StarterConfig, adams_solve
 from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, quadrature_for, solve, step_count
-from jacobipc.trajectory import STATUS_OK, DivergenceError
+from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
-ROW_OK = "ok"
+ROW_OK = STATUS_OK
 ROW_GROWING = "growing"  # error failed to shrink under refinement
-ROW_DIVERGED = "diverged"
-
-_CONV_HEADER = "h,max_error,observed_order"
-_TIMING_HEADER = "N,wall_seconds,rhs_evals,method"
+ROW_DIVERGED = STATUS_DIVERGED
 
 
 @dataclass(frozen=True)
@@ -263,22 +261,26 @@ def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
     return hi
 
 
-def _real(v):
-    return format(v, ".17g")
+def _cell(value):
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
+
+
+def csv_text(columns, rows):
+    """CSV text: a header of ``columns``, then one line of cells per row.
+
+    Floats get 17 significant digits, so they parse back bit-identical; ints
+    and strings are written with ``str``, and None as an empty cell.
+    """
+    lines = [",".join(columns)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def to_csv(report):
-    if isinstance(report, ConvergenceReport):
-        lines = [_CONV_HEADER]
-        for row in report.rows:
-            order = "" if row.observed_order is None else _real(row.observed_order)
-            lines.append(f"{_real(row.h)},{_real(row.max_error)},{order}")
-    else:
-        lines = [_TIMING_HEADER]
-        for row in report.rows:
-            lines.append(f"{row.n_steps},{_real(row.wall_seconds)},"
-                         f"{row.rhs_evals},{row.method}")
-    return "\n".join(lines) + "\n"
+    row_cls = ConvergenceRow if isinstance(report, ConvergenceReport) else TimingRow
+    return csv_text([f.name for f in fields(row_cls)], map(astuple, report.rows))
 
 
 def to_json(report):
@@ -298,40 +300,19 @@ def export(report, fmt, path):
         fh.write(text)
 
 
-def _parse_convergence_csv(lines):
-    rows = []
-    for line in lines:
-        h_s, err_s, order_s = line.split(",")
-        h, err = float(h_s), float(err_s)
-        order = None if order_s == "" else float(order_s)
-        if order is not None and order <= 0.0:
-            status = ROW_GROWING
-        else:
-            status = ROW_OK
-        rows.append(ConvergenceRow(h, err, order, status))
-    return ConvergenceReport(alpha=None, stencil_size=None, jn=None, method="",
-                             problem="", starter="", rows=tuple(rows))
+_KINDS = {"convergence": (ConvergenceReport, ConvergenceRow),
+          "timing": (TimingReport, TimingRow)}
 
 
-def _parse_timing_csv(lines):
-    rows = []
-    for line in lines:
-        n_s, wall_s, evals_s, method = line.split(",")
-        rows.append(TimingRow(int(n_s), float(wall_s), int(evals_s), method))
-    return TimingReport(problem="", alpha=None, h=None, rows=tuple(rows))
-
-
-_JSON_KINDS = {"convergence": (ConvergenceReport, ConvergenceRow),
-               "timing": (TimingReport, TimingRow)}
-
-
-# JSON value types each field annotation accepts (an int serves as a float;
-# bool, though an int subclass, serves as neither); the rows are checked apart
-_JSON_TYPES = {
-    float: ((int, float), "a number"),
-    Optional[float]: ((int, float, type(None)), "a number or null"),
-    int: ((int,), "an integer"),
-    str: ((str,), "a string"),
+# per field annotation: the JSON value types it accepts (an int serves as a
+# float; bool, though an int subclass, serves as neither), their description,
+# and the parser of its CSV cell; the rows are checked apart
+_FIELD_TYPES = {
+    float: ((int, float), "a number", float),
+    Optional[float]: ((int, float, type(None)), "a number or null",
+                      lambda cell: float(cell) if cell else None),
+    int: ((int,), "an integer", int),
+    str: ((str,), "a string", str),
 }
 
 
@@ -344,7 +325,7 @@ def _fields(cls, data):
     for name, value in data.items():
         if name not in known:
             raise ValueError(f"unknown {cls.__name__} field {name!r}")
-        accepted = _JSON_TYPES.get(known[name].type)
+        accepted = _FIELD_TYPES.get(known[name].type)
         if accepted and (isinstance(value, bool) or not isinstance(value, accepted[0])):
             raise ValueError(f"{cls.__name__} field {name!r} must be {accepted[1]}, "
                              f"got {value!r}")
@@ -356,32 +337,55 @@ def _fields(cls, data):
 
 def _from_json(payload):
     kind = payload.pop("kind", None)
-    if kind not in _JSON_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
-    report_cls, row_cls = _JSON_KINDS[kind]
+    report_cls, row_cls = _KINDS[kind]
     rows = _fields(report_cls, payload).pop("rows")
     if not isinstance(rows, list):
         raise ValueError(f"{report_cls.__name__} field 'rows' must be a list, got {rows!r}")
     return report_cls(**payload, rows=tuple(row_cls(**_fields(row_cls, r)) for r in rows))
 
 
-def loads(text):
-    """Parse a report from exported text (JSON or either CSV layout).
+def _row_from_csv(row_cls, columns, line):
+    cells = line.split(",")
+    if len(cells) != len(columns):
+        raise ValueError(f"{row_cls.__name__} needs {len(columns)} cells, got {line!r}")
+    values = []
+    for f, cell in zip(columns, cells):
+        _, expected, parse = _FIELD_TYPES[f.type]
+        try:
+            values.append(parse(cell))
+        except ValueError:
+            raise ValueError(f"{row_cls.__name__} field {f.name!r} must be {expected}, "
+                             f"got {cell!r}") from None
+    return row_cls(*values)
 
-    CSV carries rows only, so metadata fields come back empty; JSON round-trips
-    the full report.
+
+def _from_csv(lines):
+    for report_cls, row_cls in _KINDS.values():
+        columns = fields(row_cls)
+        if lines[0] == ",".join(f.name for f in columns):
+            break
+    else:
+        raise ValueError(f"unrecognized report header {lines[0]!r}")
+    rows = tuple(_row_from_csv(row_cls, columns, line) for line in lines[1:])
+    meta = {f.name: "" if f.type is str else None
+            for f in fields(report_cls) if f.name != "rows"}
+    return report_cls(**meta, rows=rows)
+
+
+def loads(text):
+    """Parse a report from exported text (JSON or either kind's CSV).
+
+    CSV carries rows only, so metadata fields come back empty ("" for
+    strings, None otherwise); JSON round-trips the full report.
     """
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty report text")
     if stripped.startswith("{"):
         return _from_json(json.loads(stripped))
-    lines = stripped.splitlines()
-    if lines[0] == _CONV_HEADER:
-        return _parse_convergence_csv(lines[1:])
-    if lines[0] == _TIMING_HEADER:
-        return _parse_timing_csv(lines[1:])
-    raise ValueError(f"unrecognized report header {lines[0]!r}")
+    return _from_csv(stripped.splitlines())
 
 
 def load(path):

@@ -15,7 +15,8 @@ STATUS_DIVERGED = "diverged"
 
 
 class DivergenceError(RuntimeError):
-    """A starter run diverged, so the requested solve cannot proceed."""
+    """A run passed the divergence guard: a starter run the requested solve
+    needs, a run of a step-count search, or a CLI run (exit code 2)."""
 
 
 @dataclass

@@ -87,7 +87,7 @@ def test_convergence_csv_round_trip():
     text = to_csv(report)
     lines = text.splitlines()
     assert len(lines) == 4
-    assert lines[0] == "h,max_error,observed_order"
+    assert lines[0] == "h,max_error,observed_order,status"
     assert text.endswith("\n")
     loaded = loads(text)
     assert loaded.rows == report.rows  # bit-identical floats, same statuses
@@ -97,10 +97,11 @@ def test_convergence_csv_round_trip():
 def test_empty_reports_serialize_to_header_only():
     conv = ConvergenceReport(0.5, 3, 26, "jpc", "poly8", "exact", ())
     timing = TimingReport("poly8", 0.5, 0.1, ())
-    assert to_csv(conv) == "h,max_error,observed_order\n"
-    assert to_csv(timing) == "N,wall_seconds,rhs_evals,method\n"
-    assert loads(to_csv(conv)).rows == ()
-    assert loads(to_csv(timing)).rows == ()
+    assert to_csv(conv) == "h,max_error,observed_order,status\n"
+    assert to_csv(timing) == "n_steps,wall_seconds,rhs_evals,method\n"
+    # CSV carries no metadata: "" for str fields, None for the rest
+    assert loads(to_csv(conv)) == ConvergenceReport(None, None, None, "", "", "", ())
+    assert loads(to_csv(timing)) == TimingReport("", None, None, ())
 
 
 def test_17_digit_reals_round_trip_exactly():
@@ -123,13 +124,25 @@ def test_17_digit_reals_round_trip_exactly():
     assert t_back.rhs_evals == 123456789012
 
 
-def test_csv_load_recomputes_growing_status():
+def test_csv_round_trips_every_status():
     rows = (ConvergenceRow(0.1, 1e-3, None),
-            ConvergenceRow(0.05, 2e-3, -1.0, ROW_GROWING))
+            ConvergenceRow(0.05, 2e-3, -1.0, ROW_GROWING),
+            ConvergenceRow(0.025, 1e-4, 4.3, ROW_DIVERGED))
     text = to_csv(ConvergenceReport(0.5, 3, 26, "jpc", "poly8", "exact", rows))
-    loaded = loads(text)
-    assert loaded.rows[1].status == ROW_GROWING
-    assert loaded.rows[0].status == ROW_OK
+    assert text.splitlines()[1:] == ["0.10000000000000001,0.001,,ok",
+                                     "0.050000000000000003,0.002,-1,growing",
+                                     "0.025000000000000001,0.0001,4.2999999999999998,diverged"]
+    assert loads(text).rows == rows  # status is read, not re-derived
+
+
+@pytest.mark.parametrize("report, row_cls", [
+    (ConvergenceReport(0.5, 3, 26, "jpc", "poly8", "exact", ()), ConvergenceRow),
+    (TimingReport("poly8", 0.5, 0.1, ()), TimingRow),
+])
+def test_csv_header_is_the_row_fields(report, row_cls):
+    # the CSV columns are the JSON row keys
+    names = [f.name for f in dataclasses.fields(row_cls)]
+    assert to_csv(report).splitlines()[0].split(",") == names
 
 
 def test_json_round_trips_full_report():
@@ -209,6 +222,13 @@ def test_loads_rejects_garbage():
         loads("   \n")
     with pytest.raises(ValueError, match="header"):
         loads("a,b,c\n1,2,3\n")
+    # the CSV headers from before the status column and the n_steps name
+    with pytest.raises(ValueError, match="unrecognized report header"):
+        loads("h,max_error,observed_order\n0.1,0.001,\n")
+    with pytest.raises(ValueError, match="unrecognized report header"):
+        loads("N,wall_seconds,rhs_evals,method\n10,0.5,3,jpc\n")
+    with pytest.raises(ValueError, match="ConvergenceRow needs 4 cells"):
+        loads("h,max_error,observed_order,status\n0.1,0.001,\n")
     with pytest.raises(ValueError, match="kind"):
         loads('{"kind": "mystery"}')
     # malformed JSON reports name the offending field
@@ -257,6 +277,15 @@ def test_loads_checks_field_types():
         loads(conv % '{"h": 0.1, "max_error": 1e-3, "observed_order": null, "status": "bad"}')
     with pytest.raises(ValueError, match="ConvergenceReport field 'jn' must be an integer"):
         loads((conv % '').replace('"jn": 26', '"jn": "26"'))
+
+    # CSV cells are parsed by the same annotations
+    header = "n_steps,wall_seconds,rhs_evals,method\n"
+    with pytest.raises(ValueError, match="'n_steps' must be an integer, got '10.0'"):
+        loads(header + "10.0,0.5,3,jpc\n")
+    with pytest.raises(ValueError, match="TimingRow field 'wall_seconds' must be a number, got ''"):
+        loads(header + "10,,3,jpc\n")
+    with pytest.raises(ValueError, match="'status' must be one of ok, growing, diverged"):
+        loads("h,max_error,observed_order,status\n0.1,0.001,,bad\n")
 
 
 def test_timing_access_column_closed_forms():
