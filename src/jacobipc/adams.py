@@ -69,26 +69,27 @@ def adams_solve(problem, h, n_steps):
     rhs_evals, history_reads = 1, 0
     c_pred = h**alpha / math.gamma(alpha + 1.0)
     c_corr = h**alpha / math.gamma(alpha + 2.0)
-    status = STATUS_OK
+    times = UniformGrid(0.0, h, n_steps + 1).times
+    base = taylor_head(problem, times)
     count = n_steps + 1
     for n in range(n_steps):
         pred, corr = kernels.adams_step_sums(fc, n, alpha)
         history_reads += 2 * (n + 1)
-        t1 = (n + 1) * h
-        head = taylor_head(problem, t1)
+        t1, head = times.item(n + 1), base.item(n + 1)
         x_pred = head + c_pred * pred
         if not abs(x_pred) <= GUARD:
-            status, count = STATUS_DIVERGED, n + 1
+            count = n + 1
             break
         f_pred = rhs(t1, x_pred)
         rhs_evals += 1
         x_new = head + c_corr * (corr + f_pred)
         if not abs(x_new) <= GUARD:
-            status, count = STATUS_DIVERGED, n + 1
+            count = n + 1
             break
         x[n + 1] = x_new
         fc[n + 1] = rhs(t1, x_new)
         rhs_evals += 1
+    status = STATUS_OK if count == n_steps + 1 else STATUS_DIVERGED
     counters = Counters(rhs_evals=rhs_evals, history_reads=history_reads)
     grid = UniformGrid(0.0, h, count)
     return Trajectory(grid, x[:count], fc[:count], status, counters).finalize()

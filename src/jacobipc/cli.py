@@ -19,11 +19,10 @@ from jacobipc.expr import compile_rhs, evaluate, parse as parse_expr
 from jacobipc.mittag import DEFAULT_TOL, MIN_ORDER, mittag_leffler
 from jacobipc.problems import ProblemSpec, make_problem, problem_ids
 from jacobipc.quadrature import MAX_POINTS, JacobiWeight, gauss_lobatto_rule
-from jacobipc.reports import (ROW_DIVERGED, csv_text, exact_errors, export,
-                              format_table, run_convergence, run_target,
-                              run_timing, with_status)
+from jacobipc.reports import (csv_text, exact_errors, export, format_table,
+                              run_convergence, run_target, run_timing)
 from jacobipc.solver import SolverConfig, SplitConfig, solve
-from jacobipc.trajectory import STATUS_OK, DivergenceError
+from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
 
 def _load_config(ctx, param, path):
@@ -47,12 +46,6 @@ def _load_config(ctx, param, path):
                 raise click.UsageError(f"{path}:{lineno}: unknown key {key.strip()!r}")
             defaults[name] = value.strip()
     ctx.default_map = defaults
-
-
-def _require(kw, *names):
-    for name in names:
-        if kw[name] is None:
-            raise click.UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
 def _parse_h(text):
@@ -111,13 +104,13 @@ def _build_problem(kw, need_exact=False):
         raise click.UsageError("--rhs needs --init (comma-separated x(0), x'(0), ...)")
     exact = None
     if kw.get("exact") is not None:
-        tree = parse_expr(kw["exact"])
+        tree = parse_expr(kw["exact"], variables=("t", "alpha"))
 
         def exact(t, _tree=tree, _alpha=alpha):
             return evaluate(_tree, t, math.nan, _alpha)
 
     elif need_exact:
-        raise click.UsageError("--rhs needs --exact (expression in t) here")
+        raise click.UsageError("--rhs needs --exact (expression in t and alpha) here")
     return ProblemSpec(alpha, _parse_init(kw["init"]), compile_rhs(rhs, alpha),
                        t_end, exact=exact, name=f"rhs:{rhs}")
 
@@ -161,7 +154,8 @@ def _problem_opts(fn):
                      help="built-in benchmark problem"),
         click.option("--rhs", help="right-hand side f(t, x) as an expression"),
         click.option("--init", help="initial values for --rhs, comma-separated"),
-        click.option("--alpha", type=float, help="derivative order in (0, 2]"),
+        click.option("--alpha", type=float, required=True,
+                     help="derivative order in (0, 2]"),
         click.option("--t-end", type=float, default=1.0, show_default=True,
                      help="horizon T"),
     ]):
@@ -196,15 +190,15 @@ def cli():
 
 
 @cli.command()
-@click.option("--jacobi-a", type=float, help="exponent on (1-s)")
+@click.option("--jacobi-a", type=float, required=True, help="exponent on (1-s)")
 @click.option("--jacobi-b", type=float, default=0.0, show_default=True,
               help="exponent on (1+s)")
-@click.option("--points", type=int, help=f"number of nodes (3 to {MAX_POINTS})")
+@click.option("--points", type=int, required=True,
+              help=f"number of nodes (3 to {MAX_POINTS})")
 @click.option("--output", type=click.Path(dir_okay=False))
 @_CONFIG_OPT
 def quad(**kw):
     """Dump Gauss-Lobatto nodes and weights as CSV."""
-    _require(kw, "jacobi_a", "points")
     rule = gauss_lobatto_rule(JacobiWeight(kw["jacobi_a"], kw["jacobi_b"]),
                               kw["points"])
     _emit(csv_text(("node", "weight"), zip(rule.nodes, rule.weights)), kw["output"])
@@ -220,7 +214,6 @@ def quad(**kw):
 @_CONFIG_OPT
 def solve_cmd(**kw):
     """Solve one problem and report the endpoint (and error, if exact)."""
-    _require(kw, "alpha")
     if (kw["h_text"] is None) == (kw["n"] is None):
         raise click.UsageError("give exactly one of --h or --n")
     problem = _build_problem(kw)
@@ -255,7 +248,7 @@ def solve_cmd(**kw):
 
 @cli.command()
 @_problem_opts
-@click.option("--exact", help="exact solution (expression in t) for --rhs")
+@click.option("--exact", help="exact solution (expression in t and alpha) for --rhs")
 @click.option("--h-list", help='comma-separated step sizes ("1/10,1/20,1/40")')
 @click.option("--n-list", help="comma-separated step counts (h = T/n)")
 @_solver_opts
@@ -268,7 +261,6 @@ def solve_cmd(**kw):
 def converge(**kw):
     """Step-size sweep: max errors and observed orders against the exact
     solution, table to stdout plus optional CSV/JSON export."""
-    _require(kw, "alpha")
     if (kw["h_list"] is None) == (kw["n_list"] is None):
         raise click.UsageError("give exactly one of --h-list or --n-list")
     problem = _build_problem(kw, need_exact=True)
@@ -287,13 +279,13 @@ def converge(**kw):
     click.echo(format_table(report))
     if kw["output"]:
         export(report, kw["fmt"], kw["output"])
-    if with_status(report) == ROW_DIVERGED:
+    if any(row.status == STATUS_DIVERGED for row in report.rows):
         raise DivergenceError("at least one sweep cell hit the divergence guard")
 
 
 @cli.command()
-@click.option("--problem", type=click.Choice(problem_ids()))
-@click.option("--alpha", type=float)
+@click.option("--problem", type=click.Choice(problem_ids()), required=True)
+@click.option("--alpha", type=float, required=True)
 @click.option("--h", "h_text", help='step size ("1/40" or "0.025")')
 @click.option("--methods", default="jpc,adams", show_default=True)
 @click.option("--t-list", default="0.5,1,2", show_default=True,
@@ -310,7 +302,6 @@ def converge(**kw):
 @_CONFIG_OPT
 def bench(**kw):
     """Wall time and f-value access counts per (method, horizon) cell."""
-    _require(kw, "problem", "alpha")
     methods = [tok.strip() for tok in kw["methods"].split(",") if tok.strip()]
     try:
         t_list = [float(tok) for tok in kw["t_list"].split(",")]
@@ -322,7 +313,8 @@ def bench(**kw):
                             methods, t_list, stencil_size=kw["stencil"],
                             jn=kw["jn"], starter=starter)
     else:
-        _require(kw, "h_text")
+        if kw["h_text"] is None:
+            raise click.UsageError("Missing option '--h' (or give --target-error).")
         report = run_timing(kw["problem"], kw["alpha"], _parse_h(kw["h_text"]),
                             methods, t_list, stencil_size=kw["stencil"],
                             jn=kw["jn"], starter=starter)
@@ -332,13 +324,12 @@ def bench(**kw):
 
 
 @cli.command()
-@click.option("--alpha", type=float, help=f"order in [{MIN_ORDER}, 2]")
-@click.option("--z", type=float, help="argument (must be <= 0)")
+@click.option("--alpha", type=float, required=True, help=f"order in [{MIN_ORDER}, 2]")
+@click.option("--z", type=float, required=True, help="argument (must be <= 0)")
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @_CONFIG_OPT
 def mlf(**kw):
     """Evaluate the one-parameter relaxation special function at z <= 0."""
-    _require(kw, "alpha", "z")
     click.echo(f"{mittag_leffler(kw['alpha'], kw['z'], kw['tol']):.17g}")
 
 

@@ -11,7 +11,8 @@ Lets the CLI accept ``f(t, x)`` as a string without recompilation.  Grammar
 
 ``^`` is right-associative and unary minus binds looser than ``^``, so
 ``-2^2`` is ``-(2^2) = -4``; conventions vary, hence spelled out.  Variables
-are ``t``, ``x`` and ``alpha``; ``alpha`` is bound once by ``compile_rhs`` so
+are ``t``, ``x`` and ``alpha`` (``parse`` takes a narrower set for an exact
+solution, which has no ``x``); ``alpha`` is bound once by ``compile_rhs`` so
 one source string can serve a whole sweep over orders.  Unknown identifiers
 and wrong arities are rejected at parse time with byte offsets; division by
 zero and domain faults surface as evaluation errors naming the offending
@@ -132,8 +133,9 @@ def _tokenize(source):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, variables):
         self.tokens = tokens
+        self.variables = variables
         self.i = 0
 
     def peek(self):
@@ -194,9 +196,10 @@ class _Parser:
             self.advance()
             if self.peek()[0] == "(":
                 return self.call(text, pos)
-            if text not in VARIABLES:
+            if text not in self.variables:
                 raise ExprNameError(
-                    f"unknown identifier {text!r} (variables are t, x, alpha)", pos
+                    f"unknown identifier {text!r} "
+                    f"(variables are {', '.join(self.variables)})", pos
                 )
             return Var(text)
         if kind == "(":
@@ -229,9 +232,9 @@ class _Parser:
         return Call(name, tuple(args))
 
 
-def parse(source):
-    """Parse a source string into an expression tree."""
-    parser = _Parser(_tokenize(source))
+def parse(source, variables=VARIABLES):
+    """Parse a source string into an expression tree over ``variables``."""
+    parser = _Parser(_tokenize(source), variables)
     tree = parser.expr()
     parser.expect("end", ("end of input",))
     return tree

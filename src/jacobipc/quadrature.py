@@ -9,14 +9,12 @@ interior weights follow from the derivative at each node, and the two end
 weights from Gamma-function ratios evaluated in lgamma.
 """
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# the most recently used rules, least recent first
-_RULE_CACHE = OrderedDict()
 CACHED_RULES = 64
 MAX_POINTS = 1025  # the eigenvalue step holds an (n-2) x (n-2) matrix
 
@@ -82,6 +80,7 @@ def _log_end_weight(a, b, n):
             - math.lgamma(n + a + 1) - math.lgamma(n + a + b + 2))
 
 
+@functools.lru_cache(maxsize=CACHED_RULES)
 def gauss_lobatto_rule(weight, n_points):
     """Gauss-Lobatto rule with ``n_points`` nodes for the given Jacobi weight.
 
@@ -90,13 +89,8 @@ def gauss_lobatto_rule(weight, n_points):
     ``n_points`` outside [3, MAX_POINTS]).  The rule
     integrates polynomials up to degree 2*n_points - 3 exactly against the
     weight.  The CACHED_RULES most recently used results are cached per
-    (weight, n_points).
+    (weight, n_points); errors are not.
     """
-    key = (weight.a, weight.b, n_points)
-    cached = _RULE_CACHE.get(key)
-    if cached is not None:
-        _RULE_CACHE.move_to_end(key)
-        return cached
     if not 3 <= n_points <= MAX_POINTS:
         raise ValueError(f"Lobatto rules need 3 to {MAX_POINTS} points, got {n_points}")
 
@@ -119,8 +113,4 @@ def gauss_lobatto_rule(weight, n_points):
                          f"for a={a}, b={b}")
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    rule = QuadratureRule(weight=weight, nodes=nodes, weights=weights)
-    _RULE_CACHE[key] = rule
-    if len(_RULE_CACHE) > CACHED_RULES:
-        _RULE_CACHE.popitem(last=False)
-    return rule
+    return QuadratureRule(weight=weight, nodes=nodes, weights=weights)

@@ -13,6 +13,7 @@ writes every CSV of the program, the CLI's included, with reals as
 17-significant-digit decimals, so parsing returns bit-identical floats.
 """
 
+import functools
 import json
 import math
 import time
@@ -24,9 +25,7 @@ from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, quadrature_for, solve, step_count
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
-ROW_OK = STATUS_OK
 ROW_GROWING = "growing"  # error failed to shrink under refinement
-ROW_DIVERGED = STATUS_DIVERGED
 
 
 @dataclass(frozen=True)
@@ -34,12 +33,12 @@ class ConvergenceRow:
     h: float
     max_error: float
     observed_order: Optional[float]  # None on the first row
-    status: str = ROW_OK
+    status: str = STATUS_OK
 
     def __post_init__(self):
-        if self.status not in (ROW_OK, ROW_GROWING, ROW_DIVERGED):
-            raise ValueError(f"ConvergenceRow field 'status' must be one of {ROW_OK}, "
-                             f"{ROW_GROWING}, {ROW_DIVERGED}, got {self.status!r}")
+        if self.status not in (STATUS_OK, ROW_GROWING, STATUS_DIVERGED):
+            raise ValueError(f"ConvergenceRow field 'status' must be one of {STATUS_OK}, "
+                             f"{ROW_GROWING}, {STATUS_DIVERGED}, got {self.status!r}")
 
 
 @dataclass(frozen=True)
@@ -129,14 +128,7 @@ def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
     if method == "adams" and split is not None:
         raise ValueError("split applies to the jpc method only")
 
-    oracle, memo = problem.exact, {}
-
-    def exact(t):
-        if t not in memo:
-            memo[t] = oracle(t)
-        return memo[t]
-
-    problem = replace(problem, exact=exact)
+    problem = replace(problem, exact=functools.cache(problem.exact))
     rows = []
     prev = None
     for h in sorted(set(h_list), reverse=True):
@@ -144,11 +136,11 @@ def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
         err = max(exact_errors(tr, problem.exact)[1])
         order = observed_order(prev[0], prev[1], h, err) if prev else None
         if tr.status != STATUS_OK:
-            status = ROW_DIVERGED
+            status = STATUS_DIVERGED
         elif order is not None and order <= 0.0:
             status = ROW_GROWING
         else:
-            status = ROW_OK
+            status = STATUS_OK
         rows.append(ConvergenceRow(h, err, order, status))
         prev = (h, err)
     return ConvergenceReport(
@@ -406,13 +398,3 @@ def format_table(report):
             out.append(f"{r.method:>7}  {r.n_steps:>9}  {r.wall_seconds:11.4e}  "
                        f"{r.rhs_evals:>12}")
     return "\n".join(out)
-
-
-def with_status(report):
-    """Worst row status in the report ("ok" < "growing" < "diverged")."""
-    rank = {ROW_OK: 0, ROW_GROWING: 1, ROW_DIVERGED: 2}
-    worst = ROW_OK
-    for row in report.rows:
-        if rank[row.status] > rank[worst]:
-            worst = row.status
-    return worst

@@ -13,7 +13,7 @@ from jacobipc.adams import (EXACT, MAX_STARTER_STEPS, REFINED_ADAMS,
                             start_values)
 from jacobipc.problems import ProblemSpec, make_problem
 from jacobipc.solver import SplitConfig
-from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK
+from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
 
 def test_alpha_one_step_is_euler_then_trapezoid():
@@ -237,3 +237,11 @@ def test_config_validation():
         adams_solve(make_problem("poly8", 0.5, 1.0), 0.1, 0)
     with pytest.raises(ValueError):
         start_values(make_problem("poly8", 0.5, 1.0), 0.1, 1, StarterConfig())
+
+
+def test_start_values_refuse_a_diverged_fine_run():
+    # x' = x^3 from 1 blows up before t = 0.5; the refined starter's fine run
+    # passes the guard before it reaches the start values at 0.1 and 0.2
+    problem = ProblemSpec(0.5, (1.0,), lambda t, x: x**3, 1.0)
+    with pytest.raises(DivergenceError, match="fine Adams run diverged"):
+        start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS))

@@ -66,7 +66,7 @@ def test_csv_outputs_are_pinned(tmp_path, capsys):
 
 def test_quad_errors(capsys):
     assert main(["quad", "--jacobi-a=-0.5"]) == 1
-    assert "missing required option --points" in capsys.readouterr().err
+    assert "Missing option '--points'." in capsys.readouterr().err
     assert main(["quad", "--jacobi-a=-1.5", "--points", "5"]) == 1
     capsys.readouterr()
     begin = time.perf_counter()
@@ -164,6 +164,35 @@ def test_solve_divergence_exits_2(capsys):
     captured = capsys.readouterr()
     assert "diverged" in captured.err
     assert "status = diverged" in captured.out
+
+
+def test_diverged_start_values_exit_2(capsys):
+    # no exact solution, so the refined starter runs, and its fine Adams run
+    # passes the guard
+    assert main(["solve", "--rhs", "x^3", "--init", "1", "--alpha", "0.5", "--n", "10"]) == 2
+    assert capsys.readouterr().err == ("diverged: fine Adams run diverged before "
+                                       "reaching the start values\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--h", "abc"],
+     "bad step size 'abc'"),
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10",
+      "--starter", "refined:x"], "bad starter 'refined:x'"),
+    (["solve", "--rhs", "-x", "--init", "1,a", "--alpha", "1.5", "--n", "10"],
+     "bad initial values '1,a'"),
+    (["converge", "--problem", "poly8", "--alpha", "0.5"],
+     "give exactly one of --h-list or --n-list"),
+    (["converge", "--problem", "poly8", "--alpha", "0.5", "--n-list", "10,x"],
+     "bad --n-list '10,x'"),
+    (["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--t-list", "1,x"],
+     "bad --t-list '1,x'"),
+])
+def test_malformed_flag_values_exit_1(args, message, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"Error: {message}" in captured.err
 
 
 def test_refined_starter_is_capped(capsys):
@@ -293,6 +322,16 @@ def test_converge_expression_needs_exact(capsys):
     out = capsys.readouterr().out
     orders = [line.split()[2] for line in out.splitlines()[2:]]
     assert 2.5 < float(orders[0]) < 3.5
+
+
+@pytest.mark.parametrize("exact", ["x", "x + 1"])
+def test_exact_solution_is_a_function_of_t_alone(exact, capsys):
+    assert main(["converge", "--rhs", "-x", "--init", "1", "--alpha", "0.5",
+                 "--exact", exact, "--n-list", "10,20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unknown identifier 'x' (variables are t, alpha) "
+                            "at offset 0\n")
 
 
 def test_converge_divergence_exits_2(capsys):

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from jacobipc.quadrature import (CACHED_RULES, MAX_POINTS, JacobiWeight, _RULE_CACHE,
-                                 _jacobi, gauss_lobatto_rule)
+from jacobipc.quadrature import (CACHED_RULES, MAX_POINTS, JacobiWeight, _jacobi,
+                                 gauss_lobatto_rule)
 
 from golden_quadrature import GOLDEN
 from quadrature_reference import integrate, moment
@@ -28,7 +28,7 @@ def test_golden_tables_reproduced():
 
 def test_construction_under_one_second_each():
     for alpha in GOLDEN:
-        _RULE_CACHE.pop((alpha - 1.0, 0.0, 27), None)
+        gauss_lobatto_rule.cache_clear()
         begin = time.perf_counter()
         rule_for_alpha(alpha)
         assert time.perf_counter() - begin < 1.0
@@ -37,16 +37,19 @@ def test_construction_under_one_second_each():
 def test_rule_cache_keeps_the_most_recently_used_rules():
     alphas = [0.1 + 0.004 * i for i in range(200)]
     rules = [rule_for_alpha(alpha, 5) for alpha in alphas]
-    assert len(_RULE_CACHE) == CACHED_RULES
+    assert gauss_lobatto_rule.cache_info().currsize == CACHED_RULES
     assert rule_for_alpha(alphas[-1], 5) is rules[-1]
     # a hit makes the oldest cached rule the most recent one, so the next
     # build drops the one after it
     oldest = alphas[-CACHED_RULES]
     assert rule_for_alpha(oldest, 5) is rules[-CACHED_RULES]
     rule_for_alpha(0.95, 5)
-    assert len(_RULE_CACHE) == CACHED_RULES
-    assert (oldest - 1.0, 0.0, 5) in _RULE_CACHE
-    assert (alphas[1 - CACHED_RULES] - 1.0, 0.0, 5) not in _RULE_CACHE
+    assert gauss_lobatto_rule.cache_info().currsize == CACHED_RULES
+    hits = gauss_lobatto_rule.cache_info().hits
+    assert rule_for_alpha(oldest, 5) is rules[-CACHED_RULES]
+    assert gauss_lobatto_rule.cache_info().hits == hits + 1
+    assert rule_for_alpha(alphas[1 - CACHED_RULES], 5) is not rules[1 - CACHED_RULES]
+    assert gauss_lobatto_rule.cache_info().hits == hits + 1
 
 
 def test_weight_sum_is_total_mass():

@@ -8,14 +8,13 @@ import pytest
 from jacobipc import reports
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.problems import ProblemSpec, make_problem
-from jacobipc.reports import (ConvergenceReport, ConvergenceRow, ROW_DIVERGED,
-                              ROW_GROWING, ROW_OK, TimingReport, TimingRow,
-                              export, format_table, load, loads,
-                              observed_order, run_convergence, run_target,
-                              run_timing, smallest_n_reaching, starter_label,
-                              to_csv, to_json, with_status)
+from jacobipc.reports import (ConvergenceReport, ConvergenceRow, ROW_GROWING,
+                              TimingReport, TimingRow, export, format_table,
+                              load, loads, observed_order, run_convergence,
+                              run_target, run_timing, smallest_n_reaching,
+                              starter_label, to_csv, to_json)
 from jacobipc.solver import SolverConfig, SplitConfig, solve
-from jacobipc.trajectory import DivergenceError
+from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
 
 def direct_max_error(problem, h, size, jn):
@@ -54,7 +53,7 @@ def test_run_convergence_matches_direct_solves():
     r0, r1 = report.rows
     assert r0.observed_order is None
     assert r1.observed_order == observed_order(r0.h, r0.max_error, r1.h, r1.max_error)
-    assert all(r.status == ROW_OK for r in report.rows)
+    assert all(r.status == STATUS_OK for r in report.rows)
     assert report.problem == "poly8"
     assert report.method == "jpc"
     assert report.starter == "exact"
@@ -127,7 +126,7 @@ def test_17_digit_reals_round_trip_exactly():
 def test_csv_round_trips_every_status():
     rows = (ConvergenceRow(0.1, 1e-3, None),
             ConvergenceRow(0.05, 2e-3, -1.0, ROW_GROWING),
-            ConvergenceRow(0.025, 1e-4, 4.3, ROW_DIVERGED))
+            ConvergenceRow(0.025, 1e-4, 4.3, STATUS_DIVERGED))
     text = to_csv(ConvergenceReport(0.5, 3, 26, "jpc", "poly8", "exact", rows))
     assert text.splitlines()[1:] == ["0.10000000000000001,0.001,,ok",
                                      "0.050000000000000003,0.002,-1,growing",
@@ -243,6 +242,8 @@ def test_loads_rejects_garbage():
         loads('{' + meta + ', "rows": 5}')
     with pytest.raises(ValueError, match="TimingRow is missing 'wall_seconds'"):
         loads('{' + meta + ', "rows": [{"n_steps": 10, "rhs_evals": 3, "method": "jpc"}]}')
+    with pytest.raises(ValueError, match="TimingRow must be a JSON object, got 1"):
+        loads('{' + meta + ', "rows": [1]}')
 
 
 def test_loads_checks_field_types():
@@ -272,7 +273,7 @@ def test_loads_checks_field_types():
         loads(conv % '{"h": 0.1, "max_error": null, "observed_order": 2}')
     with pytest.raises(ValueError, match="ConvergenceRow field 'status' must be a string"):
         loads(conv % '{"h": 0.1, "max_error": 1e-3, "observed_order": null, "status": 0}')
-    # an unknown status would fail later in with_status
+    # an unknown status is refused on load, not passed on
     with pytest.raises(ValueError, match="'status' must be one of ok, growing, diverged"):
         loads(conv % '{"h": 0.1, "max_error": 1e-3, "observed_order": null, "status": "bad"}')
     with pytest.raises(ValueError, match="ConvergenceReport field 'jn' must be an integer"):
@@ -328,6 +329,8 @@ def test_smallest_n_reaching_is_minimal():
 
     n_adams = smallest_n_reaching(problem, tol, method="adams")
     assert n_adams > n
+    # the search starts at N = stencil_size, whose error already meets 10
+    assert smallest_n_reaching(problem, 10.0) == 3
 
     with pytest.raises(ValueError, match="tol"):
         smallest_n_reaching(problem, 0.0)
@@ -335,6 +338,18 @@ def test_smallest_n_reaching_is_minimal():
         smallest_n_reaching(ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0), 1e-3)
     with pytest.raises(ValueError, match="still above"):
         smallest_n_reaching(problem, 1e-30, n_max=64)
+
+
+def test_run_convergence_marks_a_growing_row():
+    # small alpha with stencil 4: the error rises from 4.3e-3 to 0.63 when h
+    # halves, an observed order of about -7.2
+    report = run_convergence(make_problem("poly8", 0.1, 1.0), [1 / 160, 1 / 320],
+                             stencil_size=4)
+    first, second = report.rows
+    assert first.status == STATUS_OK
+    assert 4e-3 < first.max_error < 5e-3 and 0.6 < second.max_error < 0.7
+    assert -7.3 < second.observed_order < -7.1
+    assert second.status == ROW_GROWING
 
 
 def test_convergence_sweep_calls_the_oracle_once_per_time():
@@ -362,7 +377,7 @@ def test_convergence_sweep_calls_the_oracle_once_per_time():
     got = [(r.h.hex(), r.max_error.hex(), r.observed_order and r.observed_order.hex())
            for r in report.rows]
     assert got == want
-    assert [r.status for r in report.rows] == [ROW_OK, ROW_OK]
+    assert [r.status for r in report.rows] == [STATUS_OK, STATUS_OK]
 
 
 def test_target_search_stops_at_the_adams_cap_and_at_divergence(monkeypatch):
@@ -394,16 +409,11 @@ def test_run_target_reports_minimal_steps():
     assert loads(to_json(report)) == report
 
 
-def test_status_ranking_and_table_rendering():
+def test_table_rendering():
     rows = (ConvergenceRow(0.1, 1e-3, None),
             ConvergenceRow(0.05, 2e-3, -1.0, ROW_GROWING),
-            ConvergenceRow(0.025, 1e100, -90.0, ROW_DIVERGED))
+            ConvergenceRow(0.025, 1e100, -90.0, STATUS_DIVERGED))
     report = ConvergenceReport(0.5, 3, 26, "jpc", "poly8", "exact", rows)
-    assert with_status(report) == ROW_DIVERGED
-    assert with_status(ConvergenceReport(0.5, 3, 26, "jpc", "p", "exact",
-                                         rows[:2])) == ROW_GROWING
-    assert with_status(ConvergenceReport(0.5, 3, 26, "jpc", "p", "exact",
-                                         rows[:1])) == ROW_OK
     table = format_table(report)
     assert "max_error" in table.splitlines()[0]
     assert len(table.splitlines()) == 4

@@ -146,6 +146,14 @@ def test_config_validation():
         SplitConfig(t0=0.5, fine_factor=0)
     with pytest.raises(ValueError):
         solve(make_problem("poly8", 0.5, 1.0), SolverConfig(h=0.5, stencil_size=3))
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 2\], got 0.0"):
+        ProblemSpec(0.0, (0.0,), lambda t, x: x, 1.0)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 2\], got 2.5"):
+        ProblemSpec(2.5, (0.0, 0.0, 0.0), lambda t, x: x, 1.0)
+    with pytest.raises(ValueError, match=r"need ceil\(alpha\) = 2 initial values, got 1"):
+        ProblemSpec(1.5, (0.0,), lambda t, x: x, 1.0)
+    with pytest.raises(ValueError, match="unknown problem id 'nope'"):
+        make_problem("nope", 0.5, 1.0)
 
 
 def test_divergence_truncates_and_flags():

@@ -30,6 +30,14 @@ and at alpha 0.45 also at tolerances machine epsilon and 1e-3.  The
 relax-kind cells: split ml_linear (t0 = 1, aux_jn 52, fine_factor 20,
 stencil 3, jn 26, exact start) at h = 0.5, 0.25, with T = 10 at alpha
 {0.2, 0.35, 0.55} and T = 50 at alpha 0.4.
+
+Last come the Adams baseline lines, one per ``adams_solve`` run: its label,
+the endpoint as ``float.hex``, a sha256 of ``x`` and ``f_cache``, the status,
+the point count and the counters, closed by a ``combined adams`` line.  The
+runs: poly8 and ml_linear on [0, 1] over alpha {0.3, 0.5, 1.0, 1.5, 1.9} x
+N {7, 120, 500}, and two runs of x'' = x^2 from x(0) = x'(0) = 1 that the
+guard cuts, one at the predictor (alpha 1.9, h = 0.04) and one at the
+corrector (alpha 1.5, h = 0.05).
 """
 
 import hashlib
@@ -40,15 +48,17 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jacobipc import USING_COMPILED  # noqa: E402
-from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig  # noqa: E402
+from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve  # noqa: E402
 from jacobipc.mittag import ml_solution  # noqa: E402
-from jacobipc.problems import make_problem  # noqa: E402
+from jacobipc.problems import ProblemSpec, make_problem  # noqa: E402
 from jacobipc.reports import run_convergence  # noqa: E402
 from jacobipc.solver import SolverConfig, SplitConfig, solve  # noqa: E402
 
 ORACLE_ALPHAS = (0.01, 0.2, 0.45, 0.7, 0.999, 1.001, 1.3, 1.7, 1.99)
 ORACLE_TIMES = (1e-8, 0.01, 0.5, 1.0, 3.75, 10.0, 23.0, 50.0, 1e3, 1e6)
 RELAX_CELLS = ((0.2, 10.0), (0.35, 10.0), (0.55, 10.0), (0.4, 50.0))
+ADAMS_ALPHAS = (0.3, 0.5, 1.0, 1.5, 1.9)
+ADAMS_STEPS = (7, 120, 500)
 
 
 def cases():
@@ -106,6 +116,24 @@ def oracle_lines():
         yield f"relax a={alpha} T={t_end}: {'; '.join(rows)}"
 
 
+def square(t, x):
+    return x * x
+
+
+def adams_cases():
+    """(label, problem, h, n_steps) for every Adams baseline run."""
+    for pid in ("poly8", "ml_linear"):
+        for alpha in ADAMS_ALPHAS:
+            problem = make_problem(pid, alpha, 1.0)
+            for n in ADAMS_STEPS:
+                yield f"adams {pid} a={alpha} n={n}", problem, 1.0 / n, n
+    # the guard cuts these after 58 steps (predictor) and 34 steps (corrector)
+    yield ("adams blow-up predictor a=1.9", ProblemSpec(1.9, (1.0, 1.0), square, 4.0),
+           0.04, 100)
+    yield ("adams blow-up corrector a=1.5", ProblemSpec(1.5, (1.0, 1.0), square, 4.0),
+           0.05, 80)
+
+
 def sha(*arrays):
     digest = hashlib.sha256()
     for a in arrays:
@@ -128,6 +156,13 @@ def main():
         oracle.append(line)
         print(line, flush=True)
     print("combined oracle", hashlib.sha256("\n".join(oracle).encode()).hexdigest())
+    adams = []
+    for label, problem, h, n in adams_cases():
+        tr = adams_solve(problem, h, n)
+        adams.append(f"{label}: {float(tr.x[-1]).hex()} {sha(tr.x, tr.f_cache)} "
+                     f"{tr.status} {tr.grid.count} {astuple(tr.counters)}")
+        print(adams[-1], flush=True)
+    print("combined adams", hashlib.sha256("\n".join(adams).encode()).hexdigest())
 
 
 if __name__ == "__main__":
