@@ -22,18 +22,27 @@ and the corrector pass then has no work left.
 
 Which stencil a node uses, and its barycentric coefficients, depend on the
 step and the node, not on f.  So ``stencil_plan`` works out those for a
-block of steps at once with numpy, ``plan_values`` gathers a step's f
-values and divides, and ``plan_totals`` sums the weighted values in order
-of the nodes with sequential accumulates.  A block holds PLAN_BUDGET plan
-elements (steps x nodes x stencil size), so plan memory does not grow with
-N; the corrector's plan is built only for blocks where some step still
-needs it.  The C ``march`` runs the same loop with a scalar loop over the
-nodes in place of the plans, with the same operations in the same order.
-The split head (``split.head_integral``) reads its node values from one
-plan row, so both backends share that code.
+block of steps at once with numpy.  A block holds PLAN_BUDGET plan elements
+(steps x nodes x stencil size), so plan memory does not grow with N; the
+corrector's plan covers the nodes from the block's first J on and is built
+only for blocks where some step still needs it.
+
+The march takes each block SETTLE_STEPS steps at a time.  At the start n_a
+of such a sub-block fc[0..n_a] is final, and at each of its steps all but
+the few nodes nearest t_{n+1} read only those values.  ``settled_totals``
+sums those settled nodes for every step of the sub-block in one numpy pass,
+and each step finishes its live nodes in a scalar loop over Python floats:
+the predictor's from the first node that reads past n_a (or from J, if that
+comes first), and the corrector's own from J.  At jn = 26 the predictor
+has one to five live nodes a step from n = 100 on.  The C ``march`` runs
+one scalar loop over all nodes in place of the plans; both do the same
+operations in the same order.  The split head (``split.head_integral``)
+reads its node values from one plan row with ``plan_values``, so both
+backends share that code.
 """
 
 import functools
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +57,8 @@ TIE_TOL = 1e-12
 
 # plan elements (steps x nodes x stencil size) per block of march steps
 PLAN_BUDGET = 8192
+# steps of a plan block marched from one ``settled_totals`` pass
+SETTLE_STEPS = 16
 
 MARCH_LENGTHS = ("march needs len(fc) == len(base) == len(x), len(weights) == len(nodes) >= 2 "
                  "and len(bary) >= 1")
@@ -55,8 +66,7 @@ MARCH_LENGTHS = ("march needs len(fc) == len(base) == len(x), len(weights) == le
 
 class StencilPlan(NamedTuple):
     """What the stencil rule works out before it reads an f value, for one
-    phase and each step of a block, and the work buffers of ``plan_values``
-    and ``plan_totals``.
+    phase and each step of a block, and the work buffer of ``plan_values``.
 
     Node j of step i reads fvals[idx[i, k, j]] with coefficient coef[i, k, j]
     = bary[k] / (x - k) for k in order, and den[i, j] is the sum of those
@@ -73,7 +83,6 @@ class StencilPlan(NamedTuple):
     shared: np.ndarray
     weights: np.ndarray
     num: np.ndarray
-    acc: np.ndarray
 
 
 def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
@@ -128,50 +137,57 @@ def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
     reads = np.zeros((len(np1), node_count + 1), dtype=np.int64)
     np.cumsum(np.where(hit, hit_k + 1, size), axis=1, out=reads[:, 1:])
     return StencilPlan(idx, coef, den, reads, shared, weights[:node_count],
-                       np.zeros((size + 1, node_count)), np.empty(node_count + 1))
+                       np.zeros((size + 1, node_count)))
 
 
-def plan_values(plan, i, fvals, first=0, out=None):
-    """Interpolated f values of step i of ``plan`` at its nodes from ``first`` on.
+def plan_values(plan, i, fvals):
+    """Interpolated f values of step i of ``plan`` at its nodes.
 
     Gathers the step's f values, sums coefficient times value in order of k
-    and divides by den, into ``out`` if given.  With finite f values each
-    value is the float the stencil rule gives, except that a hit node's
-    0 + 1*f + 0*f + ... loses the sign of a zero f.  A non-finite f value
-    gives non-finite values (nan where the rule may give inf).  Overwrites
-    the plan's num buffer.
+    and divides by den.  With finite f values each value is the float the
+    stencil rule gives, except that a hit node's 0 + 1*f + 0*f + ... loses
+    the sign of a zero f.  A non-finite f value gives non-finite values (nan
+    where the rule may give inf).  Overwrites the plan's num buffer.
     """
-    coef, idx, den, num = plan.coef[i], plan.idx[i], plan.den[i], plan.num
-    if first:
-        coef, idx, den, num = coef[:, first:], idx[:, first:], den[first:], num[:, first:]
-    np.multiply(coef, fvals[idx], out=num[1:])
-    # axis, dtype and out by position: as keywords they cost about as much as
-    # a Python call, and the march runs this once or twice a step
-    np.add.accumulate(num, 0, None, num)
-    return np.divide(num[-1], den, out=out)
+    num = plan.num
+    np.multiply(plan.coef[i], fvals[plan.idx[i]], out=num[1:])
+    np.add.accumulate(num, axis=0, out=num)
+    return num[-1] / plan.den[i]
 
 
-def plan_totals(plan, i, fvals, first=0, total=0.0):
-    """Running totals of step i of ``plan`` from node ``first`` on.
+def settled_totals(plan, i0, i1, fvals):
+    """Running totals of the steps i0 <= i < i1 of ``plan`` over all its nodes.
 
-    Element m is the total before node first + m, element 0 being ``total``
-    and the last the whole sum of weight times ``plan_values``, added in
-    order of the nodes with sequential accumulates, unlike np.sum and
-    np.dot.  No total started from 0.0 can show the sign a hit node's value
-    may lose.  The march reads each new f value at its last node, which is
-    never a hit, so with a non-finite f value it leaves the guard at the
-    same step on both backends.
-
-    The result is a view of the plan's work buffer, which the next call
-    overwrites.
+    Element [i - i0, j] is the total before node j of weight times value,
+    added from 0.0 in order of the nodes with a sequential accumulate
+    (unlike np.sum and np.dot); the last column holds the whole sums.  Each
+    value is sum c_k * f_k in order of k, divided by den, as in
+    ``plan_values`` but without its leading 0.0, which only sets the sign of
+    a zero sum; no total started from 0.0 can show that sign.  So where the
+    f values a total reads are final, it is the float of the scalar loop.
+    The result is a new array of (i1 - i0) x (node_count + 1) elements.
     """
-    acc, weights = plan.acc, plan.weights
-    if first:
-        acc, weights = acc[first:], weights[first:]
-    acc[0] = total
-    terms = plan_values(plan, i, fvals, first, acc[1:])
-    np.multiply(weights, terms, out=terms)
-    return np.add.accumulate(acc, 0, None, acc)
+    coef, den = plan.coef[i0:i1], plan.den[i0:i1]
+    terms = coef * fvals[plan.idx[i0:i1]]
+    num = terms[:, 0]
+    for k in range(1, coef.shape[1]):
+        num = num + terms[:, k]
+    acc = np.zeros((len(den), den.shape[1] + 1))
+    values = np.divide(num, den, out=acc[:, 1:])
+    np.multiply(values, plan.weights, out=values)
+    return np.add.accumulate(acc, axis=1, out=acc)
+
+
+def _scalar_nodes(plan, mask):
+    """The nodes of ``plan`` that ``mask`` (steps x nodes) selects, in order of
+    steps and nodes, as tuples of Python lists, ints and floats: per node its
+    coefficients in order of k, the range lo:hi of the f indices it reads
+    (start:start + size, or the one index of an exact hit, whose
+    coefficient comes first), its den, its weight and its index."""
+    i, j = mask.nonzero()
+    idx = plan.idx[i, :, j]
+    return zip(plan.coef[i, :, j].tolist(), idx[:, 0].tolist(), (idx[:, -1] + 1).tolist(),
+               plan.den[i, j].tolist(), plan.weights[j].tolist(), j.tolist())
 
 
 def block_steps(node_count, size):
@@ -185,16 +201,23 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
 
     ``solver._march`` describes the scheme.  size = len(bary); x[:size] and
     fc[:size] hold the start values and their f values; base[n + 1] is the
-    term outside the integral at step n and pref = 1 / Gamma(alpha).  The
-    nodes must lie in [-1, 1] (ValueError otherwise).  Returns (count,
-    rhs_evals, interp_evals, value_reads): the number of valid entries, less
-    than len(x) if a step left the guard, and the counters of the steps.
+    term outside the integral at step n and pref = 1 / Gamma(alpha); rhs(t,
+    x) returns a float.  The nodes must lie in [-1, 1] (ValueError
+    otherwise).  Returns (count, rhs_evals, interp_evals, value_reads): the
+    number of valid entries, less than len(x) if a step left the guard, and
+    the counters of the steps.
 
-    The stencil plans are built a block of steps at a time; per step the
-    march gathers f values and sums them in the C march's order, so the
-    result is bit for bit that of its two scalar passes a step.  numpy's
-    floating-point errors are ignored inside, the rhs calls included, so
-    the march is as silent as arithmetic on Python floats.
+    Per sub-block of SETTLE_STEPS steps, ``settled_totals`` gives each step
+    its predictor's running total before its first live node; the step adds
+    its live nodes in a scalar loop, keeping the total before J, from which
+    the corrector adds its own nodes.  The scalar loop reads a Python-list
+    mirror of fc and does the C march's operations in its order (s = 0.0;
+    s += c_k * f_k; total += w_j * (s / den_j)), so the result is bit for
+    bit that of the C march.  Each new f value is read at the next step by
+    its last node, which is never a hit, so a non-finite f value leaves the
+    guard at the same step on both backends.  numpy's floating-point errors
+    are ignored inside, the rhs calls included, so the march is as silent
+    as arithmetic on Python floats.
     """
     size, n_steps, jn = len(bary), len(x) - 1, len(nodes) - 1
     if not len(fc) == len(base) == n_steps + 1 or len(weights) != jn + 1 or jn < 1 or size < 1:
@@ -202,6 +225,7 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
     if not np.all(np.abs(nodes) <= 1.0):
         raise ValueError("quadrature nodes must lie in [-1, 1]")
     end_w = weights.item(jn)
+    fl = fc.tolist()
     rhs_evals = interp_evals = value_reads = 0
     span = block_steps(jn + 1, size)
     for n_lo in range(size - 1, n_steps, span):
@@ -212,38 +236,62 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
         # the corrector's reads: the shared prefix, then its own from J on
         reads_c = pred.reads[rows, shared]
         unusable = not pred.den.all()
-        corr = None
-        if np.any(shared < jn):
-            corr = stencil_plan(n_lo, n_hi, nodes, weights, jn, size, bary, 1)
-            reads_c = reads_c + corr.reads[:, -1] - corr.reads[rows, shared]
-            unusable |= np.any((corr.den == 0.0) & (np.arange(jn) >= shared[:, None]))
+        j0 = int(shared.min())
+        if j0 < jn:
+            corr = stencil_plan(n_lo, n_hi, nodes[j0:], weights[j0:], jn - j0, size, bary, 1)
+            reads_c = reads_c + corr.reads[:, -1] - corr.reads[rows, shared - j0]
+            own = np.arange(j0, jn) >= shared[:, None]
+            unusable |= np.any((corr.den == 0.0) & own)
+            corr_nodes = _scalar_nodes(corr, own)
         if unusable:
             raise ZeroDivisionError("float division by zero")
-        for i, n, cut, r_p, r_c in zip(rows.tolist(), range(n_lo, n_hi), shared.tolist(),
-                                       pred.reads[:, -1].tolist(), reads_c.tolist()):
-            t1 = origin + (n + 1) * h
-            scale = pref * (0.5 * (n + 1) * h) ** alpha
-            base_n = base.item(n + 1)
-            acc = plan_totals(pred, i, fc)
-            interp_evals += jn + 1
-            value_reads += r_p
-            x_pred = base_n + scale * acc.item(jn + 1)
-            if not abs(x_pred) <= GUARD:
-                return n + 1, rhs_evals, interp_evals, value_reads
-            f_pred = rhs(t1, x_pred)
-            rhs_evals += 1
-            fc[n + 1] = f_pred
-            resumed = acc.item(cut)
-            if cut < jn:
-                resumed = plan_totals(corr, i, fc, cut, resumed).item(-1)
-            interp_evals += jn
-            value_reads += r_c
-            x_new = base_n + scale * (resumed + end_w * f_pred)
-            if not abs(x_new) <= GUARD:
-                return n + 1, rhs_evals, interp_evals, value_reads
-            x[n + 1] = x_new
-            fc[n + 1] = rhs(t1, x_new)
-            rhs_evals += 1
+        # a step's live nodes start at F, the first node that reads past its
+        # sub-block's start (jn + 1 if none does), or at J if that is earlier
+        sub = rows % SETTLE_STEPS
+        late = pred.idx[:, -1] > (n_lo + rows - sub)[:, None]
+        first = np.minimum(np.where(late.any(1), late.argmax(1), jn + 1), shared)
+        pred_nodes = _scalar_nodes(pred, np.arange(jn + 1) >= first[:, None])
+        at_first = sub * (jn + 2) + first
+        steps = zip(range(n_lo, n_hi), base[n_lo + 1:n_hi + 1].tolist(), first.tolist(),
+                    shared.tolist(), pred.reads[:, -1].tolist(), reads_c.tolist())
+        # steps and the node iterators run on across the sub-blocks: zip
+        # takes from settled first, so it stops without taking a step more
+        for i0 in range(0, n_hi - n_lo, SETTLE_STEPS):
+            i1 = min(i0 + SETTLE_STEPS, n_hi - n_lo)
+            settled = settled_totals(pred, i0, i1, fc).take(at_first[i0:i1]).tolist()
+            for total, (n, base_n, live, cut, r_p, r_c) in zip(settled, steps):
+                t1 = origin + (n + 1) * h
+                scale = pref * (0.5 * (n + 1) * h) ** alpha
+                resumed = total
+                for cs, k_lo, k_hi, den, w, j in islice(pred_nodes, jn + 1 - live):
+                    if j == cut:
+                        resumed = total
+                    s = 0.0
+                    for f, c in zip(fl[k_lo:k_hi], cs):
+                        s += c * f
+                    total += w * (s / den)
+                if cut > jn:  # stencil size 1: every node is shared
+                    resumed = total
+                # a step that leaves the guard counts its passes up to the guard
+                x_pred = base_n + scale * total
+                if not abs(x_pred) <= GUARD:
+                    return n + 1, rhs_evals, interp_evals + jn + 1, value_reads + r_p
+                f_pred = rhs(t1, x_pred)
+                fc[n + 1] = fl[n + 1] = f_pred
+                if cut < jn:
+                    for cs, k_lo, k_hi, den, w, _ in islice(corr_nodes, jn - cut):
+                        s = 0.0
+                        for f, c in zip(fl[k_lo:k_hi], cs):
+                            s += c * f
+                        resumed += w * (s / den)
+                x_new = base_n + scale * (resumed + end_w * f_pred)
+                if not abs(x_new) <= GUARD:
+                    return n + 1, rhs_evals + 1, interp_evals + 2 * jn + 1, value_reads + r_p + r_c
+                x[n + 1] = x_new
+                fc[n + 1] = fl[n + 1] = rhs(t1, x_new)
+                rhs_evals += 2
+                interp_evals += 2 * jn + 1
+                value_reads += r_p + r_c
     return n_steps + 1, rhs_evals, interp_evals, value_reads
 
 

@@ -13,6 +13,7 @@ error (including numbers too large for a float), 2 numerical divergence.
 import math
 
 import click
+from click.core import ParameterSource
 
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig
 from jacobipc.expr import compile_rhs, evaluate, parse as parse_expr
@@ -129,6 +130,12 @@ def _step_for(span, n, flag):
 
 def _split_config(kw):
     if kw["split_t0"] is None:
+        ctx = click.get_current_context()
+        given = [f"--{name.replace('_', '-')}" for name in ("split_jn", "split_fine")
+                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(f"{' and '.join(given)} given without --split-t0: "
+                                   "split options apply to split runs only")
         return None
     return SplitConfig(t0=kw["split_t0"], aux_jn=kw["split_jn"],
                        fine_factor=kw["split_fine"])
@@ -309,6 +316,9 @@ def bench(**kw):
         raise click.UsageError(f"bad --t-list {kw['t_list']!r}") from None
     starter = _parse_starter(kw["starter"])
     if kw["target_error"] is not None:
+        if kw["h_text"] is not None:
+            raise click.UsageError("give --h or --target-error, not both: the search "
+                                   "picks its own step")
         report = run_target(kw["problem"], kw["alpha"], kw["target_error"],
                             methods, t_list, stencil_size=kw["stencil"],
                             jn=kw["jn"], starter=starter)

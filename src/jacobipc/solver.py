@@ -20,8 +20,11 @@ forms are unchanged.
 The base term is the Taylor head, plus the head term (``split.head_integral``)
 in split runs, as one array over the grid.  ``_march`` allocates the
 trajectory, evaluates f at the start values and hands the steps to
-``kernels.march``, the one marching loop, in C or in its pure twin; it
-calls only the quadrature sums and the rhs per step.
+``kernels.march``, the one marching loop, in C or in its pure twin.  The C
+loop sums every node at every step.  The pure one sums the nodes whose f
+values are already final once per sub-block of steps with numpy, and per
+step only the few nodes nearest t_{n+1}, in Python floats; both give the
+same bits.
 """
 
 import math

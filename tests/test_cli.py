@@ -285,6 +285,31 @@ def test_solve_split_flags(capsys):
     assert status == "ok"
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10"],
+    ["converge", "--problem", "poly8", "--alpha", "0.5", "--n-list", "10,20"],
+])
+@pytest.mark.parametrize("flags,named", [
+    (["--split-jn", "40"], "--split-jn"),
+    (["--split-fine", "10"], "--split-fine"),  # the default value, given
+    (["--split-jn", "40", "--split-fine", "20"], "--split-jn and --split-fine"),
+])
+def test_split_options_need_a_split_point(command, flags, named, tmp_path, capsys):
+    assert main(command + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"Error: {named} given without --split-t0" in captured.err
+    # a config file gives them too
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key[2:]}={value}\n"
+                              for key, value in zip(flags[::2], flags[1::2])))
+    assert main(command + ["--config", str(config)]) == 1
+    assert f"Error: {named} given without --split-t0" in capsys.readouterr().err
+    # and with the split point they are taken
+    assert main(command + flags + ["--split-t0", "0.5"]) == 0
+    capsys.readouterr()
+
+
 def test_converge_table_and_export(tmp_path, capsys):
     path = tmp_path / "conv.csv"
     assert main(["converge", "--problem", "poly8", "--alpha", "0.5",
@@ -374,9 +399,18 @@ def test_bench_timing_and_target(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_refuses_h_with_target_error(capsys):
+    # the search picks its own N, so a given step would be ignored
+    assert main(["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1",
+                 "--target-error", "1e-3", "--t-list", "1", "--methods", "jpc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Error: give --h or --target-error, not both" in captured.err
+
+
 @pytest.mark.parametrize("args", [
     # the target search doubles N past the Adams step cap
-    ["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--methods", "adams",
+    ["bench", "--problem", "poly8", "--alpha", "0.5", "--methods", "adams",
      "--t-list", "1", "--target-error", "1e-9"],
     ["converge", "--problem", "poly8", "--alpha", "0.5", "--method", "adams",
      "--n-list", "1000000"],

@@ -3,7 +3,8 @@
 ``march_reference.march`` calls the scalar kernel twice a step, as the
 march did before it moved behind ``kernels.march``.  Every cell must give
 the same x, f values, status and counters bit for bit; the cells are long
-enough to cross several plan blocks of the pure twin.
+enough to cross several plan blocks and sub-blocks of the pure twin, and a
+hypothesis test draws further runs, with exact hits and guard trips.
 """
 
 import dataclasses
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import march_reference
 from jacobipc import _kernels_py, solver
 from jacobipc.adams import EXACT, StarterConfig
-from jacobipc.interp import uniform_bary_weights
-from jacobipc.problems import make_problem
+from jacobipc.interp import UniformGrid, uniform_bary_weights
+from jacobipc.problems import make_problem, taylor_head
 from jacobipc.solver import SolverConfig, SplitConfig, quadrature_for, solve
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK
 
@@ -106,25 +107,47 @@ def test_guard_trips_after_the_first_block(phase, monkeypatch):
 
 
 def test_pure_plans_are_bounded_and_correctors_stop(monkeypatch):
-    built = []
+    built, settled, scalar = [], [], []
 
     def recording(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
         plan = stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector)
         built.append((corrector, plan.coef.size))
         return plan
 
+    def recording_totals(plan, i0, i1, fvals):
+        totals = settled_totals(plan, i0, i1, fvals)
+        settled.append(totals.size)
+        return totals
+
+    def recording_nodes(plan, mask):
+        scalar.append(int(mask.sum()) * plan.coef.shape[1])
+        return scalar_nodes(plan, mask)
+
     stencil_plan = _kernels_py.stencil_plan
+    settled_totals = _kernels_py.settled_totals
+    scalar_nodes = _kernels_py._scalar_nodes
     monkeypatch.setattr(_kernels_py, "stencil_plan", recording)
+    monkeypatch.setattr(_kernels_py, "settled_totals", recording_totals)
+    monkeypatch.setattr(_kernels_py, "_scalar_nodes", recording_nodes)
     monkeypatch.setattr(solver, "kernels", _kernels_py)
+    span = _kernels_py.block_steps(27, 3)
     for n in (2000, 8000):
-        built.clear()
+        for log in (built, settled, scalar):
+            log.clear()
         assert solve(*poly8(0.5, n, 3)).status == STATUS_OK
         # every plan fits the budget, whatever N
         assert max(elements for _, elements in built) <= _kernels_py.PLAN_BUDGET
         predictors = sum(1 for corrector, _ in built if not corrector)
-        assert predictors == -(-(n - 2) // _kernels_py.block_steps(27, 3))
+        assert predictors == -(-(n - 2) // span)
         # every interior node is shared from n = 672 on at most
-        assert len(built) - predictors <= -(-672 // _kernels_py.block_steps(27, 3))
+        assert len(built) - predictors <= -(-672 // span)
+        # one totals pass per sub-block; it and the scalar loop's coefficient
+        # lists are bounded too
+        sub_blocks = [-(-min(span, n - 2 - lo) // _kernels_py.SETTLE_STEPS)
+                      for lo in range(0, n - 2, span)]
+        assert len(settled) == sum(sub_blocks)
+        assert max(settled) <= _kernels_py.SETTLE_STEPS * 28
+        assert max(scalar) <= _kernels_py.PLAN_BUDGET
 
 
 @pytest.mark.parametrize("nodes", [[-1.0, 0.5, 1.5], [-1.0, np.nan, 1.0]])
@@ -189,15 +212,64 @@ def test_plan_row_matches_scalar_kernel(row):
         plan = _kernels_py.stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary,
                                         corrector)
         i = n - n_lo
-        acc = _kernels_py.plan_totals(plan, i, fvals).copy()
+        # the settled-prefix totals of the block up to step n, every f value final
+        acc = _kernels_py.settled_totals(plan, 0, i + 1, fvals)[i]
         cut = int(plan.shared[i])
         got = (acc[-1].hex(), int(plan.reads[i, -1]), cut, acc[cut].hex(),
                int(plan.reads[i, cut]))
         total, reads, shared, shared_total, shared_reads = march_reference.weighted_interp_sum(
             fvals, n, nodes, weights, node_count, size, bary, corrector)
         assert got == (total.hex(), reads, shared, shared_total.hex(), shared_reads)
-        # resumed from the shared prefix, as the march's corrector is
-        resumed = _kernels_py.plan_totals(plan, i, fvals, cut, shared_total)[-1]
-        want = march_reference.weighted_interp_sum(fvals, n, nodes, weights, node_count,
-                                                   size, bary, corrector, cut, shared_total)[0]
-        assert resumed.hex() == want.hex()
+        # each running total is the scalar loop's sum over the nodes before it
+        assert [a.hex() for a in acc.tolist()] == [
+            march_reference.weighted_interp_sum(fvals, n, nodes, weights, j, size, bary,
+                                                corrector)[0].hex()
+            for j in range(node_count + 1)]
+
+
+@st.composite
+def march_runs(draw):
+    """A poly8 march: alpha, stencil size, jn and the number of steps drawn,
+    the steps crossing sub-block and plan-block edges; some interior nodes
+    moved to 1 - 2/m, which lands on a grid point at every step n with m
+    dividing n + 1; and perhaps an rhs that trips the guard at a drawn step
+    in a drawn phase."""
+    alpha = draw(st.sampled_from([0.3, 0.5, 0.8, 1.0, 1.5]))
+    size = draw(st.integers(2, 6))
+    jn = draw(st.integers(2, 60))
+    span = _kernels_py.block_steps(jn + 1, size)
+    steps = draw(st.integers(1, 2 * span + _kernels_py.SETTLE_STEPS))
+    n = size - 1 + steps
+    rule = quadrature_for(alpha, jn)
+    nodes = rule.nodes.copy()
+    for j, m in draw(st.lists(st.tuples(st.integers(1, jn - 1), st.integers(2, n + 1)),
+                              max_size=3)):
+        nodes[j] = 1.0 - 2.0 / m
+    nodes.sort()
+    # the rhs call that returns 1e200: the corrector's f of the step before
+    # trips the predictor of step m, a predicted f the corrector of step m
+    trip = draw(st.none() | st.tuples(st.integers(1, steps), st.booleans()))
+    bad_call = None if trip is None else size + 2 * trip[0] - 2 + trip[1]
+    return (alpha, size, dataclasses.replace(rule, nodes=nodes),
+            UniformGrid(0.0, 1.0 / n, n + 1), bad_call)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=march_runs())
+def test_march_matches_reference_bit_for_bit(backend, run):
+    alpha, size, rule, grid, bad_call = run
+
+    def problem():
+        plain = make_problem("poly8", alpha, 1.0)
+        return plain if bad_call is None else poisoned(plain, bad_call)
+
+    x_start = np.array([problem().exact(grid.t(i)) for i in range(size)])
+    base = taylor_head(problem(), grid.times)
+    want = march_reference.march(problem(), grid, rule, x_start, base)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "kernels", backend)
+        got = solver._march(problem(), grid, rule, x_start, base)
+    assert (got.status, got.counters, hexes(got.x), hexes(got.f_cache)) == (
+        want.status, want.counters, hexes(want.x), hexes(want.f_cache))
+    if bad_call is not None:
+        assert got.status == STATUS_DIVERGED

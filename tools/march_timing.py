@@ -5,7 +5,7 @@ Usage (from a checkout; set JACOBIPC_PURE=1 for the pure kernels, or build
 the extension in place with ``python setup.py build_ext --inplace`` for the
 compiled ones):
 
-    python tools/march_timing.py
+    python tools/march_timing.py [--against OTHER_CHECKOUT]
 
 Two marches are timed: poly8 with N = 8000, stencil 3, jn 26 and the exact
 start, and criterion 07's split cell (ml_linear, alpha 0.5, t0 = 1, T = 50,
@@ -23,17 +23,33 @@ stencil 3, exact start) in process CPU time, min of k.  Each repeat of that
 cell takes an order 1e-7 apart, so its rules, oracle tables and Adams
 weights are built cold every time, as in perfbench's ``relax``.
 
+Last the mix of perfbench's ``march`` workload: one pass solves every cell
+of its block (poly8 on T = 1, stencils 2-5 x alpha 0.3, 0.5, 0.8, 1.5 x N
+500, 1000, 2000, jn 26, exact start) with warm rules, and is timed whole in
+process CPU time, as perfbench times its operations; the row gives the
+median and the quartiles of k passes in microseconds per step (N steps a
+cell).
+
 Run it on two trees back to back and compare; the numbers move with host
-load.
+load.  For the pure march, ``--against`` does better: the mix's passes
+alternate, in one process, between this checkout's pure kernels and the
+``_kernels_py`` of the other checkout (the rest of the package is this
+one's), with the order within a pair swapped from pair to pair, and the
+row gives both medians, their ratio and the pairs this checkout wins.  Host drift, which moves
+perfbench's steps_per_s by tens of percent across a session, then reaches
+both sides of a pair alike.
 """
 
+import argparse
+import importlib.util
+import statistics
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from jacobipc import USING_COMPILED, adams, solver  # noqa: E402
+from jacobipc import USING_COMPILED, _kernels_py, adams, solver  # noqa: E402
 from jacobipc.adams import EXACT, StarterConfig  # noqa: E402
 from jacobipc.mittag import ml_solution  # noqa: E402
 from jacobipc.problems import make_problem  # noqa: E402
@@ -50,6 +66,10 @@ CASES = (
                   split=SPLIT), 40),
 )
 PHASES = ((solver, "_march"), (solver, "head_integral"), (adams, "adams_solve"))
+MIX = [(make_problem("poly8", alpha, 1.0),
+        SolverConfig(h=1.0 / n, stencil_size=size, jn=26, starter=EXACT_START))
+       for size in (2, 3, 4, 5) for alpha in (0.3, 0.5, 0.8, 1.5) for n in (500, 1000, 2000)]
+MIX_STEPS = sum(round(1.0 / config.h) for _, config in MIX)
 
 
 def phase_seconds(problem, config):
@@ -99,7 +119,56 @@ def relax_cell_seconds(k):
     return best
 
 
+def mix_pass(kernels):
+    """Process CPU seconds of one solve of every ``MIX`` cell on ``kernels``."""
+    default, solver.kernels = solver.kernels, kernels
+    try:
+        begin = time.process_time()
+        for problem, config in MIX:
+            solve(problem, config)
+        return time.process_time() - begin
+    finally:
+        solver.kernels = default
+
+
+def us_per_step(seconds):
+    """Median [quartiles] of per-pass seconds, in microseconds per step."""
+    q1, median, q3 = (q / MIX_STEPS * 1e6 for q in statistics.quantiles(seconds, n=4))
+    return f"{median:.2f} [{q1:.2f}-{q3:.2f}]"
+
+
+def mix_row(k, against):
+    label = f"march workload mix ({len(MIX)} cells, {MIX_STEPS} steps a pass)"
+    if against is None:
+        mix_pass(solver.kernels)  # warms the rules
+        seconds = [mix_pass(solver.kernels) for _ in range(k)]
+        print(f"{label}: {us_per_step(seconds)} us/step (median [quartiles] of {k})")
+        return
+    spec = importlib.util.spec_from_file_location(
+        "against_kernels", Path(against) / "src" / "jacobipc" / "_kernels_py.py")
+    other = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(other)
+    for kernels in (other, _kernels_py):  # warms the rules and both modules
+        mix_pass(kernels)
+    pairs = []
+    for i in range(k):
+        order = (_kernels_py, other) if i % 2 == 0 else (other, _kernels_py)
+        spent = {kernels: mix_pass(kernels) for kernels in order}
+        pairs.append((spent[_kernels_py], spent[other]))
+    here, there = ([pair[i] for pair in pairs] for i in (0, 1))
+    wins = sum(a < b for a, b in pairs)
+    print(f"{label}, pure kernels, median [quartiles] of {k} alternating passes:\n"
+          f"  this checkout {us_per_step(here)} us/step\n"
+          f"  {against} {us_per_step(there)} us/step\n"
+          f"  ratio {statistics.median(there) / statistics.median(here):.3f}, "
+          f"this checkout faster in {wins}/{k} pairs")
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="OTHER_CHECKOUT",
+                        help="A/B the march mix against that checkout's pure kernels")
+    args = parser.parse_args()
     print("backend", "compiled" if USING_COMPILED else "pure")
     for label, problem, config, k in CASES:
         runs = [phase_seconds(problem, config) for _ in range(k)]
@@ -117,6 +186,7 @@ def main():
           f"(alpha 0.4, {len(times)} times on [1, 10], min of 20)")
     print(f"relax-kind run_convergence cell: {relax_cell_seconds(15) * 1e3:.2f} ms CPU "
           f"(min of 15)")
+    mix_row(11, args.against)
 
 
 if __name__ == "__main__":
