@@ -66,7 +66,7 @@ MARCH_LENGTHS = ("march needs len(fc) == len(base) == len(x), len(weights) == le
 
 class StencilPlan(NamedTuple):
     """What the stencil rule works out before it reads an f value, for one
-    phase and each step of a block, and the work buffer of ``plan_values``.
+    phase and each step of a block.
 
     Node j of step i reads fvals[idx[i, k, j]] with coefficient coef[i, k, j]
     = bary[k] / (x - k) for k in order, and den[i, j] is the sum of those
@@ -82,7 +82,6 @@ class StencilPlan(NamedTuple):
     reads: np.ndarray
     shared: np.ndarray
     weights: np.ndarray
-    num: np.ndarray
 
 
 def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
@@ -136,45 +135,40 @@ def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
     idx = start[:, None, :] + np.where(hit[:, None, :], hit_k[:, None, :], k)
     reads = np.zeros((len(np1), node_count + 1), dtype=np.int64)
     np.cumsum(np.where(hit, hit_k + 1, size), axis=1, out=reads[:, 1:])
-    return StencilPlan(idx, coef, den, reads, shared, weights[:node_count],
-                       np.zeros((size + 1, node_count)))
+    return StencilPlan(idx, coef, den, reads, shared, weights[:node_count])
 
 
-def plan_values(plan, i, fvals):
-    """Interpolated f values of step i of ``plan`` at its nodes.
+def plan_values(plan, i0, i1, fvals):
+    """Interpolated f values of the steps i0 <= i < i1 of ``plan`` at its nodes.
 
-    Gathers the step's f values, sums coefficient times value in order of k
-    and divides by den.  With finite f values each value is the float the
-    stencil rule gives, except that a hit node's 0 + 1*f + 0*f + ... loses
-    the sign of a zero f.  A non-finite f value gives non-finite values (nan
-    where the rule may give inf).  Overwrites the plan's num buffer.
+    Element [i - i0, j] is sum c_k * f_k over the values node j reads, added
+    in order of k from the first term, divided by den.  Where those f values
+    are finite it is the float of the stencil rule's scalar loop, but for
+    the sign of a zero sum, which that loop's leading 0.0 sets.  A non-finite
+    f value gives non-finite values (nan where the rule may give inf).  The
+    result is a new array of (i1 - i0) x node_count elements.
     """
-    num = plan.num
-    np.multiply(plan.coef[i], fvals[plan.idx[i]], out=num[1:])
-    np.add.accumulate(num, axis=0, out=num)
-    return num[-1] / plan.den[i]
+    terms = plan.coef[i0:i1] * fvals[plan.idx[i0:i1]]
+    num = terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        num = num + terms[:, k]
+    return np.divide(num, plan.den[i0:i1], out=num)
 
 
 def settled_totals(plan, i0, i1, fvals):
     """Running totals of the steps i0 <= i < i1 of ``plan`` over all its nodes.
 
-    Element [i - i0, j] is the total before node j of weight times value,
-    added from 0.0 in order of the nodes with a sequential accumulate
-    (unlike np.sum and np.dot); the last column holds the whole sums.  Each
-    value is sum c_k * f_k in order of k, divided by den, as in
-    ``plan_values`` but without its leading 0.0, which only sets the sign of
-    a zero sum; no total started from 0.0 can show that sign.  So where the
-    f values a total reads are final, it is the float of the scalar loop.
-    The result is a new array of (i1 - i0) x (node_count + 1) elements.
+    Element [i - i0, j] is the total before node j of weight times value
+    (``plan_values``), added from 0.0 in order of the nodes with a
+    sequential accumulate (unlike np.sum and np.dot); the last column holds
+    the whole sums.  No total started from 0.0 can show the sign of a zero
+    value, so where the f values a total reads are final, it is the float of
+    the scalar loop.  The result is a new array of (i1 - i0) x (node_count +
+    1) elements.
     """
-    coef, den = plan.coef[i0:i1], plan.den[i0:i1]
-    terms = coef * fvals[plan.idx[i0:i1]]
-    num = terms[:, 0]
-    for k in range(1, coef.shape[1]):
-        num = num + terms[:, k]
-    acc = np.zeros((len(den), den.shape[1] + 1))
-    values = np.divide(num, den, out=acc[:, 1:])
-    np.multiply(values, plan.weights, out=values)
+    values = plan_values(plan, i0, i1, fvals)
+    acc = np.zeros((len(values), values.shape[1] + 1))
+    np.multiply(values, plan.weights, out=acc[:, 1:])
     return np.add.accumulate(acc, axis=1, out=acc)
 
 

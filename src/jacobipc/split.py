@@ -45,7 +45,7 @@ def head_integral(problem, head, aux_rule, stencil_size, times):
     taus = map_node(aux_rule.nodes, grid.origin, t0)
     plan = stencil_plan(n, n + 1, aux_rule.nodes, aux_rule.weights, aux_rule.n_points,
                         stencil_size, uniform_bary_weights(stencil_size), 1)
-    ftau = plan_values(plan, 0, head.f_cache)
+    ftau = plan_values(plan, 0, 1, head.f_cache)[0]
     wt = aux_rule.weights * (0.5 * (t0 - grid.origin))
     am1 = problem.alpha - 1.0
     c = 1.0 / math.gamma(problem.alpha)

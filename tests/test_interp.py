@@ -119,7 +119,7 @@ def test_kernel_matches_reference_stencil_rule(size, phase, where):
     for theta in KERNEL_THETAS[where]:
         node = np.array([2.0 * theta / (n + 1) - 1.0])
         plan = stencil_plan(n, n + 1, node, np.ones(1), 1, size, bary, int(phase == CORRECTOR))
-        got, reads = plan_values(plan, 0, fvals)[0], plan.reads[0, -1]
+        got, reads = plan_values(plan, 0, 1, fvals)[0, 0], plan.reads[0, -1]
         st_ = select_stencil(theta, grid, size, n, phase)
         sl = slice(st_.start, st_.start + st_.length)
         want = lagrange_eval(grid.times[sl], fvals[sl], theta)
