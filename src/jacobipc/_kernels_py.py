@@ -3,10 +3,7 @@
 The compiled ``jacobipc._kernels`` (``_kernels.c``) implements ``march`` and
 ``adams_step_sums`` with the same arguments and the same floating-point
 operation order, so the two backends give bit-identical results; it reads
-TIE_TOL and GUARD from here.  ``adams_step_sums`` unwraps its buffer through
-memoryview so the inner loop runs on plain Python floats, and reads its
-history weights from tables cached per order and buffer length
-(``_history_weights``), where the C loop computes them with ``pow`` in place.
+TIE_TOL and GUARD from here.
 
 ``march`` runs every predict/correct step of a trajectory.  Each step takes
 one quadrature sum of stencil interpolants of the f history as predictor
@@ -36,12 +33,13 @@ the predictor's from the first node that reads past n_a (or from J, if that
 comes first), and the corrector's own from J.  At jn = 26 the predictor
 has one to five live nodes a step from n = 100 on.  The C ``march`` runs
 one scalar loop over all nodes in place of the plans; both do the same
-operations in the same order.  The split head (``split.head_integral``)
-reads its node values from one plan row with ``plan_values``, so both
-backends share that code.
+operations in the same order and take each rhs value as a C double
+(``as_double``).  ``plan_values`` is the one numpy pass from plan rows to
+node values, for ``settled_totals`` and for the split head on both backends.
 """
 
 import functools
+import math
 from itertools import islice
 from typing import NamedTuple
 
@@ -62,6 +60,13 @@ SETTLE_STEPS = 16
 
 MARCH_LENGTHS = ("march needs len(fc) == len(base) == len(x), len(weights) == len(nodes) >= 2 "
                  "and len(bary) >= 1")
+
+
+def as_double(value):
+    """An rhs value as a Python float, converted as C's PyFloat_AsDouble does
+    (an np.float32 widens exactly; a str raises TypeError, where float()
+    would parse it): ldexp(value, 0) is that conversion and changes no bit."""
+    return math.ldexp(value, 0)
 
 
 class StencilPlan(NamedTuple):
@@ -161,10 +166,8 @@ def settled_totals(plan, i0, i1, fvals):
     Element [i - i0, j] is the total before node j of weight times value
     (``plan_values``), added from 0.0 in order of the nodes with a
     sequential accumulate (unlike np.sum and np.dot); the last column holds
-    the whole sums.  No total started from 0.0 can show the sign of a zero
-    value, so where the f values a total reads are final, it is the float of
-    the scalar loop.  The result is a new array of (i1 - i0) x (node_count +
-    1) elements.
+    the whole sums.  Where the f values a total reads are final, it is the
+    float of the scalar loop: from 0.0, no total shows the sign of a zero.
     """
     values = plan_values(plan, i0, i1, fvals)
     acc = np.zeros((len(values), values.shape[1] + 1))
@@ -196,10 +199,10 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
     ``solver._march`` describes the scheme.  size = len(bary); x[:size] and
     fc[:size] hold the start values and their f values; base[n + 1] is the
     term outside the integral at step n and pref = 1 / Gamma(alpha); rhs(t,
-    x) returns a float.  The nodes must lie in [-1, 1] (ValueError
-    otherwise).  Returns (count, rhs_evals, interp_evals, value_reads): the
-    number of valid entries, less than len(x) if a step left the guard, and
-    the counters of the steps.
+    x) returns a value ``as_double`` takes.  The nodes must lie in [-1, 1]
+    (ValueError otherwise).  Returns (count, rhs_evals, interp_evals,
+    value_reads): the number of valid entries, less than len(x) if a step
+    left the guard, and the counters of the steps.
 
     Per sub-block of SETTLE_STEPS steps, ``settled_totals`` gives each step
     its predictor's running total before its first live node; the step adds
@@ -270,7 +273,7 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
                 x_pred = base_n + scale * total
                 if not abs(x_pred) <= GUARD:
                     return n + 1, rhs_evals, interp_evals + jn + 1, value_reads + r_p
-                f_pred = rhs(t1, x_pred)
+                f_pred = as_double(rhs(t1, x_pred))
                 fc[n + 1] = fl[n + 1] = f_pred
                 if cut < jn:
                     for cs, k_lo, k_hi, den, w, _ in islice(corr_nodes, jn - cut):
@@ -282,7 +285,7 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
                 if not abs(x_new) <= GUARD:
                     return n + 1, rhs_evals + 1, interp_evals + 2 * jn + 1, value_reads + r_p + r_c
                 x[n + 1] = x_new
-                fc[n + 1] = fl[n + 1] = rhs(t1, x_new)
+                fc[n + 1] = fl[n + 1] = as_double(rhs(t1, x_new))
                 rhs_evals += 2
                 interp_evals += 2 * jn + 1
                 value_reads += r_p + r_c

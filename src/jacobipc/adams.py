@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from jacobipc._backend import kernels
+from jacobipc._kernels_py import as_double
 from jacobipc.interp import UniformGrid, step_count
 from jacobipc.problems import taylor_head
 from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
@@ -53,7 +54,8 @@ def adams_solve(problem, h, n_steps):
     Returns a trajectory over the uniform grid {0, h, ..., n_steps*h}; on
     divergence the trajectory is truncated at the last finite value and
     flagged.  Cost is O(n_steps^2), so n_steps above MAX_ADAMS_STEPS is
-    refused with ValueError before the rhs is called.
+    refused with ValueError before the rhs is called.  The rhs values go
+    through ``_kernels_py.as_double``, as in the march.
     """
     if h <= 0 or n_steps < 1:
         raise ValueError("need h > 0 and n_steps >= 1")
@@ -65,7 +67,7 @@ def adams_solve(problem, h, n_steps):
     x = np.zeros(n_steps + 1)
     fc = np.zeros(n_steps + 1)
     x[0] = problem.init[0]
-    fc[0] = rhs(0.0, x[0])
+    fc[0] = as_double(rhs(0.0, x[0]))
     rhs_evals, history_reads = 1, 0
     c_pred = h**alpha / math.gamma(alpha + 1.0)
     c_corr = h**alpha / math.gamma(alpha + 2.0)
@@ -80,14 +82,14 @@ def adams_solve(problem, h, n_steps):
         if not abs(x_pred) <= GUARD:
             count = n + 1
             break
-        f_pred = rhs(t1, x_pred)
+        f_pred = as_double(rhs(t1, x_pred))
         rhs_evals += 1
         x_new = head + c_corr * (corr + f_pred)
         if not abs(x_new) <= GUARD:
             count = n + 1
             break
         x[n + 1] = x_new
-        fc[n + 1] = rhs(t1, x_new)
+        fc[n + 1] = as_double(rhs(t1, x_new))
         rhs_evals += 1
     status = STATUS_OK if count == n_steps + 1 else STATUS_DIVERGED
     counters = Counters(rhs_evals=rhs_evals, history_reads=history_reads)

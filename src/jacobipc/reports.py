@@ -162,6 +162,8 @@ def _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
     The quadrature rule is cached and warmed beforehand, so rows measure
     marching cost.
     """
+    if not methods:
+        raise ValueError("no method to time: name at least one of jpc, adams")
     for m in methods:
         _check_method(m)
     quadrature_for(make_problem(problem_id, alpha, max(t_list)).alpha, jn)
@@ -221,8 +223,8 @@ def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
     _check_method(method)
     if problem.exact is None:
         raise ValueError("needs a problem with an exact solution")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"target error tol must be finite and positive, got {tol!r}")
     if method == "adams" and n_max >= MAX_ADAMS_STEPS:
         n_max, cap = MAX_ADAMS_STEPS, f"the Adams baseline's {MAX_ADAMS_STEPS}-step cap"
     else:

@@ -7,24 +7,21 @@ interpolation of cached f values.  Cost per step is O(stencil_size * jn),
 so a whole run is O(N) for fixed configuration.
 
 Predictor and corrector apply the same rule to the same history and differ
-only at nodes whose stencil reaches t_{n+1}.  The corrector resumes the
-predictor's running total after the prefix of nodes before those
-(``_kernels_py`` says why this is exact).  At jn = 26 that prefix holds
-every interior node from a few hundred steps on, and the corrector pass is
-then skipped.  The counters count rhs calls, and every interpolation and
-value read that each quadrature sum uses, shared or not, so their closed
-forms are unchanged.
+only at nodes whose stencil reaches t_{n+1}, so the corrector resumes the
+predictor's running total before those (``_kernels_py`` says why this is
+exact).  The counters count rhs calls, and every interpolation and value
+read that each quadrature sum uses, shared or not, so their closed forms
+are unchanged.
 
 ``solve``, the one entry point, runs four phases: rules, start values
 (``start_values``, at 0 or at a split's t0), the base term and ``_march``.
 The base term is the Taylor head, plus the head term (``split.head_integral``)
-in split runs, as one array over the grid.  ``_march`` allocates the
-trajectory, evaluates f at the start values and hands the steps to
-``kernels.march``, the one marching loop, in C or in its pure twin.  The C
-loop sums every node at every step.  The pure one sums the nodes whose f
-values are already final once per sub-block of steps with numpy, and per
-step only the few nodes nearest t_{n+1}, in Python floats; both give the
-same bits.
+in split runs, as one array over the grid; the head term reads its node
+values from the pure values pass (``_kernels_py.plan_values``) on both
+backends.  ``_march`` allocates the trajectory, evaluates f at the start
+values and hands the steps to ``kernels.march``, the one marching loop, in
+C or in its pure twin (``_kernels_py`` describes both); both give the same
+bits.
 """
 
 import math
@@ -34,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from jacobipc._backend import kernels
+from jacobipc._kernels_py import as_double
 from jacobipc.adams import StarterConfig, start_values
 from jacobipc.interp import UniformGrid, step_count, uniform_bary_weights
 from jacobipc.problems import taylor_head
@@ -99,13 +97,11 @@ def _march(problem, grid, rule, x_start, base, head=None):
     raising.
     """
     size, n_steps = len(x_start), grid.count - 1
-    origin, h, alpha = grid.origin, grid.h, problem.alpha
-    rhs = problem.rhs
-    x = np.zeros(n_steps + 1)
-    fc = np.zeros(n_steps + 1)
+    origin, h, alpha, rhs = grid.origin, grid.h, problem.alpha, problem.rhs
+    x, fc = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     x[:size] = x_start
     for i in range(size):
-        fc[i] = rhs(origin + i * h, x[i])
+        fc[i] = as_double(rhs(origin + i * h, x[i]))
     count, rhs_evals, interp_evals, value_reads = kernels.march(
         rhs, x, fc, base, origin, h, alpha, 1.0 / math.gamma(alpha), rule.nodes,
         rule.weights, uniform_bary_weights(size))

@@ -3,11 +3,10 @@
 Splitting moves the non-smooth neighbourhood of the origin (or, for very
 small alpha, the steep initial transient) out of the stepped segment.  The
 head contribution to each later value is a plain integral with a smooth
-kernel, evaluated with a weight-free Lobatto rule over f values read off the
-head trajectory (from ``adams.start_values``) with the march's own stencil
-rule: one corrector-phase row of ``stencil_plan``, the same numpy code on
-both kernel backends.  ``solver.solve`` adds it, as one array over the
-marched points, to the Taylor head.
+kernel: a weight-free Lobatto rule, summed in node order, over f values read
+off the head trajectory (``adams.start_values``) with one corrector-phase
+row of the march's stencil plan (``plan_values``), on both backends alike.
+``solver.solve`` adds it over the marched points to the Taylor head.
 """
 
 import math
@@ -30,7 +29,8 @@ def head_integral(problem, head, aux_rule, stencil_size, times):
     nodes tau_j are interpolated once from the head trajectory with the main
     march's corrector-phase stencil rule of stencil_size nodes at step n =
     count - 2, so every value of the head is usable; those interpolations
-    are not counted.
+    are not counted.  The terms of each time are added from 0.0 in order of
+    j with a sequential accumulate, HEAD_BLOCK terms at a time.
     """
     grid = head.grid
     n = grid.count - 2
@@ -53,5 +53,7 @@ def head_integral(problem, head, aux_rule, stencil_size, times):
     rows = max(1, HEAD_BLOCK // len(taus))
     for lo in range(0, len(times), rows):
         kernel = wt * (times[lo:lo + rows, None] - taus) ** am1
-        out[lo:lo + rows] = [c * float(np.dot(row, ftau)) for row in kernel]
+        acc = np.zeros((len(kernel), len(taus) + 1))
+        np.multiply(kernel, ftau, out=acc[:, 1:])
+        out[lo:lo + rows] = c * np.add.accumulate(acc, axis=1, out=acc)[:, -1]
     return out

@@ -6,11 +6,13 @@ whether or not the package was installed with it.  They skip only when no C
 compiler is on PATH.
 """
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +194,42 @@ def test_solves_bit_identical_across_backends(compiled, monkeypatch):
     want = _digest(_kernels_py, monkeypatch)
     assert len(got) == 19
     assert got == want
+
+
+def _run_on(backend, monkeypatch, problem, run):
+    """x of a run of ``problem`` at h = 1/200 (``solve`` with stencil 3 and the
+    exact start, or ``adams_solve``) on ``backend``, as hex."""
+    for module in (solver, adams):
+        monkeypatch.setattr(module, "kernels", backend)
+    if run == "march":
+        tr = solve(problem, SolverConfig(h=1.0 / 200, stencil_size=3,
+                                         starter=StarterConfig(mode=EXACT)))
+    else:
+        tr = adams_solve(problem, 1.0 / 200, 200)
+    return [v.hex() for v in tr.x.tolist()]
+
+
+@pytest.mark.parametrize("run", ["march", "adams"])
+def test_float32_rhs_values_are_taken_as_python_floats(compiled, monkeypatch, run):
+    """An rhs that returns np.float32 gives, on both backends, the bits of the
+    same values returned as Python floats, and numpy warns of nothing."""
+    poly8 = make_problem("poly8", 0.5, 1.0)
+    as_f32 = dataclasses.replace(poly8, rhs=lambda t, x: np.float32(poly8.rhs(t, x)))
+    as_float = dataclasses.replace(poly8, rhs=lambda t, x: float(np.float32(poly8.rhs(t, x))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _run_on(_kernels_py, monkeypatch, as_float, run)
+        for backend in (_kernels_py, compiled):
+            assert _run_on(backend, monkeypatch, as_f32, run) == want
+
+
+@pytest.mark.parametrize("run", ["march", "adams"])
+def test_str_rhs_value_raises_type_error_on_both_backends(compiled, monkeypatch, run):
+    """A numeric str is no float to C's PyFloat_AsDouble, so neither backend parses it."""
+    text = dataclasses.replace(make_problem("poly8", 0.5, 1.0), rhs=lambda t, x: "1.5")
+    for backend in (_kernels_py, compiled):
+        with pytest.raises(TypeError):
+            _run_on(backend, monkeypatch, text, run)
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])

@@ -408,6 +408,26 @@ def test_bench_refuses_h_with_target_error(capsys):
     assert "Error: give --h or --target-error, not both" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_bench_refuses_a_target_error_that_is_not_finite_and_positive(value, capsys):
+    # nan and inf used to end the search at once and time N = stencil size
+    assert main(["bench", "--problem", "poly8", "--alpha", "0.5", "--t-list", "1",
+                 f"--target-error={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: target error tol must be finite and positive")
+    assert repr(float(value)) in captured.err
+
+
+@pytest.mark.parametrize("methods", ["", " , "])
+def test_bench_refuses_an_empty_method_list(methods, capsys):
+    assert main(["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1",
+                 "--t-list", "1", "--methods", methods]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no method to time")
+
+
 @pytest.mark.parametrize("args", [
     # the target search doubles N past the Adams step cap
     ["bench", "--problem", "poly8", "--alpha", "0.5", "--methods", "adams",

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from jacobipc._kernels_py import plan_values, stencil_plan
 from jacobipc.interp import UniformGrid, map_node, uniform_bary_weights
+from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
+from march_reference import weighted_interp_sum
 from stencil_reference import (CENTERED, CORRECTOR, LEFT_EDGE, PREDICTOR,
                                RIGHT_EDGE_CLOSED, RIGHT_EDGE_OPEN, lagrange_eval,
                                select_stencil, stencil_halves)
@@ -129,6 +131,32 @@ def test_kernel_matches_reference_stencil_rule(size, phase, where):
         # a target on a stencil node stops the reads there
         k = theta - st_.start
         assert reads == (k + 1 if k == int(k) and k < size else size)
+
+
+@pytest.mark.parametrize("phase", [PREDICTOR, CORRECTOR])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_plan_values_match_the_scalar_loop_on_every_row(size, phase):
+    # steps 11..34 in one block: the node -1, the node 1 of the corrector
+    # phase and the middle node 0 when n + 1 is even hit grid points
+    corrector = int(phase == CORRECTOR)
+    nodes = gauss_lobatto_rule(JacobiWeight(0.0, 0.0), 11).nodes
+    bary = uniform_bary_weights(size)
+    n_lo, n_hi = 11, 35
+    fvals = np.random.default_rng(size).uniform(-5.0, 5.0, size=n_hi + 1)
+    plan = stencil_plan(n_lo, n_hi, nodes, np.ones(len(nodes)), len(nodes), size, bary,
+                        corrector)
+    got = plan_values(plan, 0, n_hi - n_lo, fvals)
+    assert got.shape == (n_hi - n_lo, len(nodes))
+    hits = (plan.coef[:, 1:] == 0.0).all(axis=1)  # a hit reads one value, with coefficient 1
+    assert hits[:, 0].all() and hits[::2, len(nodes) // 2].all()
+    assert hits[:, -1].all() == bool(corrector)
+    for i, n in enumerate(range(n_lo, n_hi)):
+        want = [weighted_interp_sum(fvals, n, nodes[j:j + 1], np.ones(1), 1, size, bary,
+                                    corrector)[0]
+                for j in range(len(nodes))]
+        assert [v.hex() for v in got[i].tolist()] == [v.hex() for v in want]
+    # a row range of the block gives those rows
+    assert plan_values(plan, 5, 9, fvals).tolist() == got[5:9].tolist()
 
 
 def test_bary_weights_alternating_binomials():

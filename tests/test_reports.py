@@ -311,6 +311,8 @@ def test_timing_access_column_closed_forms():
 def test_run_timing_validation():
     with pytest.raises(ValueError, match="unknown method"):
         run_timing("poly8", 0.5, 0.1, ("simpson",), (1.0,))
+    with pytest.raises(ValueError, match="no method to time"):
+        run_timing("poly8", 0.5, 0.1, (), (1.0,))
 
 
 def test_smallest_n_reaching_is_minimal():
@@ -334,6 +336,9 @@ def test_smallest_n_reaching_is_minimal():
 
     with pytest.raises(ValueError, match="tol"):
         smallest_n_reaching(problem, 0.0)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"finite and positive, got {tol!r}"):
+            smallest_n_reaching(problem, tol)
     with pytest.raises(ValueError, match="exact"):
         smallest_n_reaching(ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0), 1e-3)
     with pytest.raises(ValueError, match="still above"):

@@ -7,11 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from jacobipc import split
+from jacobipc._kernels_py import plan_values, stencil_plan
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.problems import ProblemSpec, make_problem
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.solver import SolverConfig, SplitConfig, solve
-from jacobipc.interp import UniformGrid, uniform_bary_weights
+from jacobipc.interp import UniformGrid, map_node, uniform_bary_weights
 from jacobipc.split import head_integral
 from jacobipc.trajectory import STATUS_OK, Trajectory
 from march_reference import weighted_interp_sum
@@ -65,6 +67,32 @@ def test_head_integral_over_many_times_equals_one_at_a_time():
     many = head_integral(problem, head, aux_rule(20), 3, times)
     one = [head_integral(problem, head, aux_rule(20), 3, [t])[0] for t in times]
     assert many.tolist() == one
+
+
+def test_head_integral_sums_its_terms_in_node_order(monkeypatch):
+    # each value is c times the sum, from 0.0 in node order, of the terms
+    # w_j (t - tau_j)^(alpha - 1) f_j, bit for bit, also where the times run
+    # over several HEAD_BLOCK chunks (4 times a chunk here, 15 times)
+    problem = make_problem("ml_linear", 0.7, 2.0)
+    head = adams_solve(problem, 0.01, 30)
+    aux = aux_rule(52)
+    monkeypatch.setattr(split, "HEAD_BLOCK", 4 * aux.n_points + 3)
+    times = 0.3 + 0.1 * np.arange(1, 16)
+    got = head_integral(problem, head, aux, 3, times)
+    n, t0 = head.grid.count - 2, head.grid.t(head.grid.count - 1)
+    plan = stencil_plan(n, n + 1, aux.nodes, aux.weights, aux.n_points, 3,
+                        uniform_bary_weights(3), 1)
+    ftau = plan_values(plan, 0, 1, head.f_cache)[0]
+    taus = map_node(aux.nodes, 0.0, t0)
+    wt = aux.weights * (0.5 * t0)
+    c = 1.0 / math.gamma(problem.alpha)
+    want = []
+    for t in times.tolist():
+        total = 0.0
+        for term in (wt * (t - taus) ** (problem.alpha - 1.0) * ftau).tolist():
+            total += term
+        want.append(c * total)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 def head_node_values(head, aux, size):

@@ -38,12 +38,22 @@ runs: poly8 and ml_linear on [0, 1] over alpha {0.3, 0.5, 1.0, 1.5, 1.9} x
 N {7, 120, 500}, and two runs of x'' = x^2 from x(0) = x'(0) = 1 that the
 guard cuts, one at the predictor (alpha 1.9, h = 0.04) and one at the
 corrector (alpha 1.5, h = 0.05).
+
+Last of all the float32 lines, in the Adams line format: runs whose rhs
+returns ``np.float32``, which both backends must take as the Python float of
+that value, closed by a ``combined float32`` line.  The runs: poly8 at
+alpha 0.5 and 1.5 with stencil 3, N = 200 and the exact start; a split
+ml_linear solve (alpha 0.5, t0 = 1, T = 10, h = 0.25, aux_jn 52,
+fine_factor 20, exact start), whose head is a fine Adams run; and
+``adams_solve`` on poly8 at alpha 0.5, N = 200.
 """
 
 import hashlib
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -134,11 +144,38 @@ def adams_cases():
            0.05, 80)
 
 
+def float32_rhs(problem):
+    """The problem with its rhs values returned as ``np.float32``."""
+    rhs = problem.rhs
+    return replace(problem, rhs=lambda t, x: np.float32(rhs(t, x)))
+
+
+def float32_runs():
+    """(label, trajectory) of every run whose rhs returns ``np.float32``."""
+    exact = StarterConfig(mode=EXACT)
+    for alpha in (0.5, 1.5):
+        yield (f"float32 poly8 a={alpha} s=3 n=200",
+               solve(float32_rhs(make_problem("poly8", alpha, 1.0)),
+                     SolverConfig(h=1.0 / 200, starter=exact)))
+    yield ("float32 ml_linear split a=0.5 exact",
+           solve(float32_rhs(make_problem("ml_linear", 0.5, 10.0)),
+                 SolverConfig(h=0.25, starter=exact,
+                              split=SplitConfig(t0=1.0, aux_jn=52, fine_factor=20))))
+    yield ("float32 adams poly8 a=0.5 n=200",
+           adams_solve(float32_rhs(make_problem("poly8", 0.5, 1.0)), 1.0 / 200, 200))
+
+
 def sha(*arrays):
     digest = hashlib.sha256()
     for a in arrays:
         digest.update(a.tobytes())
     return digest.hexdigest()
+
+
+def run_line(label, tr):
+    """The Adams-format line of one trajectory."""
+    return (f"{label}: {float(tr.x[-1]).hex()} {sha(tr.x, tr.f_cache)} "
+            f"{tr.status} {tr.grid.count} {astuple(tr.counters)}")
 
 
 def main():
@@ -158,11 +195,14 @@ def main():
     print("combined oracle", hashlib.sha256("\n".join(oracle).encode()).hexdigest())
     adams = []
     for label, problem, h, n in adams_cases():
-        tr = adams_solve(problem, h, n)
-        adams.append(f"{label}: {float(tr.x[-1]).hex()} {sha(tr.x, tr.f_cache)} "
-                     f"{tr.status} {tr.grid.count} {astuple(tr.counters)}")
+        adams.append(run_line(label, adams_solve(problem, h, n)))
         print(adams[-1], flush=True)
     print("combined adams", hashlib.sha256("\n".join(adams).encode()).hexdigest())
+    float32 = []
+    for label, tr in float32_runs():
+        float32.append(run_line(label, tr))
+        print(float32[-1], flush=True)
+    print("combined float32", hashlib.sha256("\n".join(float32).encode()).hexdigest())
 
 
 if __name__ == "__main__":
