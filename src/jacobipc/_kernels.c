@@ -1,4 +1,4 @@
-/* Compiled hot kernels: the march and the fractional Adams history sums.
+/* Compiled hot kernels: the march and the fractional Adams march.
  *
  * Same contracts, argument lists, floating-point operation order and
  * exceptions as jacobipc._kernels_py, which holds the reference semantics;
@@ -13,9 +13,9 @@
  * again.  interp_sum reports the prefix of nodes whose stencil ends left of
  * n+1 and so is the same in both phases, with the running total and reads
  * at its end, from which the corrector resumes; see stencil_plan for why the
- * resumed sum is bit-identical.  The pure twin plans its stencils a block of
- * steps at a time; this one runs the scalar loop twice a step, which is
- * cheaper in C.
+ * resumed sum is bit-identical; node jn, the end node s = 1, is never
+ * shared.  The pure twin plans its stencils a block of steps at a time; this
+ * one runs the scalar loop twice a step, which is cheaper in C.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -109,10 +109,6 @@ interp_sum(const double *fvals, Py_ssize_t n, const double *nodes, const double 
             reads += size;
         }
     }
-    if (shared == node_count) {  /* every node is shared */
-        shared_total = total;
-        shared_reads = reads;
-    }
     out->total = total;
     out->reads = reads;
     out->shared = shared;
@@ -164,9 +160,9 @@ march(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t n_steps = length(&bufs[0]) - 1, size = length(&bufs[5]);
     Py_ssize_t jn = length(&bufs[3]) - 1;
     if (length(&bufs[1]) != n_steps + 1 || length(&bufs[2]) != n_steps + 1
-            || length(&bufs[4]) != jn + 1 || jn < 1 || size < 1) {
+            || length(&bufs[4]) != jn + 1 || jn < 1 || size < 2) {
         PyErr_SetString(PyExc_IndexError, "march needs len(fc) == len(base) == len(x), "
-                        "len(weights) == len(nodes) >= 2 and len(bary) >= 1");
+                        "len(weights) == len(nodes) >= 2 and len(bary) >= 2");
         goto done;
     }
     for (Py_ssize_t j = 0; j <= jn; j++)
@@ -236,50 +232,75 @@ done:
 }
 
 static PyObject *
-adams_step_sums(PyObject *self, PyObject *args, PyObject *kwargs)
+adams_march(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"fvals", "n", "alpha", NULL};
-    PyObject *fobj;
-    Py_ssize_t n;
-    double alpha;
-    Py_buffer buf;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Ond:adams_step_sums", kwlist,
-                                     &fobj, &n, &alpha))
+    static char *kwlist[] = {"rhs", "x", "fc", "base", "h", "alpha", "c_pred", "c_corr", NULL};
+    PyObject *rhs, *objs[3];
+    double h, alpha, c_pred, c_corr;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOOdddd:adams_march", kwlist, &rhs,
+                                     &objs[0], &objs[1], &objs[2], &h, &alpha, &c_pred, &c_corr))
         return NULL;
-    if (get_buffer(fobj, &buf, "fvals", 0) < 0)
-        return NULL;
-    if (n < 0 || length(&buf) < n + 1) {
-        PyErr_Format(PyExc_IndexError, "step %zd needs %zd f values, buffer has %zd",
-                     n, n + 1, length(&buf));
-        PyBuffer_Release(&buf);
-        return NULL;
+
+    Py_buffer bufs[3];
+    const char *names[3] = {"x", "fc", "base"};
+    int got = 0;
+    PyObject *result = NULL;
+    for (; got < 3; got++)
+        if (get_buffer(objs[got], &bufs[got], names[got], got < 2 ? PyBUF_WRITABLE : 0) < 0)
+            goto done;
+
+    double *x = bufs[0].buf, *fc = bufs[1].buf;
+    const double *base = bufs[2].buf;
+    Py_ssize_t n_steps = length(&bufs[0]) - 1;
+    if (length(&bufs[1]) != n_steps + 1 || length(&bufs[2]) != n_steps + 1 || n_steps < 0) {
+        PyErr_SetString(PyExc_IndexError, "adams_march needs len(fc) == len(base) == len(x) >= 1");
+        goto done;
     }
 
-    const double *fvals = buf.buf;
     double ap1 = alpha + 1.0;
-    double pred = 0.0;
-    double corr = (pow(n, ap1) - (n - alpha) * pow(n + 1, alpha)) * fvals[0];
-    double pm1 = 0.0, qm1 = 0.0, qm = 1.0;
-    for (Py_ssize_t m = 1; m <= n; m++) {
-        double pm = pow(m, alpha);
-        double qp = pow(m + 1, ap1);
-        double fj = fvals[n + 1 - m];
-        pred += (pm - pm1) * fj;
-        corr += (qp - 2.0 * qm + qm1) * fj;
-        pm1 = pm;
-        qm1 = qm;
-        qm = qp;
+    long long rhs_evals = 0, history_reads = 0;
+    Py_ssize_t n = 0;  /* a step that leaves the guard ends the march at n + 1 entries */
+    for (; n < n_steps; n++) {
+        double t1 = (double)(n + 1) * h;
+        history_reads += 2 * (n + 1);
+        double pred = 0.0, corr = (pow(n, ap1) - (n - alpha) * pow(n + 1, alpha)) * fc[0];
+        double pm1 = 0.0, qm1 = 0.0, qm = 1.0;
+        for (Py_ssize_t m = 1; m <= n; m++) {  /* the term of f_{n+1-m} */
+            double pm = pow(m, alpha), qp = pow(m + 1, ap1), fj = fc[n + 1 - m];
+            pred += (pm - pm1) * fj;
+            corr += (qp - 2.0 * qm + qm1) * fj;
+            pm1 = pm;
+            qm1 = qm;
+            qm = qp;
+        }
+        pred += (pow(n + 1, alpha) - pm1) * fc[0];
+        double x_pred = base[n + 1] + c_pred * pred;
+        if (!(fabs(x_pred) <= GUARD))
+            break;
+        double f_pred;
+        if (call_rhs(rhs, t1, x_pred, &f_pred) < 0)
+            goto done;
+        rhs_evals++;
+        double x_new = base[n + 1] + c_corr * (corr + f_pred);
+        if (!(fabs(x_new) <= GUARD))
+            break;
+        x[n + 1] = x_new;
+        if (call_rhs(rhs, t1, x_new, &fc[n + 1]) < 0)
+            goto done;
+        rhs_evals++;
     }
-    pred += (pow(n + 1, alpha) - pm1) * fvals[0];
-    PyBuffer_Release(&buf);
-    return Py_BuildValue("(dd)", pred, corr);
+    result = Py_BuildValue("(nLL)", n + 1, rhs_evals, history_reads);
+done:
+    while (got-- > 0)
+        PyBuffer_Release(&bufs[got]);
+    return result;
 }
 
 static PyMethodDef methods[] = {
     {"march", (PyCFunction)(void (*)(void))march,
      METH_VARARGS | METH_KEYWORDS, "Predict and correct every step of a trajectory in place."},
-    {"adams_step_sums", (PyCFunction)(void (*)(void))adams_step_sums,
-     METH_VARARGS | METH_KEYWORDS, "History sums (pred, corr) for one fractional Adams PECE step."},
+    {"adams_march", (PyCFunction)(void (*)(void))adams_march,
+     METH_VARARGS | METH_KEYWORDS, "Run every fractional Adams PECE step of a trajectory in place."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,9 +1,9 @@
 """Hot solver kernels in pure Python: the reference semantics.
 
 The compiled ``jacobipc._kernels`` (``_kernels.c``) implements ``march`` and
-``adams_step_sums`` with the same arguments and the same floating-point
+``adams_march`` with the same arguments and the same floating-point
 operation order, so the two backends give bit-identical results; it reads
-TIE_TOL and GUARD from here.
+TIE_TOL and GUARD from here.  Each runs every step of one method in place.
 
 ``march`` runs every predict/correct step of a trajectory.  Each step takes
 one quadrature sum of stencil interpolants of the f history as predictor
@@ -59,7 +59,7 @@ PLAN_BUDGET = 8192
 SETTLE_STEPS = 16
 
 MARCH_LENGTHS = ("march needs len(fc) == len(base) == len(x), len(weights) == len(nodes) >= 2 "
-                 "and len(bary) >= 1")
+                 "and len(bary) >= 2")
 
 
 def as_double(value):
@@ -196,13 +196,14 @@ def block_steps(node_count, size):
 def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
     """Predict and correct steps n = size - 1, ..., len(x) - 2 of x and fc in place.
 
-    ``solver._march`` describes the scheme.  size = len(bary); x[:size] and
-    fc[:size] hold the start values and their f values; base[n + 1] is the
-    term outside the integral at step n and pref = 1 / Gamma(alpha); rhs(t,
-    x) returns a value ``as_double`` takes.  The nodes must lie in [-1, 1]
-    (ValueError otherwise).  Returns (count, rhs_evals, interp_evals,
-    value_reads): the number of valid entries, less than len(x) if a step
-    left the guard, and the counters of the steps.
+    ``solver._march`` describes the scheme.  size = len(bary) >= 2; x[:size]
+    and fc[:size] hold the start values and their f values; base[n + 1] is
+    the term outside the integral at step n and pref = 1 / Gamma(alpha);
+    rhs(t, x) returns a value ``as_double`` takes.  The nodes must lie in
+    [-1, 1] (ValueError otherwise); node jn is the end node s = 1, whose
+    weight takes f_pred and which is never shared.  Returns (count,
+    rhs_evals, interp_evals, value_reads): the number of valid entries,
+    less than len(x) if a step left the guard, and the counters of the steps.
 
     Per sub-block of SETTLE_STEPS steps, ``settled_totals`` gives each step
     its predictor's running total before its first live node; the step adds
@@ -217,7 +218,7 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
     as arithmetic on Python floats.
     """
     size, n_steps, jn = len(bary), len(x) - 1, len(nodes) - 1
-    if not len(fc) == len(base) == n_steps + 1 or len(weights) != jn + 1 or jn < 1 or size < 1:
+    if not len(fc) == len(base) == n_steps + 1 or len(weights) != jn + 1 or jn < 1 or size < 2:
         raise IndexError(MARCH_LENGTHS)
     if not np.all(np.abs(nodes) <= 1.0):
         raise ValueError("quadrature nodes must lie in [-1, 1]")
@@ -267,8 +268,6 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
                     for f, c in zip(fl[k_lo:k_hi], cs):
                         s += c * f
                     total += w * (s / den)
-                if cut > jn:  # stencil size 1: every node is shared
-                    resumed = total
                 # a step that leaves the guard counts its passes up to the guard
                 x_pred = base_n + scale * total
                 if not abs(x_pred) <= GUARD:
@@ -305,30 +304,42 @@ def _history_weights(alpha, length):
     return b, c
 
 
-def adams_step_sums(fvals, n, alpha):
-    """History sums for one fractional Adams PECE step n -> n+1.
+def adams_march(rhs, x, fc, base, h, alpha, c_pred, c_corr):
+    """Fractional Adams PECE steps n = 0, ..., len(x) - 2 of x and fc in place.
 
-    Returns (pred, corr) with
-      pred = sum_{j<=n} ((n+1-j)^a - (n-j)^a) * f_j
-      corr = sum_{j<=n} a_{j,n+1} * f_j
-    using the standard corrector weights; the caller applies the h^alpha
-    prefactors.  Only the f_0 coefficient depends on n; the O(N^2) cost this
-    baseline is meant to exhibit is the whole-history sum at every step.
-
-    The weights depend on alpha and the lag m = n+1-j only, so they come
-    from ``_history_weights``, cached per alpha and buffer length: an Adams
-    run builds one table of O(N) powers, not O(N^2) powers.
-    The C twin keeps its two ``pow`` calls per term inside the loop, where
-    they are cheap next to its per-step overhead, and gives the same floats.
+    x[0] and fc[0] hold the initial value and its f value, base[n + 1] the
+    Taylor head at t = (n + 1) * h; c_pred = h^a / Gamma(a + 1) and c_corr =
+    h^a / Gamma(a + 2).  Step n predicts base[n + 1] + c_pred * sum_{j<=n}
+    ((n+1-j)^a - (n-j)^a) f_j and corrects base[n + 1] + c_corr * (f_pred +
+    sum_{j<=n} a_{j,n+1} f_j), where f_pred = ``as_double``(rhs(t, x_pred)).
+    Returns (count, rhs_evals, history_reads), as ``march`` does.  These
+    history sums are the O(N^2) cost this baseline exhibits; their weights
+    come from ``_history_weights``, where the C twin makes two ``pow`` calls
+    a term, with the same floats.
     """
-    fv = memoryview(fvals)
-    if n < 0 or len(fv) < n + 1:
-        raise IndexError(f"step {n} needs {n + 1} f values, buffer has {len(fv)}")
-    b, c = _history_weights(alpha, len(fv))
-    pred = 0.0
-    corr = (float(n) ** (alpha + 1.0) - (n - alpha) * float(n + 1) ** alpha) * fv[0]
-    for bm, cm, fj in zip(b[1:n + 1], c[1:n + 1], fv[n:0:-1]):  # f_{n+1-m}
-        pred += bm * fj
-        corr += cm * fj
-    pred += b[n + 1] * fv[0]
-    return pred, corr
+    if not len(fc) == len(base) == len(x) >= 1:
+        raise IndexError("adams_march needs len(fc) == len(base) == len(x) >= 1")
+    b, c = _history_weights(alpha, len(x))
+    fl = fc.tolist()
+    rhs_evals = history_reads = 0
+    for n, base_n in enumerate(base[1:].tolist()):
+        t1 = (n + 1) * h
+        history_reads += 2 * (n + 1)
+        pred = 0.0
+        corr = (float(n) ** (alpha + 1.0) - (n - alpha) * float(n + 1) ** alpha) * fl[0]
+        for bm, cm, fj in zip(b[1:n + 1], c[1:n + 1], fl[n:0:-1]):  # f_{n+1-m}
+            pred += bm * fj
+            corr += cm * fj
+        pred += b[n + 1] * fl[0]
+        x_pred = base_n + c_pred * pred
+        if not abs(x_pred) <= GUARD:
+            return n + 1, rhs_evals, history_reads
+        f_pred = as_double(rhs(t1, x_pred))
+        rhs_evals += 1
+        x_new = base_n + c_corr * (corr + f_pred)
+        if not abs(x_new) <= GUARD:
+            return n + 1, rhs_evals, history_reads
+        x[n + 1] = x_new
+        fc[n + 1] = fl[n + 1] = as_double(rhs(t1, x_new))
+        rhs_evals += 1
+    return len(x), rhs_evals, history_reads

@@ -22,8 +22,8 @@ from jacobipc._backend import kernels
 from jacobipc._kernels_py import as_double
 from jacobipc.interp import UniformGrid, step_count
 from jacobipc.problems import taylor_head
-from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters,
-                                 DivergenceError, Trajectory)
+from jacobipc.trajectory import (STATUS_DIVERGED, STATUS_OK, Counters, DivergenceError,
+                                 Trajectory)
 
 EXACT = "exact"
 REFINED_ADAMS = "refined_adams"
@@ -53,48 +53,25 @@ def adams_solve(problem, h, n_steps):
 
     Returns a trajectory over the uniform grid {0, h, ..., n_steps*h}; on
     divergence the trajectory is truncated at the last finite value and
-    flagged.  Cost is O(n_steps^2), so n_steps above MAX_ADAMS_STEPS is
-    refused with ValueError before the rhs is called.  The rhs values go
-    through ``_kernels_py.as_double``, as in the march.
+    flagged.  ``kernels.adams_march`` runs the steps.  Cost is O(n_steps^2),
+    so n_steps outside 1 to MAX_ADAMS_STEPS, like a step h that is not
+    finite and positive, is refused with ValueError before the rhs is called.
     """
-    if h <= 0 or n_steps < 1:
-        raise ValueError("need h > 0 and n_steps >= 1")
-    if n_steps > MAX_ADAMS_STEPS:
-        raise ValueError(f"Adams run of {n_steps} steps is above the "
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be finite and positive, got {h}")
+    if not 1 <= n_steps <= MAX_ADAMS_STEPS:
+        raise ValueError(f"Adams run of {n_steps} steps is not within 1 to the "
                          f"{MAX_ADAMS_STEPS}-step cap")
-    alpha = problem.alpha
-    rhs = problem.rhs
-    x = np.zeros(n_steps + 1)
-    fc = np.zeros(n_steps + 1)
+    alpha, rhs = problem.alpha, problem.rhs
+    x, fc = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     x[0] = problem.init[0]
     fc[0] = as_double(rhs(0.0, x[0]))
-    rhs_evals, history_reads = 1, 0
-    c_pred = h**alpha / math.gamma(alpha + 1.0)
-    c_corr = h**alpha / math.gamma(alpha + 2.0)
-    times = UniformGrid(0.0, h, n_steps + 1).times
-    base = taylor_head(problem, times)
-    count = n_steps + 1
-    for n in range(n_steps):
-        pred, corr = kernels.adams_step_sums(fc, n, alpha)
-        history_reads += 2 * (n + 1)
-        t1, head = times.item(n + 1), base.item(n + 1)
-        x_pred = head + c_pred * pred
-        if not abs(x_pred) <= GUARD:
-            count = n + 1
-            break
-        f_pred = as_double(rhs(t1, x_pred))
-        rhs_evals += 1
-        x_new = head + c_corr * (corr + f_pred)
-        if not abs(x_new) <= GUARD:
-            count = n + 1
-            break
-        x[n + 1] = x_new
-        fc[n + 1] = as_double(rhs(t1, x_new))
-        rhs_evals += 1
+    count, rhs_evals, history_reads = kernels.adams_march(
+        rhs, x, fc, taylor_head(problem, UniformGrid(0.0, h, n_steps + 1).times), h, alpha,
+        h**alpha / math.gamma(alpha + 1.0), h**alpha / math.gamma(alpha + 2.0))
     status = STATUS_OK if count == n_steps + 1 else STATUS_DIVERGED
-    counters = Counters(rhs_evals=rhs_evals, history_reads=history_reads)
-    grid = UniformGrid(0.0, h, count)
-    return Trajectory(grid, x[:count], fc[:count], status, counters).finalize()
+    return Trajectory(UniformGrid(0.0, h, count), x[:count], fc[:count], status,
+                      Counters(rhs_evals=1 + rhs_evals, history_reads=history_reads)).finalize()
 
 
 def _max_refinement(stencil_size):

@@ -22,10 +22,13 @@ from typing import Optional
 
 from jacobipc.adams import EXACT, MAX_ADAMS_STEPS, StarterConfig, adams_solve
 from jacobipc.problems import make_problem
-from jacobipc.solver import SolverConfig, quadrature_for, solve, step_count
+from jacobipc.solver import SolverConfig, check_rule_index, quadrature_for, solve, step_count
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
 ROW_GROWING = "growing"  # error failed to shrink under refinement
+
+MAX_SEARCH_STEPS = 1 << 22
+FLOOR_FACTOR = 1.2  # order-1 error decay is 2x a doubling; small alpha's, 1.4x
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,7 @@ def _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
         raise ValueError("no method to time: name at least one of jpc, adams")
     for m in methods:
         _check_method(m)
+    check_rule_index("jn", jn)
     quadrature_for(make_problem(problem_id, alpha, max(t_list)).alpha, jn)
     rows = []
     for method in methods:
@@ -209,26 +213,25 @@ def run_target(problem_id, alpha, tol, methods, t_list, stencil_size=SolverConfi
 
 
 def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
-                        jn=SolverConfig.jn, starter=StarterConfig(), method="jpc",
-                        n_max=1 << 22):
+                        jn=SolverConfig.jn, starter=StarterConfig(), method="jpc"):
     """Smallest step count with max error <= tol, by doubling then bisection.
 
     Best-effort: assumes the error is monotone in N near the answer, which
-    holds in the asymptotic regime the tables report.  The doubling stops at
-    n_max, and for the adams baseline at MAX_ADAMS_STEPS, with ValueError if
-    the error is still above tol there.  A run that diverges stops the search
-    with DivergenceError: its error, taken over its truncated grid, says
-    nothing of the target.
+    holds in the asymptotic regime the tables report.  The doubling stops with
+    ValueError at MAX_SEARCH_STEPS (adams: MAX_ADAMS_STEPS) and at an error
+    floor, where two doublings in a row each change the error by less than
+    FLOOR_FACTOR either way; a growing error is an instability, not a floor.
+    A run that diverges stops the search with DivergenceError: its error,
+    taken over its truncated grid, says nothing of the target.
     """
     _check_method(method)
     if problem.exact is None:
         raise ValueError("needs a problem with an exact solution")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"target error tol must be finite and positive, got {tol!r}")
-    if method == "adams" and n_max >= MAX_ADAMS_STEPS:
-        n_max, cap = MAX_ADAMS_STEPS, f"the Adams baseline's {MAX_ADAMS_STEPS}-step cap"
-    else:
-        cap = f"n_max = {n_max}"
+    n_cap, cap = MAX_SEARCH_STEPS, f"the search's {MAX_SEARCH_STEPS}-step cap"
+    if method == "adams" and n_cap >= MAX_ADAMS_STEPS:
+        n_cap, cap = MAX_ADAMS_STEPS, f"the Adams baseline's {MAX_ADAMS_STEPS}-step cap"
 
     def err(n):
         tr = _run(problem, method, problem.T / n, stencil_size, jn, starter)
@@ -238,11 +241,18 @@ def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
                                   f"an error of {tol:g} stops")
         return max(exact_errors(tr, problem.exact)[1])
 
-    lo, n = None, stencil_size
-    while err(n) > tol:
-        if n >= n_max:
+    lo, n, e = None, stencil_size, err(stencil_size)
+    since = (n, e)  # N and error where the last run of slow doublings began
+    while e > tol:
+        if n >= n_cap:
             raise ValueError(f"error still above {tol:g} at N={n}, {cap}")
-        lo, n = n, min(2 * n, n_max)
+        lo, n, e_lo = n, min(2 * n, n_cap), e
+        e = err(n)
+        if n < 2 * lo or not e_lo / FLOOR_FACTOR < e < e_lo * FLOOR_FACTOR:
+            since = (n, e)
+        elif n == 4 * since[0] and e > tol:
+            raise ValueError(f"error floor of about {since[1]:.3g} from N={since[0]} on: it moved "
+                             f"less than {FLOOR_FACTOR}x a doubling up to N={n}, above {tol:g}")
     if lo is None:
         return n
     hi = n  # err(lo) > tol >= err(hi)

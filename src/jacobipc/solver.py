@@ -35,9 +35,15 @@ from jacobipc._kernels_py import as_double
 from jacobipc.adams import StarterConfig, start_values
 from jacobipc.interp import UniformGrid, step_count, uniform_bary_weights
 from jacobipc.problems import taylor_head
-from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
+from jacobipc.quadrature import MAX_POINTS, JacobiWeight, gauss_lobatto_rule
 from jacobipc.split import head_integral
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, Counters, Trajectory
+
+
+def check_rule_index(name, jn):
+    """Refuse a rule index whose jn + 1 point Lobatto rule cannot be built."""
+    if not 2 <= jn <= MAX_POINTS - 1:
+        raise ValueError(f"rule index {name} must be from 2 to {MAX_POINTS - 1}, got {jn}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,8 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.t0 < math.inf:
             raise ValueError(f"split point t0 must be finite and positive, got {self.t0}")
-        if self.aux_jn is not None and self.aux_jn < 2:
-            raise ValueError("auxiliary rule index must be >= 2")
+        if self.aux_jn is not None:
+            check_rule_index("aux_jn", self.aux_jn)
         if self.fine_factor < 1:
             raise ValueError("fine_factor must be >= 1")
 
@@ -76,8 +82,7 @@ class SolverConfig:
         if self.stencil_size < 2:
             raise ValueError("stencil size must be at least 2")
         uniform_bary_weights(self.stencil_size)  # refuses sizes whose weights overflow
-        if self.jn < 2:
-            raise ValueError("quadrature index must be at least 2")
+        check_rule_index("jn", self.jn)
 
 
 def quadrature_for(alpha, jn):
@@ -124,10 +129,11 @@ def solve(problem, config):
     n_steps = step_count(problem.T - origin, h)
     if n_steps < size:
         raise ValueError("grid too coarse: need at least stencil_size steps")
-    rule = quadrature_for(problem.alpha, config.jn)
     if split is not None:
         aux_jn = split.aux_jn if split.aux_jn is not None else 2 * config.jn
+        check_rule_index("aux_jn = 2*jn", aux_jn)  # SplitConfig checked a given aux_jn
         aux_rule = gauss_lobatto_rule(JacobiWeight(0.0, 0.0), aux_jn + 1)
+    rule = quadrature_for(problem.alpha, config.jn)
     head, x_start = start_values(problem, h, size, config.starter, split)
     grid = UniformGrid(origin, h, n_steps + 1)
     base = taylor_head(problem, grid.times)

@@ -34,7 +34,8 @@ def compiled(tmp_path_factory):
          "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
         cwd=REPO, capture_output=True, text=True)
     log = proc.stdout + proc.stderr
-    # OptionalBuildExt only warns on a failed compile, so look for the module
+    # the extension is optional: setuptools only warns on a failed build, so
+    # look for the module
     built = sorted((out / "lib" / "jacobipc").glob("_kernels*" + sysconfig.get_config_var("EXT_SUFFIX")))
     assert proc.returncode == 0 and built, "extension did not build:\n" + log
     warnings = [line for line in log.splitlines() if "_kernels.c" in line and "warning:" in line]

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from adams_reference import STEP_SUM_NS, adams_step_sums_loop, adams_weights
+from adams_reference import (STEP_SUM_NS, adams_march_loop, adams_weights,
+                             history_sums_loop, marched_sums)
 from jacobipc import _kernels_py
 from jacobipc.adams import (EXACT, MAX_STARTER_STEPS, REFINED_ADAMS,
                             StarterConfig, adams_solve, recommended_refinement,
@@ -47,26 +48,31 @@ def test_weight_arrays_match_kernel_sums():
     alpha, h, n = 0.6, 0.125, 7
     f = rng.uniform(-2, 2, size=n + 2)
     w = adams_weights(alpha, h, n)
-    pred, corr = kernels.adams_step_sums(f, n, alpha)
+    pred, corr = marched_sums(kernels.adams_march, f.tolist(), alpha)[n]
     assert np.dot(w.predictor, f[: n + 1]) == pytest.approx(
         h**alpha / alpha * pred, rel=1e-12)
     assert np.dot(w.corrector[: n + 1], f[: n + 1]) == pytest.approx(corr, rel=1e-12)
 
 
-def test_pure_step_sums_match_the_scalar_loop_bit_for_bit():
-    f = np.random.default_rng(17).uniform(-2, 2, size=8192)
+def test_pure_adams_march_matches_the_scalar_run_bit_for_bit():
+    # the history sums of every step up to n = 1024 (pure against compiled
+    # runs to the step cap in test_backend), then whole runs of a real rhs
+    f = np.random.default_rng(17).uniform(-2, 2, size=1026).tolist()
+    base = np.random.default_rng(18).uniform(-1, 1, size=201)
     for alpha in (0.01, 0.3, 0.5, 1.0, 1.7, 1.99):
-        for n in STEP_SUM_NS:
-            got = _kernels_py.adams_step_sums(f, n, alpha)
-            want = adams_step_sums_loop(f, n, alpha)
-            assert [v.hex() for v in got] == [v.hex() for v in want], (alpha, n)
-
-
-def test_pure_step_sums_refuse_steps_the_buffer_cannot_hold():
-    f = np.ones(5)
-    for n in (-1, 5):
-        with pytest.raises(IndexError):
-            _kernels_py.adams_step_sums(f, n, 0.5)
+        sums = marched_sums(_kernels_py.adams_march, f, alpha)
+        for n in STEP_SUM_NS[:-1]:
+            want = history_sums_loop(f, n, alpha)
+            assert [v.hex() for v in sums[n]] == [v.hex() for v in want], (alpha, n)
+        runs = []
+        for march in (_kernels_py.adams_march, adams_march_loop):
+            x, fc = np.zeros(201), np.zeros(201)
+            x[0], fc[0] = 0.5, -0.4
+            counts = march(lambda t, y: math.sin(7.0 * t) - 0.8 * y, x, fc, base, 1.0 / 200,
+                           alpha, 0.9, 0.3)
+            runs.append((counts, [v.hex() for v in x.tolist() + fc.tolist()]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (201, 400, 200 * 201)
 
 
 def test_alpha_one_second_order_convergence():
@@ -130,6 +136,21 @@ def test_counters_when_a_guard_trips(phase):
     assert tr.counters.history_reads == (done + 1) * (done + 2)
     assert tr.counters.value_reads == 0
     assert tr.counters.interp_evals == 0
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_adams_solve_refuses_a_step_that_is_not_finite_and_positive(h):
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return -x
+
+    with pytest.raises(ValueError, match=f"step h must be finite and positive, got {h}"):
+        adams_solve(ProblemSpec(0.5, (1.0,), rhs, 1.0), h, 10)
+    with pytest.raises(ValueError, match="0 steps is not within 1"):
+        adams_solve(ProblemSpec(0.5, (1.0,), rhs, 1.0), 0.1, 0)
+    assert calls == []
 
 
 def test_adams_solve_refuses_runs_above_the_step_cap():

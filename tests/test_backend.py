@@ -10,9 +10,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.interp import uniform_bary_weights
 from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, SplitConfig, quadrature_for, solve
-from adams_reference import STEP_SUM_NS
+from adams_reference import STEP_SUM_NS, history_sums_loop, marched_sums
 from march_reference import weighted_interp_sum
 
 
@@ -121,17 +123,21 @@ def test_keyword_arguments_match_across_backends(compiled):
     fc0 = np.random.default_rng(13).uniform(-3, 3, size=41)
     got = {}
     for name, k in (("pure", _kernels_py), ("compiled", compiled)):
-        x, fc = np.zeros(41), fc0.copy()
+        x, fc, xa, fa = np.zeros(41), fc0.copy(), np.zeros(41), fc0.copy()
         got[name] = (
             k.march(rhs=lambda t, y: math.cos(t) - y, x=x, fc=fc, base=np.ones(41),
                     origin=0.25, h=0.05, alpha=0.7, pref=1.0, nodes=rule.nodes,
                     weights=rule.weights, bary=uniform_bary_weights(4)),
             x.tolist(), fc.tolist(),
-            k.adams_step_sums(fvals=fc0, n=20, alpha=0.7),
+            k.adams_march(rhs=lambda t, y: math.cos(t) - y, x=xa, fc=fa, base=np.ones(41),
+                          h=0.05, alpha=0.7, c_pred=0.8, c_corr=0.3),
+            xa.tolist(), fa.tolist(),
         )
     assert got["pure"] == got["compiled"]
     # 37 steps from n = 3 to 39, two rhs calls each, none leaving the guard
     assert got["pure"][0][:2] == (41, 2 * 37)
+    # 40 Adams steps, 2 (n + 1) history reads at step n
+    assert got["pure"][3] == (41, 2 * 40, 40 * 41)
 
 
 # positions the stencil rule cannot take: one node at n = 9, stencil size 3
@@ -153,15 +159,16 @@ def test_kernels_raise_alike_on_unusable_nodes(backend, corrector, node, error):
     assert calls == []
 
 
-def test_adams_step_sums_parity(compiled):
-    rng = np.random.default_rng(12)
-    f = rng.uniform(-2, 2, size=8192)
-    for alpha in (0.3, 1.0, 1.7):
+def test_adams_march_parity(compiled):
+    # the history sums of every step, to the last step of a run at the step
+    # cap (n = 8191) at alpha 1.7, and to n = 1024 at the other orders
+    f = np.random.default_rng(12).uniform(-2, 2, size=8193).tolist()
+    for alpha, length in ((0.3, 1026), (1.0, 1026), (1.7, 8193)):
+        got = marched_sums(compiled.adams_march, f[:length], alpha)
+        assert got == marched_sums(_kernels_py.adams_march, f[:length], alpha)
         for n in (5, 28) + STEP_SUM_NS:
-            pa, ca = compiled.adams_step_sums(f, n, alpha)
-            pb, cb = _kernels_py.adams_step_sums(f, n, alpha)
-            assert pa == pb
-            assert ca == cb
+            if n < length - 1:
+                assert got[n] == history_sums_loop(f, n, alpha), (alpha, n)
 
 
 def _digest(backend, monkeypatch):
@@ -243,12 +250,25 @@ def test_kernels_refuse_short_buffers(backend, request):
                        rule.nodes, weights, bary)
 
     assert march()[0] == 21  # the last step reads fc[20] at the end node s = 1
+    # a stencil needs two points: the end node s = 1 is then never shared
     for short in ({"fc": fc[:20]}, {"base": np.zeros(20)}, {"weights": rule.weights[:-1]},
-                  {"bary": np.zeros(0)}):
-        with pytest.raises(IndexError):
+                  {"bary": np.zeros(0)}, {"bary": np.ones(1)}):
+        with pytest.raises(IndexError, match=re.escape(_kernels_py.MARCH_LENGTHS)):
             march(**short)
-    with pytest.raises(IndexError):
-        k.adams_step_sums(fc[:20], 20, 0.5)
+
+    calls = []
+
+    def adams(x=np.zeros(21), fc=fc, base=np.zeros(21)):
+        return k.adams_march(lambda t, y: calls.append(t) or 0.0, x.copy(), fc.copy(), base,
+                             0.05, 0.5, 1.0, 1.0)
+
+    assert adams()[0] == 21 and len(calls) == 40
+    calls.clear()
+    for short in ({"fc": fc[:20]}, {"base": np.zeros(20)}, {"x": np.zeros(22)},
+                  {"x": np.zeros(0), "fc": fc[:0], "base": np.zeros(0)}):
+        with pytest.raises(IndexError, match="adams_march needs len"):
+            adams(**short)
+    assert calls == []
 
 
 def test_compiled_kernel_rejects_wrong_buffers(compiled):
@@ -261,19 +281,27 @@ def test_compiled_kernel_rejects_wrong_buffers(compiled):
         return compiled.march(lambda t, y: 0.0, a["x"], a["fc"], a["base"], 0.0, 0.1, 0.5,
                               1.0, a["nodes"], a["weights"], a["bary"])
 
+    def adams(**changed):
+        a = dict(good, **changed)
+        return compiled.adams_march(lambda t, y: 0.0, a["x"], a["fc"], a["base"], 0.1, 0.5,
+                                    1.0, 1.0)
+
     fc = np.zeros(10)
     for wrong in (fc.astype(np.float32), fc.reshape(2, 5), np.zeros(20)[::2]):
         for name in good:
             with pytest.raises(ValueError):
                 march(**{name: wrong})
-        with pytest.raises(ValueError):
-            compiled.adams_step_sums(wrong, 3, 0.5)
+            if name in ("x", "fc", "base"):
+                with pytest.raises(ValueError):
+                    adams(**{name: wrong})
     read_only = np.zeros(10)
     read_only.flags.writeable = False
-    for name in ("x", "fc"):  # the march writes both
+    for name in ("x", "fc"):  # both marches write both
         with pytest.raises(ValueError):
             march(**{name: read_only})
-    assert march()[0] == 10
+        with pytest.raises(ValueError):
+            adams(**{name: read_only})
+    assert march()[0] == 10 and adams()[0] == 10
 
 
 def test_forced_pure_subprocess_matches_this_backend():
@@ -300,3 +328,17 @@ print(json.dumps({
     assert got["endpoint"] == tr.x[-1].hex()
     assert got["rhs_evals"] == tr.counters.rhs_evals
     assert got["value_reads"] == tr.counters.value_reads
+
+
+def test_build_without_a_compiler_warns_and_succeeds(tmp_path):
+    # the extension is optional: with no compiler the install goes on with
+    # the pure kernels, and setuptools says the build failed
+    env = dict(os.environ, CC=str(tmp_path / "no-such-cc"))
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "temp")],
+        cwd=Path(__file__).resolve().parents[1], env=env, capture_output=True, text=True)
+    log = proc.stdout + proc.stderr
+    assert proc.returncode == 0, log
+    assert 'building extension "jacobipc._kernels" failed' in log
+    assert not list(tmp_path.rglob("_kernels*.so")) and not list(tmp_path.rglob("_kernels*.pyd"))

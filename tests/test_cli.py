@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from jacobipc import reports
+from jacobipc import reports, solver
 from jacobipc.adams import MAX_ADAMS_STEPS, adams_solve
 from jacobipc.cli import main
 from jacobipc.mittag import ml_solution
@@ -448,6 +448,40 @@ def test_adams_runs_above_the_step_cap_exit_1(args, capsys, monkeypatch):
     assert err.startswith("error: ") and "8192-step cap" in err
     if args[0] == "bench":  # the search runs at the cap last, never above it
         assert max(steps) == steps[-1] == MAX_ADAMS_STEPS
+
+
+def test_target_search_stops_at_an_error_floor_exit_1(capsys):
+    # unsplit ml_linear settles at 7.8e-6 from N = 3072 on: the search stops
+    # two doublings later instead of doubling on to 2^22 steps
+    begin = time.perf_counter()
+    assert main(["bench", "--problem", "ml_linear", "--alpha", "0.5", "--t-list", "1",
+                 "--methods", "jpc", "--target-error", "1e-12"]) == 1
+    assert time.perf_counter() - begin < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: error floor of about 7.78e-06 from N=3072 on: ")
+    assert "up to N=12288, above 1e-12" in err
+
+
+@pytest.mark.parametrize("args,named", [
+    (["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--t-list", "1",
+      "--jn", "1"], "jn must be from 2 to 1024, got 1"),
+    (["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--t-list", "1",
+      "--jn", "5000"], "jn must be from 2 to 1024, got 5000"),
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10", "--jn", "5000"],
+     "jn must be from 2 to 1024, got 5000"),
+    (["solve", "--problem", "ml_linear", "--alpha", "0.5", "--n", "10", "--t-end", "2",
+      "--split-t0", "1", "--split-jn", "5000"], "aux_jn must be from 2 to 1024, got 5000"),
+    # the default aux_jn = 2*jn
+    (["solve", "--problem", "ml_linear", "--alpha", "0.5", "--n", "10", "--t-end", "2",
+      "--split-t0", "1", "--jn", "600"], "aux_jn = 2*jn must be from 2 to 1024, got 1200"),
+])
+def test_rule_index_refusals_name_the_index_before_any_rule_is_built(args, named, capsys,
+                                                                      monkeypatch):
+    built = []
+    monkeypatch.setattr(solver, "gauss_lobatto_rule", lambda *a: built.append(a))
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: rule index {named}\n"
+    assert built == []
 
 
 def test_target_search_stops_at_a_diverged_run_exit_2(capsys):

@@ -315,7 +315,7 @@ def test_run_timing_validation():
         run_timing("poly8", 0.5, 0.1, (), (1.0,))
 
 
-def test_smallest_n_reaching_is_minimal():
+def test_smallest_n_reaching_is_minimal(monkeypatch):
     problem = make_problem("poly8", 0.5, 1.0)
     tol = 1e-3
     n = smallest_n_reaching(problem, tol)
@@ -341,8 +341,9 @@ def test_smallest_n_reaching_is_minimal():
             smallest_n_reaching(problem, tol)
     with pytest.raises(ValueError, match="exact"):
         smallest_n_reaching(ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0), 1e-3)
-    with pytest.raises(ValueError, match="still above"):
-        smallest_n_reaching(problem, 1e-30, n_max=64)
+    monkeypatch.setattr(reports, "MAX_SEARCH_STEPS", 64)
+    with pytest.raises(ValueError, match="still above 1e-30 at N=64, the search's 64-step cap"):
+        smallest_n_reaching(problem, 1e-30)
 
 
 def test_run_convergence_marks_a_growing_row():
@@ -394,14 +395,42 @@ def test_target_search_stops_at_the_adams_cap_and_at_divergence(monkeypatch):
         return adams_solve(problem, h, n_steps)
 
     monkeypatch.setattr(reports, "adams_solve", recording)
-    with pytest.raises(ValueError, match="still above 1e-30 at N=100, n_max = 100"):
-        smallest_n_reaching(problem, 1e-30, method="adams", n_max=100)
+    with monkeypatch.context() as m, pytest.raises(
+            ValueError, match="still above 1e-30 at N=100, the search's 100-step cap"):
+        m.setattr(reports, "MAX_SEARCH_STEPS", 100)
+        smallest_n_reaching(problem, 1e-30, method="adams")
     assert steps == [3, 6, 12, 24, 48, 96, 100]
     # x' = x^3 from x(0) = 1 leaves the guard on any grid
     blowup = ProblemSpec(0.5, (1.0,), lambda t, x: x ** 3, 4.0, exact=lambda t: 1.0)
     for method in ("jpc", "adams"):
         with pytest.raises(DivergenceError, match=rf"{method} run at N=\d+ diverged"):
             smallest_n_reaching(blowup, 1e-3, method=method)
+
+
+def _scripted_errors(monkeypatch, errors):
+    """Make the target search see errors[N] as the max error of a run with N steps."""
+    monkeypatch.setattr(reports, "exact_errors",
+                        lambda tr, exact: (None, [errors[tr.grid.count - 1]]))
+
+
+def test_target_search_stops_at_an_error_floor(monkeypatch):
+    problem = make_problem("poly8", 0.5, 1.0)
+    # one slow doubling does not stop the search, nor does an error that
+    # grows (an instability, not a floor)
+    _scripted_errors(monkeypatch, {3: 1.0, 6: 1.1, 12: 0.5, 24: 0.45, 48: 5.0, 96: 1e-3,
+                                   72: 1e-3, 60: 0.01, 66: 1e-3, 63: 1e-3, 61: 0.01, 62: 1e-3})
+    assert smallest_n_reaching(problem, 1e-3) == 62
+    # two slow ones in a row do, naming the floor and the N where it set in;
+    # the error may rise a little there
+    _scripted_errors(monkeypatch, {3: 1.0, 6: 0.3, 12: 0.1, 24: 0.09, 48: 0.095, 96: 1e-6})
+    with pytest.raises(ValueError, match=r"error floor of about 0\.1 from N=12 on: it moved "
+                                         r"less than 1\.2x a doubling up to N=48, above 0\.001"):
+        smallest_n_reaching(problem, 1e-3)
+    assert reports.FLOOR_FACTOR <= 1.25
+    # a second slow doubling that reaches the target ends the search as usual
+    _scripted_errors(monkeypatch, {3: 1.0, 6: 0.3, 12: 0.1, 24: 0.09, 48: 0.085, 36: 0.09,
+                                   42: 0.085, 39: 0.09, 40: 0.09, 41: 0.085})
+    assert smallest_n_reaching(problem, 0.085) == 41
 
 
 def test_run_target_reports_minimal_steps():
