@@ -75,6 +75,22 @@ def test_pure_adams_march_matches_the_scalar_run_bit_for_bit():
         assert runs[0][0] == (201, 400, 200 * 201)
 
 
+def test_pure_step_sums_refuse_steps_the_buffer_cannot_hold():
+    # a step past the end of fc or base, or no step 0 at all, before any rhs call
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return 0.0
+
+    for x, fc, base in ((np.zeros(6), np.ones(5), np.zeros(6)),
+                        (np.zeros(6), np.ones(6), np.zeros(5)),
+                        (np.zeros(0), np.ones(0), np.zeros(0))):
+        with pytest.raises(IndexError):
+            _kernels_py.adams_march(rhs, x, fc, base, 0.1, 0.5, 1.0, 1.0)
+    assert calls == []
+
+
 def test_alpha_one_second_order_convergence():
     problem = make_problem("ml_linear", 1.0, 1.0)
     errs = []
