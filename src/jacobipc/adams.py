@@ -90,7 +90,8 @@ def recommended_refinement(alpha, h, stencil_size):
     (it costs O((10^k)^2)).
     """
     if h >= 1.0:
-        raise ValueError("refinement rule assumes h < 1")
+        raise ValueError(f"refinement rule assumes h < 1, got h = {h}; "
+                         "give the refinement with --starter refined:K")
     p = 1.0 + min(alpha, 1.0)
     k = math.ceil((stencil_size + 0.5 - p) * math.log10(1.0 / h) / p - 1e-12)
     return min(max(k, 0), _max_refinement(stencil_size))

@@ -20,19 +20,26 @@ continuously into e^-x there.
 
 Accuracy: the absolute error is at most about 3.4 e^-L = 1.1e-3 tol, worst
 at orders near 2/3 where the poles cross the edge of the strip, down to a
-rounding floor of about 4e-15; at the default tolerance that is 1.2e-13
+rounding floor of about 4e-15; at the default tolerance that is 1.1e-13
 against a 30-digit reference for a in [0.01, 1.99] and x in [0, 1000].
 Cost: at most 2L/h + 2 = 2 L^2 / (a pi^2) + 2 nodes, that is 195 / a at
 the default tolerance and 393 / a at tol = machine epsilon (the smallest
 accepted), so 19,500 and 39,300 at a = MIN_ORDER; lower orders are
 refused.  a = 1 and a = 2 short-circuit to exp and cos(sqrt(.)).
 
-The nodes on [-L, L], e^s and the denominator (e^s + 2 cos(a pi)) e^s + 1
-depend on (a, tol) only, so ``_trapezoid_table`` builds them once per pair
-(a small LRU cache) and each value reads the first m = ceil(hi/h) - lo of
-them, with the same operations as a table built for that value alone.  m
-is clamped at 0: hi < -L (x beyond about 745^a e^L) leaves no node, where a
-negative m would keep the head of the table, on which exp overflows.
+Everything that depends on (a, tol) alone, the nodes on [-L, L] divided
+by a, e^s / ((e^s + 2 cos(a pi)) e^s + 1), the factor sin(a pi)/(a pi) h
+and the constants of the pole and mode terms, is built once per pair by
+``_trapezoid_table`` (a small LRU cache).  A value reads the first
+m = ceil(hi/h) - lo nodes, with the same operations as a table built for
+that value alone, and costs six ufunc calls on them: the terms
+exp(-exp(s/a + ln(x)/a)) e^s/den, all positive because den has no real
+zero, summed left to right in node order (``np.add.accumulate``, as every
+quadrature sum of the program is), then the scalar pole and mode terms.
+That is about 6-9 us a value at orders 0.2 to 1.9 once the order has
+been seen (2-vCPU host).  m is clamped at 0: hi < -L (x beyond about
+745^a e^L) leaves no node and the sum is 0.0, where a negative m would
+keep the head of the table, on which exp overflows.
 """
 
 import functools
@@ -49,40 +56,60 @@ LN_UNDERFLOW = math.log(745.0)  # exp(-745) is zero in float64
 
 @functools.lru_cache(maxsize=8)
 def _trapezoid_table(alpha, tol):
-    """(L, h, lo, s, e^s, (e^s + 2 cos(a pi)) e^s + 1) for order alpha and tol.
+    """(L, h, lo, s/a, e^s/den, scale, pole, mode) for order alpha and tol.
 
     The nodes s = (k + 1/2) h run over lo <= k < ceil(L/h), that is over
-    [-L, L]; the arrays are read-only.
+    [-L, L], and den = (e^s + 2 cos(a pi)) e^s + 1; the two arrays are
+    read-only.  scale = sin(a pi)/(a pi) h multiplies the node sum.  pole
+    is (cos phi, sin phi, c) with phi = |1 - a| pi/a and c the signed
+    closed-form weight of the poles' trapezoid error, or None when the
+    poles lie outside the strip; mode is (cos(pi/a), sin(pi/a), 2/a) for
+    a > 1, else None.
     """
     big_l = ACCURACY_MARGIN - math.log(min(tol, 1.0))
     h = alpha * math.pi ** 2 / big_l
     lo = math.floor(-big_l / h)
     s = (np.arange(lo, math.ceil(big_l / h)) + 0.5) * h
     es = np.exp(s)
-    den = (es + 2.0 * math.cos(alpha * math.pi)) * es + 1.0
-    for a in (s, es, den):
+    weight = es / ((es + 2.0 * math.cos(alpha * math.pi)) * es + 1.0)
+    scaled = s / alpha
+    for a in (scaled, weight):
         a.flags.writeable = False
-    return big_l, h, lo, s, es, den
+    scale = math.sin(alpha * math.pi) / (alpha * math.pi) * h
+    pole = mode = None
+    gap = abs(1.0 - alpha)
+    if gap < 0.5 * alpha:  # the poles s = +-i gap pi lie inside the strip
+        phi = gap * math.pi / alpha
+        c = (2.0 / alpha) / (1.0 + math.exp(2.0 * math.pi ** 2 * gap / h))
+        pole = (math.cos(phi), math.sin(phi), c if alpha < 1.0 else -c)
+    if alpha > 1.0:
+        th = math.pi / alpha
+        mode = (math.cos(th), math.sin(th), 2.0 / alpha)
+    return big_l, h, lo, scaled, weight, scale, pole, mode
 
 
 def _evaluate(alpha, x, tol):
     """E_alpha(-x) for 0 < x < inf and alpha in [MIN_ORDER, 2), alpha != 1."""
-    big_l, h, lo, s, es, den = _trapezoid_table(alpha, tol)
-    hi = min(big_l, alpha * LN_UNDERFLOW - math.log(x))
+    big_l, h, lo, scaled, weight, scale, pole, mode = _trapezoid_table(alpha, tol)
+    lx = math.log(x)
+    hi = min(big_l, alpha * LN_UNDERFLOW - lx)
     m = max(math.ceil(hi / h) - lo, 0)  # hi < -L leaves no node
-    f = np.exp(-np.exp((s[:m] + math.log(x)) / alpha)) * es[:m]
-    f /= den[:m]
-    total = math.sin(alpha * math.pi) / (alpha * math.pi) * h * math.fsum(f.tolist())
-    r = math.exp(min(math.log(x) / alpha, 700.0))  # x^(1/a), finite
-    gap = abs(1.0 - alpha)
-    if gap < 0.5 * alpha:  # the poles s = +-i gap pi lie inside the strip
-        phi = gap * math.pi / alpha
-        pole = math.exp(-r * math.cos(phi)) * math.cos(r * math.sin(phi))
-        pole *= (2.0 / alpha) / (1.0 + math.exp(2.0 * math.pi ** 2 * gap / h))
-        total += pole if alpha < 1.0 else -pole
-    if alpha > 1.0:
-        th = math.pi / alpha
-        total += (2.0 / alpha) * math.exp(r * math.cos(th)) * math.cos(r * math.sin(th))
+    ln_r = lx / alpha  # ln x^(1/a)
+    total = 0.0
+    if m:
+        f = np.add(scaled[:m], ln_r)  # ln (x e^s)^(1/a)
+        np.exp(f, out=f)
+        np.negative(f, out=f)
+        np.exp(f, out=f)
+        f *= weight[:m]
+        total = scale * float(np.add.accumulate(f, out=f)[-1])  # in node order
+    r = math.exp(min(ln_r, 700.0))  # x^(1/a), finite
+    if pole is not None:
+        cos_phi, sin_phi, c = pole
+        total += math.exp(-r * cos_phi) * math.cos(r * sin_phi) * c
+    if mode is not None:
+        cos_th, sin_th, c = mode
+        total += c * math.exp(r * cos_th) * math.cos(r * sin_th)
     return total
 
 

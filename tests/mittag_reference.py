@@ -77,21 +77,38 @@ def ml_reference(alpha, z, digits=DIGITS):
     return ml_quad(alpha, x, digits)
 
 
-def evaluate_per_call(alpha, x, tol):
-    """``mittag._evaluate`` with the nodes, e^s and the denominator built
-    afresh at every call, over [-L, hi] only.  The evaluator, which reads
-    them from its cached table, must give the same float bit for bit."""
+def accumulated_sum(terms):
+    """The evaluator's sum: the last entry of ``np.add.accumulate``."""
+    return float(np.add.accumulate(terms)[-1])
+
+
+def node_order_sum(terms):
+    """The terms summed left to right as Python floats, from 0.0."""
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total
+
+
+def evaluate_per_call(alpha, x, tol, node_sum=accumulated_sum):
+    """``mittag._evaluate`` with the nodes, e^s/den and the constants built
+    afresh at every call, over [-L, hi] only, and the m > 0 terms summed by
+    ``node_sum``.  The evaluator, which reads them from its cached table,
+    must give the same float bit for bit."""
     from jacobipc.mittag import ACCURACY_MARGIN, LN_UNDERFLOW
 
     big_l = ACCURACY_MARGIN - math.log(min(tol, 1.0))
     h = alpha * math.pi ** 2 / big_l
-    hi = min(big_l, alpha * LN_UNDERFLOW - math.log(x))
+    lx = math.log(x)
+    hi = min(big_l, alpha * LN_UNDERFLOW - lx)
     s = (np.arange(math.floor(-big_l / h), math.ceil(hi / h)) + 0.5) * h
     es = np.exp(s)
-    f = np.exp(-np.exp((s + math.log(x)) / alpha)) * es
-    f /= (es + 2.0 * math.cos(alpha * math.pi)) * es + 1.0
-    total = math.sin(alpha * math.pi) / (alpha * math.pi) * h * math.fsum(f.tolist())
-    r = math.exp(min(math.log(x) / alpha, 700.0))  # x^(1/a), finite
+    f = np.exp(-np.exp(s / alpha + lx / alpha))
+    f *= es / ((es + 2.0 * math.cos(alpha * math.pi)) * es + 1.0)
+    total = 0.0
+    if f.size:
+        total = math.sin(alpha * math.pi) / (alpha * math.pi) * h * node_sum(f)
+    r = math.exp(min(lx / alpha, 700.0))  # x^(1/a), finite
     gap = abs(1.0 - alpha)
     if gap < 0.5 * alpha:  # the poles s = +-i gap pi lie inside the strip
         phi = gap * math.pi / alpha

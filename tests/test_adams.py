@@ -195,7 +195,7 @@ def test_recommended_refinement_rule():
     h = 0.05
     assert (h * 10.0**-k) ** p <= h ** 2.5 * (1 + 1e-9)
     assert k == 0 or (h * 10.0 ** -(k - 1)) ** p > h**2.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got h = 1\.0; .*--starter refined:K"):
         recommended_refinement(0.5, 1.0, 3)
 
 

@@ -227,6 +227,18 @@ def test_refined_starter_is_capped(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_refinement_rule_refusal_names_h_and_the_way_out(capsys):
+    args = ["solve", "--rhs=-x", "--init", "1", "--alpha", "0.5", "--t-end", "3", "--h", "1"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: refinement rule assumes h < 1, got h = 1.0; "
+                            "give the refinement with --starter refined:K\n")
+    assert main(args + ["--starter", "refined:1"]) == 0
+    _, _, status = endpoint_fields(capsys.readouterr().out)
+    assert status == "ok"
+
+
 def test_split_refusals_name_the_flags(capsys):
     split = ["solve", "--problem", "ml_linear", "--alpha", "0.5", "--split-t0", "0.5",
              "--n", "10"]

@@ -12,7 +12,7 @@ import pytest
 
 from jacobipc import mittag
 from jacobipc.mittag import MIN_ORDER, mittag_leffler, ml_solution
-from mittag_reference import evaluate_per_call, ml_reference
+from mittag_reference import evaluate_per_call, ml_reference, node_order_sum
 
 
 def test_order_one_is_exp():
@@ -132,9 +132,11 @@ def test_cached_table_changes_no_bits():
 
 
 def test_cached_table_is_read_only_and_an_empty_range_gives_no_nodes():
-    big_l, h, lo, s, es, den = mittag._trapezoid_table(MIN_ORDER, 1e-10)
+    big_l, h, lo, scaled, weight, scale, pole, mode = mittag._trapezoid_table(MIN_ORDER, 1e-10)
+    s = scaled * MIN_ORDER
     assert abs(s[0] + big_l) <= h and abs(s[-1] - big_l) <= h  # the nodes span [-L, L]
-    for a in (s, es, den):
+    assert len(scaled) == len(weight) and scale > 0.0 and pole is None and mode is None
+    for a in (scaled, weight):
         assert not a.flags.writeable
     # hi = MIN_ORDER ln 745 - ln x < -L: the sum is empty, not the table's
     # head, where exp overflows before the integrand underflows to 0
@@ -143,6 +145,15 @@ def test_cached_table_is_read_only_and_an_empty_range_gives_no_nodes():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert mittag._evaluate(MIN_ORDER, x, 1e-10) == 0.0
+
+
+@pytest.mark.parametrize("tol", [sys.float_info.epsilon, 1e-10])
+@pytest.mark.parametrize("alpha", [MIN_ORDER, 0.4, 0.999, 1.5])
+def test_terms_are_summed_in_node_order(alpha, tol):
+    # the pole band (0.999) and the mode term (1.5) are added after the sum
+    for x in (10.0 ** np.linspace(-8, 4, 25)).tolist():
+        got = mittag._evaluate(alpha, x, tol)
+        assert got.hex() == evaluate_per_call(alpha, x, tol, node_order_sum).hex(), x
 
 
 def test_lowest_order_is_fast():
