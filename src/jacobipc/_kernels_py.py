@@ -31,11 +31,20 @@ sums those settled nodes for every step of the sub-block in one numpy pass,
 and each step finishes its live nodes in a scalar loop over Python floats:
 the predictor's from the first node that reads past n_a (or from J, if that
 comes first), and the corrector's own from J.  At jn = 26 the predictor
-has one to five live nodes a step from n = 100 on.  The C ``march`` runs
-one scalar loop over all nodes in place of the plans; both do the same
-operations in the same order and take each rhs value as a C double
-(``as_double``).  ``plan_values`` is the one numpy pass from plan rows to
-node values, for ``settled_totals`` and for the split head on both backends.
+has one to five live nodes a step from n = 100 on.
+
+That scalar loop is built once per stencil size (``_march_loop``, cached),
+from one source template, the way ``dataclasses`` builds its methods: with
+the size fixed, each live node is one flat tuple (c_0, ..., c_{size-1}, lo,
+hit, den, w, j) and its sum is written out as 0.0 + c0 * fl[lo] + c1 *
+fl[lo + 1] + ..., which Python adds from the left, term by term, as the C
+loop adds num += c * f; a node with an exact hit adds w * fl[lo], as the C
+loop adds its one value.  So both backends do the same operations in the
+same order, bit for bit, without a generic loop over each node's terms.
+The C ``march`` runs one scalar loop over all nodes in place of the plans;
+both take each rhs value as a C double (``as_double``).  ``plan_values`` is
+the one numpy pass from plan rows to node values, for ``settled_totals``
+and for the split head on both backends.
 """
 
 import functools
@@ -54,7 +63,7 @@ COMPILED = False
 TIE_TOL = 1e-12
 
 # plan elements (steps x nodes x stencil size) per block of march steps
-PLAN_BUDGET = 8192
+PLAN_BUDGET = 16384
 # steps of a plan block marched from one ``settled_totals`` pass
 SETTLE_STEPS = 16
 
@@ -113,34 +122,46 @@ def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
     corrector sum.
 
     The C march's scalar loop computes each coefficient and each den with
-    the same operations on the same values.  The nodes must lie in [-1, 1].
-    A den of zero at a node with no hit is left in for the caller to refuse.
+    the same operations on the same values.  The nodes must lie in [-1, 1]
+    and rise with j.  A den of zero at a node with no hit is left in for the
+    caller to refuse.
     """
-    np1 = np.arange(n_lo + 1, n_hi + 1)[:, None]
-    usable = np1 + 1 if corrector else np1
+    np1 = np.arange(n_lo + 1.0, n_hi + 1.0)[:, None]
+    usable = np1 + 1.0 if corrector else np1
     ln, rn = (size + 1) // 2, size // 2
     theta = 0.5 * (1.0 + nodes[:node_count]) * np1
-    le = np.minimum(np.floor(theta + TIE_TOL).astype(np.int64) + 1, usable)
-    outside = le > np1 - rn
-    shared = np.where(outside.any(axis=1), outside.argmax(axis=1), node_count)
-    start = np.where(le <= ln, 0, np.where(le + rn >= usable, usable - size, le - ln))
+    # left = le - 1 for le = min(left + 1, usable) grid values at or left of theta
+    left = theta + TIE_TOL
+    np.floor(left, out=left)
+    # le rises with the nodes, so the shared nodes, with le + rn <= n+1, are a
+    # prefix (as usable > n+1 - rn, the bound on le does not matter)
+    shared = (left < np1 - rn).sum(axis=1)
+    # start = max(min(le - ln, usable - size), 0), in which le may stand unbounded
+    start = left
+    start -= ln - 1
+    np.minimum(start, usable - size, out=start)
+    np.maximum(start, 0.0, out=start)
     x = theta - start
+    start = start.astype(np.int64)
     # x - k is exact within 0.5 of k, so only the integer nearest x can be hit
     # (x >= -TIE_TOL, so that integer is never negative)
     near = np.rint(x)
     hit = (np.abs(x - near) < TIE_TOL) & (near < size)
     hit_k = near.astype(np.int64)
-    k = np.arange(size)[:, None]
+    # the plan arrays are built k-major, as (size, steps, nodes), so that each
+    # pass runs over whole steps x nodes planes, and returned transposed
+    k = np.arange(size)[:, None, None]
     # zero coefficients at a hit (bary / inf), then 1 for k = 0
-    coef = bary[:, None] / (np.where(hit, np.inf, x)[:, None, :] - k.astype(float))
-    coef[:, 0] += hit
+    coef = bary[:, None, None] / (np.where(hit, np.inf, x) - k.astype(float))
+    coef[0] += hit
     den = np.zeros(x.shape)
-    for c in coef.transpose(1, 0, 2):
-        den = den + c
-    idx = start[:, None, :] + np.where(hit[:, None, :], hit_k[:, None, :], k)
-    reads = np.zeros((len(np1), node_count + 1), dtype=np.int64)
+    for c in coef:
+        den += c
+    idx = start + np.where(hit, hit_k, k)
+    reads = np.zeros((n_hi - n_lo, node_count + 1), dtype=np.int64)
     np.cumsum(np.where(hit, hit_k + 1, size), axis=1, out=reads[:, 1:])
-    return StencilPlan(idx, coef, den, reads, shared, weights[:node_count])
+    return StencilPlan(idx.transpose(1, 0, 2), coef.transpose(1, 0, 2), den, reads, shared,
+                       weights[:node_count])
 
 
 def plan_values(plan, i0, i1, fvals):
@@ -177,13 +198,14 @@ def settled_totals(plan, i0, i1, fvals):
 
 def _scalar_nodes(plan, mask):
     """The nodes of ``plan`` that ``mask`` (steps x nodes) selects, in order of
-    steps and nodes, as tuples of Python lists, ints and floats: per node its
-    coefficients in order of k, the range lo:hi of the f indices it reads
-    (start:start + size, or the one index of an exact hit, whose
-    coefficient comes first), its den, its weight and its index."""
+    steps and nodes, as flat tuples of Python floats, ints and bools: per
+    node its coefficients c_0, ..., c_{size-1} in order of k, the first f
+    index it reads (start, or the one index of an exact hit), whether it is
+    a hit, its den, its weight and its index."""
     i, j = mask.nonzero()
-    idx = plan.idx[i, :, j]
-    return zip(plan.coef[i, :, j].tolist(), idx[:, 0].tolist(), (idx[:, -1] + 1).tolist(),
+    lo = plan.idx[i, 0, j]
+    columns = (plan.coef[i, k, j].tolist() for k in range(plan.coef.shape[1]))
+    return zip(*columns, lo.tolist(), (plan.idx[i, -1, j] == lo).tolist(),
                plan.den[i, j].tolist(), plan.weights[j].tolist(), j.tolist())
 
 
@@ -200,95 +222,129 @@ def march(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
     and fc[:size] hold the start values and their f values; base[n + 1] is
     the term outside the integral at step n and pref = 1 / Gamma(alpha);
     rhs(t, x) returns a value ``as_double`` takes.  The nodes must lie in
-    [-1, 1] (ValueError otherwise); node jn is the end node s = 1, whose
-    weight takes f_pred and which is never shared.  Returns (count,
-    rhs_evals, interp_evals, value_reads): the number of valid entries,
-    less than len(x) if a step left the guard, and the counters of the steps.
-
-    Per sub-block of SETTLE_STEPS steps, ``settled_totals`` gives each step
-    its predictor's running total before its first live node; the step adds
-    its live nodes in a scalar loop, keeping the total before J, from which
-    the corrector adds its own nodes.  The scalar loop reads a Python-list
-    mirror of fc and does the C march's operations in its order (s = 0.0;
-    s += c_k * f_k; total += w_j * (s / den_j)), so the result is bit for
-    bit that of the C march.  Each new f value is read at the next step by
-    its last node, which is never a hit, so a non-finite f value leaves the
-    guard at the same step on both backends.  numpy's floating-point errors
-    are ignored inside, the rhs calls included, so the march is as silent
-    as arithmetic on Python floats.
+    [-1, 1] (ValueError otherwise) and rise with j; node jn is the end node
+    s = 1, whose weight takes f_pred and which is never shared.  Returns
+    (count, rhs_evals, interp_evals, value_reads): the number of valid
+    entries, less than len(x) if a step left the guard, and the counters of
+    the steps.  The steps run in ``_march_loop(size)``.  Whatever ends the
+    march, a guard trip or an exception included, x and fc then hold every
+    value its steps have set, as they do after the C march, which writes
+    them step by step.  numpy's floating-point errors are ignored inside,
+    the rhs calls included, so the march is as silent as arithmetic on
+    Python floats.
     """
     size, n_steps, jn = len(bary), len(x) - 1, len(nodes) - 1
     if not len(fc) == len(base) == n_steps + 1 or len(weights) != jn + 1 or jn < 1 or size < 2:
         raise IndexError(MARCH_LENGTHS)
     if not np.all(np.abs(nodes) <= 1.0):
         raise ValueError("quadrature nodes must lie in [-1, 1]")
+    return _march_loop(size)(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary)
+
+
+# The step loop of ``march`` as source text, for ``_march_loop`` to fill in
+# per stencil size: {coefs} names a node's coefficients c0, c1, ... and
+# {interp} is its numerator written out in order of k.  Per sub-block of
+# SETTLE_STEPS steps, ``settled_totals`` gives each step its predictor's
+# running total before its first live node; the step adds its live nodes,
+# keeping the total before J, from which the corrector adds its own nodes.
+# The steps read and write the Python lists fl and xl, mirrors of fc and x:
+# fc gets fl's new values before each ``settled_totals`` pass, which reads
+# it, and x and fc get the rest on any exit.  Each new f value is read at the
+# next step by its last node, which is never a hit, so a non-finite f value
+# leaves the guard at the same step on both backends.
+_MARCH_LOOP = """
+def march_loop(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
+    size, n_steps, jn = {size}, len(x) - 1, len(nodes) - 1
     end_w = weights.item(jn)
-    fl = fc.tolist()
+    fl, xl = fc.tolist(), x.tolist()
     rhs_evals = interp_evals = value_reads = 0
     span = block_steps(jn + 1, size)
-    for n_lo in range(size - 1, n_steps, span):
-        n_hi = min(n_lo + span, n_steps)
-        rows = np.arange(n_hi - n_lo)
-        pred = stencil_plan(n_lo, n_hi, nodes, weights, jn + 1, size, bary, 0)
-        shared = pred.shared
-        # the corrector's reads: the shared prefix, then its own from J on
-        reads_c = pred.reads[rows, shared]
-        unusable = not pred.den.all()
-        j0 = int(shared.min())
-        if j0 < jn:
-            corr = stencil_plan(n_lo, n_hi, nodes[j0:], weights[j0:], jn - j0, size, bary, 1)
-            reads_c = reads_c + corr.reads[:, -1] - corr.reads[rows, shared - j0]
-            own = np.arange(j0, jn) >= shared[:, None]
-            unusable |= np.any((corr.den == 0.0) & own)
-            corr_nodes = _scalar_nodes(corr, own)
-        if unusable:
-            raise ZeroDivisionError("float division by zero")
-        # a step's live nodes start at F, the first node that reads past its
-        # sub-block's start (jn + 1 if none does), or at J if that is earlier
-        sub = rows % SETTLE_STEPS
-        late = pred.idx[:, -1] > (n_lo + rows - sub)[:, None]
-        first = np.minimum(np.where(late.any(1), late.argmax(1), jn + 1), shared)
-        pred_nodes = _scalar_nodes(pred, np.arange(jn + 1) >= first[:, None])
-        at_first = sub * (jn + 2) + first
-        steps = zip(range(n_lo, n_hi), base[n_lo + 1:n_hi + 1].tolist(), first.tolist(),
-                    shared.tolist(), pred.reads[:, -1].tolist(), reads_c.tolist())
-        # steps and the node iterators run on across the sub-blocks: zip
-        # takes from settled first, so it stops without taking a step more
-        for i0 in range(0, n_hi - n_lo, SETTLE_STEPS):
-            i1 = min(i0 + SETTLE_STEPS, n_hi - n_lo)
-            settled = settled_totals(pred, i0, i1, fc).take(at_first[i0:i1]).tolist()
-            for total, (n, base_n, live, cut, r_p, r_c) in zip(settled, steps):
-                t1 = origin + (n + 1) * h
-                scale = pref * (0.5 * (n + 1) * h) ** alpha
-                resumed = total
-                for cs, k_lo, k_hi, den, w, j in islice(pred_nodes, jn + 1 - live):
-                    if j == cut:
-                        resumed = total
-                    s = 0.0
-                    for f, c in zip(fl[k_lo:k_hi], cs):
-                        s += c * f
-                    total += w * (s / den)
-                # a step that leaves the guard counts its passes up to the guard
-                x_pred = base_n + scale * total
-                if not abs(x_pred) <= GUARD:
-                    return n + 1, rhs_evals, interp_evals + jn + 1, value_reads + r_p
-                f_pred = as_double(rhs(t1, x_pred))
-                fc[n + 1] = fl[n + 1] = f_pred
-                if cut < jn:
-                    for cs, k_lo, k_hi, den, w, _ in islice(corr_nodes, jn - cut):
-                        s = 0.0
-                        for f, c in zip(fl[k_lo:k_hi], cs):
-                            s += c * f
-                        resumed += w * (s / den)
-                x_new = base_n + scale * (resumed + end_w * f_pred)
-                if not abs(x_new) <= GUARD:
-                    return n + 1, rhs_evals + 1, interp_evals + 2 * jn + 1, value_reads + r_p + r_c
-                x[n + 1] = x_new
-                fc[n + 1] = fl[n + 1] = as_double(rhs(t1, x_new))
-                rhs_evals += 2
-                interp_evals += 2 * jn + 1
-                value_reads += r_p + r_c
+    # n is the step under way; fc[:flushed] holds fl[:flushed]
+    n = size - 2
+    flushed = size
+    try:
+        for n_lo in range(size - 1, n_steps, span):
+            n_hi = min(n_lo + span, n_steps)
+            rows = np.arange(n_hi - n_lo)
+            pred = stencil_plan(n_lo, n_hi, nodes, weights, jn + 1, size, bary, 0)
+            shared = pred.shared
+            # the corrector's reads: the shared prefix, then its own from J on
+            reads_c = pred.reads[rows, shared]
+            unusable = not pred.den.all()
+            j0 = int(shared.min())
+            if j0 < jn:
+                corr = stencil_plan(n_lo, n_hi, nodes[j0:], weights[j0:], jn - j0, size, bary, 1)
+                reads_c = reads_c + corr.reads[:, -1] - corr.reads[rows, shared - j0]
+                own = np.arange(j0, jn) >= shared[:, None]
+                unusable |= np.any((corr.den == 0.0) & own)
+                corr_nodes = _scalar_nodes(corr, own)
+            if unusable:
+                raise ZeroDivisionError("float division by zero")
+            # a step's live nodes start at F, the first node that reads past its
+            # sub-block's start (jn + 1 if none does), or at J if that is earlier
+            sub = rows % SETTLE_STEPS
+            late = pred.idx[:, -1] > (n_lo + rows - sub)[:, None]
+            first = np.minimum(np.where(late.any(1), late.argmax(1), jn + 1), shared)
+            pred_nodes = _scalar_nodes(pred, np.arange(jn + 1) >= first[:, None])
+            at_first = sub * (jn + 2) + first
+            steps = zip(range(n_lo, n_hi), base[n_lo + 1:n_hi + 1].tolist(), first.tolist(),
+                        shared.tolist(), pred.reads[:, -1].tolist(), reads_c.tolist())
+            # steps and the node iterators run on across the sub-blocks: zip
+            # takes from settled first, so it stops without taking a step more
+            for i0 in range(0, n_hi - n_lo, SETTLE_STEPS):
+                i1 = min(i0 + SETTLE_STEPS, n_hi - n_lo)
+                fc[flushed:n + 2] = fl[flushed:n + 2]
+                flushed = n + 2
+                settled = settled_totals(pred, i0, i1, fc).take(at_first[i0:i1]).tolist()
+                for total, (n, base_n, live, cut, r_p, r_c) in zip(settled, steps):
+                    t1 = origin + (n + 1) * h
+                    scale = pref * (0.5 * (n + 1) * h) ** alpha
+                    resumed = total
+                    for {coefs}, lo, hit, den, w, j in islice(pred_nodes, jn + 1 - live):
+                        if j == cut:
+                            resumed = total
+                        if hit:
+                            total += w * fl[lo]
+                        else:
+                            total += w * (({interp}) / den)
+                    # a step that leaves the guard counts its passes up to the guard
+                    x_pred = base_n + scale * total
+                    if not abs(x_pred) <= GUARD:
+                        return n + 1, rhs_evals, interp_evals + jn + 1, value_reads + r_p
+                    f_pred = fl[n + 1] = as_double(rhs(t1, x_pred))
+                    if cut < jn:
+                        for {coefs}, lo, hit, den, w, _ in islice(corr_nodes, jn - cut):
+                            if hit:
+                                resumed += w * fl[lo]
+                            else:
+                                resumed += w * (({interp}) / den)
+                    x_new = base_n + scale * (resumed + end_w * f_pred)
+                    if not abs(x_new) <= GUARD:
+                        return (n + 1, rhs_evals + 1, interp_evals + 2 * jn + 1,
+                                value_reads + r_p + r_c)
+                    xl[n + 1] = x_new
+                    fl[n + 1] = as_double(rhs(t1, x_new))
+                    rhs_evals += 2
+                    interp_evals += 2 * jn + 1
+                    value_reads += r_p + r_c
+    finally:
+        fc[flushed:n + 2] = fl[flushed:n + 2]
+        x[size:n + 2] = xl[size:n + 2]
     return n_steps + 1, rhs_evals, interp_evals, value_reads
+"""
+
+
+@functools.lru_cache(maxsize=16)
+def _march_loop(size):
+    """The step loop of ``march`` for stencil size ``size``, compiled from
+    ``_MARCH_LOOP``.  It runs in this module's globals, so it looks up
+    ``stencil_plan``, ``settled_totals`` and ``_scalar_nodes`` at each call."""
+    terms = " + ".join(f"c{k} * fl[lo + {k}]" for k in range(1, size))
+    source = _MARCH_LOOP.format(size=size, coefs=", ".join(f"c{k}" for k in range(size)),
+                                interp=f"0.0 + c0 * fl[lo] + {terms}")
+    scope = {}
+    exec(compile(source, f"<march loop, stencil size {size}>", "exec"), globals(), scope)
+    return scope["march_loop"]
 
 
 @functools.lru_cache(maxsize=16)

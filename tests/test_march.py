@@ -8,6 +8,7 @@ hypothesis test draws further runs, with exact hits and guard trips.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -273,3 +274,76 @@ def test_march_matches_reference_bit_for_bit(backend, run):
         want.status, want.counters, hexes(want.x), hexes(want.f_cache))
     if bad_call is not None:
         assert got.status == STATUS_DIVERGED
+
+
+@pytest.mark.parametrize("size", [9, 12])
+def test_march_matches_reference_at_stencils_the_draws_miss(backend, size):
+    # the steps cross at least two plan-block edges
+    alpha, n = 0.5, 300
+    problem, rule = make_problem("poly8", alpha, 1.0), quadrature_for(alpha, 26)
+    grid = UniformGrid(0.0, 1.0 / n, n + 1)
+    assert n - size > 2 * _kernels_py.block_steps(27, size)
+    x_start = np.array([problem.exact(grid.t(i)) for i in range(size)])
+    base = taylor_head(problem, grid.times)
+    want = march_reference.march(problem, grid, rule, x_start, base)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "kernels", backend)
+        got = solver._march(problem, grid, rule, x_start, base)
+    assert (got.status, got.counters, hexes(got.x), hexes(got.f_cache)) == (
+        want.status, want.counters, hexes(want.x), hexes(want.f_cache))
+
+
+def test_march_loop_builds_for_the_largest_stencil():
+    SolverConfig(h=0.1, stencil_size=1030)
+    with pytest.raises(ValueError, match="too large"):
+        SolverConfig(h=0.1, stencil_size=1031)
+    loop = _kernels_py._march_loop(1030)
+    assert loop is _kernels_py._march_loop(1030)
+
+
+class Stop(Exception):
+    pass
+
+
+@st.composite
+def raising_runs(draw):
+    """A poly8 march and the rhs call, counted from 1 over the march's calls,
+    that raises: the steps cross sub-block and plan-block edges, and an odd
+    call is a predictor's, an even one a corrector's."""
+    alpha = draw(st.sampled_from([0.3, 0.5, 0.8, 1.5]))
+    size = draw(st.integers(2, 6))
+    jn = draw(st.integers(2, 60))
+    span = _kernels_py.block_steps(jn + 1, size)
+    steps = draw(st.integers(1, 2 * span + _kernels_py.SETTLE_STEPS))
+    return alpha, size, jn, steps, draw(st.integers(1, 2 * steps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=raising_runs())
+def test_rhs_that_raises_leaves_x_and_fc_alike(compiled, run):
+    alpha, size, jn, steps, bad_call = run
+    problem, rule = make_problem("poly8", alpha, 1.0), quadrature_for(alpha, jn)
+    n = size - 1 + steps
+    grid = UniformGrid(0.0, 1.0 / n, n + 1)
+    base = taylor_head(problem, grid.times)
+
+    def left_behind(kernels):
+        calls = 0
+
+        def rhs(t, y):
+            nonlocal calls
+            calls += 1
+            if calls == bad_call:
+                raise Stop
+            return problem.rhs(t, y)
+
+        x, fc = np.zeros(n + 1), np.zeros(n + 1)
+        for i in range(size):
+            x[i] = problem.exact(grid.t(i))
+            fc[i] = problem.rhs(grid.t(i), x[i])
+        with pytest.raises(Stop):
+            kernels.march(rhs, x, fc, base, 0.0, grid.h, alpha, 1.0 / math.gamma(alpha),
+                          rule.nodes, rule.weights, uniform_bary_weights(size))
+        return hexes(x), hexes(fc)
+
+    assert left_behind(_kernels_py) == left_behind(compiled)
