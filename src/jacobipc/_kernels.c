@@ -117,7 +117,8 @@ interp_sum(const double *fvals, Py_ssize_t n, const double *nodes, const double 
     return 0;
 }
 
-/* f = rhs(t, x) as a C double; returns -1 with the exception set. */
+/* f = rhs(t, x) as a C double; returns -1 with the exception set, leaving *f
+ * as it was, as the pure twins leave fc when the call or its conversion fails. */
 static int
 call_rhs(PyObject *rhs, double t, double x, double *f)
 {
@@ -129,9 +130,12 @@ call_rhs(PyObject *rhs, double t, double x, double *f)
     Py_XDECREF(args[1]);
     if (value == NULL)
         return -1;
-    *f = PyFloat_AsDouble(value);
+    double converted = PyFloat_AsDouble(value);
     Py_DECREF(value);
-    return *f == -1.0 && PyErr_Occurred() ? -1 : 0;
+    if (converted == -1.0 && PyErr_Occurred())
+        return -1;
+    *f = converted;
+    return 0;
 }
 
 static PyObject *

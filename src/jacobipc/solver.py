@@ -25,6 +25,7 @@ bits.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,6 +88,9 @@ class SolverConfig:
 
 def quadrature_for(alpha, jn):
     """The jn+1 point Lobatto rule matching the kernel weight for alpha."""
+    if alpha - 1.0 <= -1.0:
+        raise ValueError(f"alpha = {alpha!r} is too small: the kernel weight's exponent "
+                         f"alpha - 1 rounds to {alpha - 1.0!r}, and must exceed -1")
     return gauss_lobatto_rule(JacobiWeight(alpha - 1.0, 0.0), jn + 1)
 
 
@@ -127,6 +131,10 @@ def solve(problem, config):
     if origin >= problem.T:
         raise ValueError("split point must lie inside [0, T]")
     n_steps = step_count(problem.T - origin, h)
+    # numpy refuses an array of more than sys.maxsize bytes, 8 per float64
+    if n_steps + 1 > sys.maxsize // 8:
+        raise ValueError(f"step {h!r} over the span {problem.T - origin!r} gives "
+                         f"{n_steps:.3g} steps, more than a float64 array can hold")
     if n_steps < size:
         raise ValueError("grid too coarse: need at least stencil_size steps")
     if split is not None:

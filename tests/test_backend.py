@@ -3,7 +3,8 @@
 The ``compiled`` fixture (``conftest.py``) builds ``_kernels.c`` into a
 temporary directory once per session, so these tests exercise the C kernel
 whether or not the package was installed with it.  They skip only when no C
-compiler is on PATH.
+compiler is on PATH.  ``test_digests.py`` pins whole solves on both backends
+against a golden file.
 """
 
 import dataclasses
@@ -24,10 +25,10 @@ from hypothesis import strategies as st
 import jacobipc
 from jacobipc import _kernels_py, adams, solver
 from jacobipc._backend import kernels
-from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
+from jacobipc.adams import EXACT, StarterConfig, adams_solve
 from jacobipc.interp import uniform_bary_weights
 from jacobipc.problems import make_problem
-from jacobipc.solver import SolverConfig, SplitConfig, quadrature_for, solve
+from jacobipc.solver import SolverConfig, quadrature_for, solve
 from adams_reference import STEP_SUM_NS, history_sums_loop, marched_sums
 from march_reference import weighted_interp_sum
 
@@ -169,38 +170,6 @@ def test_adams_march_parity(compiled):
         for n in (5, 28) + STEP_SUM_NS:
             if n < length - 1:
                 assert got[n] == history_sums_loop(f, n, alpha), (alpha, n)
-
-
-def _digest(backend, monkeypatch):
-    """Endpoint hex and all counters for poly8, Adams and a split cell."""
-    for module in (solver, adams):
-        monkeypatch.setattr(module, "kernels", backend)
-    rows = []
-
-    def record(tr):
-        c = tr.counters
-        rows.append((tr.x[-1].hex(), c.rhs_evals, c.interp_evals, c.value_reads,
-                     c.history_reads))
-
-    exact = StarterConfig(mode=EXACT)
-    for alpha in (0.3, 0.5, 0.8, 1.5):
-        problem = make_problem("poly8", alpha, 1.0)
-        for size in (2, 3, 4, 5):
-            record(solve(problem, SolverConfig(h=1.0 / 80, stencil_size=size, starter=exact)))
-    record(adams_solve(make_problem("poly8", 0.5, 1.0), 1.0 / 120, 120))
-    # criterion 07's first published cell
-    problem = make_problem("ml_linear", 0.5, 1.1)
-    for starter in (exact, StarterConfig(mode=REFINED_ADAMS)):
-        record(solve(problem, SolverConfig(h=1.0 / 40, stencil_size=3, starter=starter,
-                                           split=SplitConfig(t0=0.1, aux_jn=52))))
-    return rows
-
-
-def test_solves_bit_identical_across_backends(compiled, monkeypatch):
-    got = _digest(compiled, monkeypatch)
-    want = _digest(_kernels_py, monkeypatch)
-    assert len(got) == 19
-    assert got == want
 
 
 def _run_on(backend, monkeypatch, problem, run):

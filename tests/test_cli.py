@@ -496,6 +496,28 @@ def test_rule_index_refusals_name_the_index_before_any_rule_is_built(args, named
     assert built == []
 
 
+def test_alpha_whose_kernel_exponent_rounds_to_minus_one_is_refused_by_name(capsys):
+    # alpha - 1 rounds to -1.0, which no Jacobi weight takes
+    alpha = ["--problem", "poly8", "--alpha", "1e-17"]
+    for args in (["solve", *alpha, "--n", "10"], ["converge", *alpha, "--n-list", "10,20"],
+                 ["bench", *alpha, "--h", "0.1", "--t-list", "1"]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: alpha = 1e-17 is too small: the kernel weight's "
+                                "exponent alpha - 1 rounds to -1.0, and must exceed -1\n")
+
+
+def test_step_count_no_array_can_hold_is_refused_by_step_and_span(capsys):
+    poly8 = ["--problem", "poly8", "--alpha", "0.5", "--h", "0.5"]
+    for args in (["solve", *poly8, "--t-end", "1e300"], ["bench", *poly8, "--t-list", "1e300"]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: step 0.5 over the span 1e+300 gives 2e+300 steps, "
+                                "more than a float64 array can hold\n")
+
+
 def test_target_search_stops_at_a_diverged_run_exit_2(capsys):
     # alpha 0.1 with stencil 5 leaves the guard from N = 1280 on; the error
     # of the truncated grid must not stand in for the run's

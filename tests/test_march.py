@@ -4,7 +4,9 @@
 march did before it moved behind ``kernels.march``.  Every cell must give
 the same x, f values, status and counters bit for bit; the cells are long
 enough to cross several plan blocks and sub-blocks of the pure twin, and a
-hypothesis test draws further runs, with exact hits and guard trips.
+hypothesis test draws further runs, with exact hits and guard trips.  After
+an rhs call that fails, ``march`` and ``adams_march`` leave the same x and fc
+on both backends.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import march_reference
@@ -305,45 +307,87 @@ class Stop(Exception):
     pass
 
 
+# how an rhs call fails, and what the march then raises
+RAISED = {"raise": Stop, "str": TypeError}
+
+
+def failing_at(rhs, bad_call, kind):
+    """rhs, but its bad_call-th call (from 1) raises Stop or returns a str."""
+    calls = 0
+
+    def failing(t, y):
+        nonlocal calls
+        calls += 1
+        if calls != bad_call:
+            return rhs(t, y)
+        if kind == "raise":
+            raise Stop
+        return "x"
+
+    return failing
+
+
 @st.composite
 def raising_runs(draw):
-    """A poly8 march and the rhs call, counted from 1 over the march's calls,
-    that raises: the steps cross sub-block and plan-block edges, and an odd
-    call is a predictor's, an even one a corrector's."""
+    """A poly8 march, the rhs call, counted from 1 over the march's calls,
+    that fails, and how: by raising, or by returning a value that does not
+    convert to a float (a str).  The steps cross sub-block and plan-block
+    edges, and an odd call is a predictor's, an even one a corrector's."""
     alpha = draw(st.sampled_from([0.3, 0.5, 0.8, 1.5]))
     size = draw(st.integers(2, 6))
     jn = draw(st.integers(2, 60))
     span = _kernels_py.block_steps(jn + 1, size)
     steps = draw(st.integers(1, 2 * span + _kernels_py.SETTLE_STEPS))
-    return alpha, size, jn, steps, draw(st.integers(1, 2 * steps))
+    bad_call, kind = draw(st.integers(1, 2 * steps)), draw(st.sampled_from(list(RAISED)))
+    return alpha, size, jn, steps, bad_call, kind
 
 
 @settings(max_examples=60, deadline=None)
 @given(run=raising_runs())
+# a str from the corrector of step 3: fc[4] keeps f_pred
+@example(run=(0.5, 3, 8, 5, 4, "str"))
 def test_rhs_that_raises_leaves_x_and_fc_alike(compiled, run):
-    alpha, size, jn, steps, bad_call = run
+    alpha, size, jn, steps, bad_call, kind = run
     problem, rule = make_problem("poly8", alpha, 1.0), quadrature_for(alpha, jn)
     n = size - 1 + steps
     grid = UniformGrid(0.0, 1.0 / n, n + 1)
     base = taylor_head(problem, grid.times)
 
     def left_behind(kernels):
-        calls = 0
-
-        def rhs(t, y):
-            nonlocal calls
-            calls += 1
-            if calls == bad_call:
-                raise Stop
-            return problem.rhs(t, y)
-
         x, fc = np.zeros(n + 1), np.zeros(n + 1)
         for i in range(size):
             x[i] = problem.exact(grid.t(i))
             fc[i] = problem.rhs(grid.t(i), x[i])
-        with pytest.raises(Stop):
-            kernels.march(rhs, x, fc, base, 0.0, grid.h, alpha, 1.0 / math.gamma(alpha),
-                          rule.nodes, rule.weights, uniform_bary_weights(size))
+        with pytest.raises(RAISED[kind]):
+            kernels.march(failing_at(problem.rhs, bad_call, kind), x, fc, base, 0.0, grid.h,
+                          alpha, 1.0 / math.gamma(alpha), rule.nodes, rule.weights,
+                          uniform_bary_weights(size))
         return hexes(x), hexes(fc)
 
     assert left_behind(_kernels_py) == left_behind(compiled)
+
+
+@pytest.mark.parametrize("kind", list(RAISED))
+@pytest.mark.parametrize("phase", ["predictor", "corrector"])
+def test_rhs_that_raises_leaves_adams_x_and_fc_alike(compiled, phase, kind):
+    alpha, h, n = 0.5, 0.05, 20
+    problem = make_problem("poly8", alpha, n * h)
+    base = taylor_head(problem, UniformGrid(0.0, h, n + 1).times)
+    for step in (0, 1, 9):
+        bad_call = 2 * step + 1 + (phase == "corrector")
+
+        def left_behind(kernels):
+            x, fc = np.zeros(n + 1), np.zeros(n + 1)
+            x[0] = problem.init[0]
+            fc[0] = problem.rhs(0.0, x[0])
+            with pytest.raises(RAISED[kind]):
+                kernels.adams_march(failing_at(problem.rhs, bad_call, kind), x, fc, base, h,
+                                    alpha, h**alpha / math.gamma(alpha + 1.0),
+                                    h**alpha / math.gamma(alpha + 2.0))
+            return hexes(x), hexes(fc)
+
+        x, fc = left_behind(_kernels_py)
+        assert (x, fc) == left_behind(compiled), (step, phase, kind)
+        # the failing step sets x only once its corrector is called, and fc not at all
+        assert (x[step + 1] != (0.0).hex()) == (phase == "corrector")
+        assert fc[step + 1:] == [(0.0).hex()] * (n - step)
