@@ -60,7 +60,7 @@ def adams_solve(problem, h, n_steps):
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be finite and positive, got {h}")
     if not 1 <= n_steps <= MAX_ADAMS_STEPS:
-        raise ValueError(f"Adams run of {n_steps} steps is not within 1 to the "
+        raise ValueError(f"Adams run of {n_steps:.6g} steps is not within 1 to the "
                          f"{MAX_ADAMS_STEPS}-step cap")
     alpha, rhs = problem.alpha, problem.rhs
     x, fc = np.zeros(n_steps + 1), np.zeros(n_steps + 1)

@@ -18,6 +18,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 
+def _check_order_and_horizon(alpha, T):
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must be in (0, 2], got {alpha}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon T must be finite and positive, got {T}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     alpha: float
@@ -28,10 +35,7 @@ class ProblemSpec:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not 0.0 < self.T < math.inf:
-            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
+        _check_order_and_horizon(self.alpha, self.T)
         if len(self.init) != math.ceil(self.alpha):
             raise ValueError(
                 f"need ceil(alpha) = {math.ceil(self.alpha)} initial values, got {len(self.init)}"
@@ -85,9 +89,13 @@ def problem_ids():
 
 
 def make_problem(problem_id, alpha, T):
-    """Instantiate a registered benchmark problem at the given order/horizon."""
+    """Instantiate a registered benchmark problem at the given order/horizon.
+
+    The order and horizon are checked before the factory computes anything.
+    """
     try:
         factory = _REGISTRY[problem_id]
     except KeyError:
         raise ValueError(f"unknown problem id {problem_id!r}; known: {problem_ids()}") from None
+    _check_order_and_horizon(alpha, T)
     return factory(alpha, T)

@@ -101,9 +101,12 @@ def gauss_lobatto_rule(weight, n_points):
             p, d = _jacobi(n - 1, a + 1, b + 1, x)
             x = x - p / d
         _, d = _jacobi(n - 1, a + 1, b + 1, x)
-        log_k = ((a + b + 3) * math.log(2) + math.lgamma(n + a + 1) + math.lgamma(n + b + 1)
-                 - math.lgamma(n + a + b + 2) - math.lgamma(n))
-        ends = np.exp([_log_end_weight(b, a, n), log_k, _log_end_weight(a, b, n)])
+        try:
+            log_k = ((a + b + 3) * math.log(2) + math.lgamma(n + a + 1)
+                     + math.lgamma(n + b + 1) - math.lgamma(n + a + b + 2) - math.lgamma(n))
+            ends = np.exp([_log_end_weight(b, a, n), log_k, _log_end_weight(a, b, n)])
+        except OverflowError:  # lgamma of a huge exponent: no finite weight
+            ends = np.full(3, math.inf)
         inner = ends[1] / ((1 - x) * (1 + x) * d) ** 2
     nodes = np.concatenate(([-1.0], x, [1.0]))
     weights = np.concatenate((ends[:1], inner, ends[2:]))

@@ -431,6 +431,24 @@ def test_bench_refuses_a_target_error_that_is_not_finite_and_positive(value, cap
     assert repr(float(value)) in captured.err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "2.5", "1e300", "1000000.5"])
+@pytest.mark.parametrize("problem", ["poly8", "ml_linear"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--n", "4"],
+    ["converge", "--h-list", "0.5,0.25"],
+    ["bench", "--h", "0.5", "--t-list", "1"],
+], ids=lambda command: command[0])
+def test_registry_problems_refuse_an_order_outside_the_range_by_name(alpha, problem,
+                                                                     command, capsys):
+    # the order is refused before the factory computes from it: poly8's
+    # constants fail on these orders, and ml_linear's initial values take
+    # ceil(alpha) entries
+    assert main(command + ["--problem", problem, f"--alpha={alpha}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: alpha must be in (0, 2], got {float(alpha)}\n"
+
+
 @pytest.mark.parametrize("methods", ["", " , "])
 def test_bench_refuses_an_empty_method_list(methods, capsys):
     assert main(["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1",
@@ -460,6 +478,14 @@ def test_adams_runs_above_the_step_cap_exit_1(args, capsys, monkeypatch):
     assert err.startswith("error: ") and "8192-step cap" in err
     if args[0] == "bench":  # the search runs at the cap last, never above it
         assert max(steps) == steps[-1] == MAX_ADAMS_STEPS
+
+
+def test_adams_cap_refusal_gives_a_huge_step_count_in_six_digits(capsys):
+    # the count is an int of 301 digits
+    assert main(["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.5",
+                 "--t-list", "1e300", "--methods", "adams"]) == 1
+    assert capsys.readouterr().err == ("error: Adams run of 2e+300 steps is not within "
+                                       "1 to the 8192-step cap\n")
 
 
 def test_target_search_stops_at_an_error_floor_exit_1(capsys):

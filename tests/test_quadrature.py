@@ -139,6 +139,15 @@ def test_validation_errors():
         moment(JacobiWeight(0.0, 0.0), -1)
 
 
+def test_lgamma_overflow_of_a_huge_exponent_is_the_named_refusal():
+    # lgamma(n + a + 1) overflows a float here, and raises rather than return inf
+    for a, b in ((1e308, 0.0), (0.0, 1e308)):
+        with pytest.raises(ValueError) as refusal:
+            gauss_lobatto_rule(JacobiWeight(a, b), 5)
+        assert str(refusal.value) == ("no finite Gauss-Lobatto rule with 5 points "
+                                      f"for a={a}, b={b}")
+
+
 def test_small_alpha_weight_growth_near_singular_end():
     # alpha < 1 concentrates kernel mass at s=1; the end weight dominates
     rule = rule_for_alpha(0.1)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from jacobipc import problems
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig
 from jacobipc.problems import ProblemSpec, make_problem, taylor_head
 from jacobipc.solver import (SolverConfig, SplitConfig, quadrature_for, solve,
@@ -154,6 +155,18 @@ def test_config_validation():
         ProblemSpec(1.5, (0.0,), lambda t, x: x, 1.0)
     with pytest.raises(ValueError, match="unknown problem id 'nope'"):
         make_problem("nope", 0.5, 1.0)
+
+
+def test_make_problem_checks_order_and_horizon_before_the_factory(monkeypatch):
+    # a factory computes its constants and initial values from alpha, which
+    # for these orders fails with an unnamed error or allocates ceil(alpha)
+    calls = []
+    monkeypatch.setitem(problems._REGISTRY, "poly8", lambda *args: calls.append(args))
+    for alpha, T, named in ((math.nan, 1.0, "alpha"), (1e300, 1.0, "alpha"),
+                            (1000000.5, 1.0, "alpha"), (0.5, math.inf, "horizon T")):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            make_problem("poly8", alpha, T)
+    assert calls == []
 
 
 def test_divergence_truncates_and_flags():
