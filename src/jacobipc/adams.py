@@ -38,14 +38,39 @@ MAX_ADAMS_STEPS = 8192
 
 @dataclass(frozen=True)
 class StarterConfig:
+    """Its text form is ``label``, which ``parse`` reads back (and ``refined``)."""
+
     mode: str = EXACT
     k: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in (EXACT, REFINED_ADAMS):
             raise ValueError(f"unknown starter mode {self.mode!r}")
+        if self.mode == EXACT and self.k is not None:
+            raise ValueError("an exact starter takes no refinement exponent")
         if self.k is not None and self.k < 0:
             raise ValueError("refinement exponent must be >= 0")
+
+    @property
+    def label(self):
+        return "exact" if self.mode == EXACT else f"refined:{'auto' if self.k is None else self.k}"
+
+    @classmethod
+    def parse(cls, text):
+        if text in ("exact", "refined", "refined:auto"):
+            return cls(mode=EXACT if text == "exact" else REFINED_ADAMS)
+        mode, _, k = text.partition(":")
+        if mode != "refined":
+            raise ValueError(f"bad starter {text!r} (use exact, refined, or refined:K)")
+        try:
+            return cls(mode=REFINED_ADAMS, k=int(k))
+        except ValueError as exc:
+            raise ValueError(f"bad starter {text!r}: {exc}") from None
+
+
+def _overflow(problem, what, where):
+    return ValueError(f"horizon T = {problem.T} is too large at alpha = {problem.alpha}: "
+                      f"{what} overflows a float {where}")
 
 
 def adams_solve(problem, h, n_steps):
@@ -55,7 +80,9 @@ def adams_solve(problem, h, n_steps):
     divergence the trajectory is truncated at the last finite value and
     flagged.  ``kernels.adams_march`` runs the steps.  Cost is O(n_steps^2),
     so n_steps outside 1 to MAX_ADAMS_STEPS, like a step h that is not
-    finite and positive, is refused with ValueError before the rhs is called.
+    finite and positive or whose h^alpha overflows, is refused with
+    ValueError before the rhs is called; an rhs that overflows a float
+    raises ValueError naming the horizon.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be finite and positive, got {h}")
@@ -63,12 +90,20 @@ def adams_solve(problem, h, n_steps):
         raise ValueError(f"Adams run of {n_steps:.6g} steps is not within 1 to the "
                          f"{MAX_ADAMS_STEPS}-step cap")
     alpha, rhs = problem.alpha, problem.rhs
+    try:
+        scale = h**alpha
+    except OverflowError:
+        raise ValueError(f"step h = {h} is too large at alpha = {alpha}: h^alpha "
+                         "overflows a float") from None
     x, fc = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     x[0] = problem.init[0]
     fc[0] = as_double(rhs(0.0, x[0]))
-    count, rhs_evals, history_reads = kernels.adams_march(
-        rhs, x, fc, taylor_head(problem, UniformGrid(0.0, h, n_steps + 1).times), h, alpha,
-        h**alpha / math.gamma(alpha + 1.0), h**alpha / math.gamma(alpha + 2.0))
+    try:
+        count, rhs_evals, history_reads = kernels.adams_march(
+            rhs, x, fc, taylor_head(problem, UniformGrid(0.0, h, n_steps + 1).times), h, alpha,
+            scale / math.gamma(alpha + 1.0), scale / math.gamma(alpha + 2.0))
+    except OverflowError:  # raised by the rhs
+        raise _overflow(problem, "the right-hand side", f"on the Adams grid of step {h}") from None
     status = STATUS_OK if count == n_steps + 1 else STATUS_DIVERGED
     return Trajectory(UniformGrid(0.0, h, count), x[:count], fc[:count], status,
                       Counters(rhs_evals=1 + rhs_evals, history_reads=history_reads)).finalize()
@@ -146,7 +181,11 @@ def start_values(problem, h, stencil_size, cfg, split=None):
         raise ValueError(f"{what} takes {n_fine} substeps, above the "
                          f"{MAX_STARTER_STEPS}-substep cap")
     if exact:
-        x_start = np.array([problem.exact(origin + i * h) for i in range(stencil_size)])
+        try:
+            x_start = np.array([problem.exact(origin + i * h) for i in range(stencil_size)])
+        except OverflowError:
+            raise _overflow(problem, "the exact solution", "by t = "
+                            f"{origin + (stencil_size - 1) * h}") from None
         if split is None:
             return None, x_start
     fine = adams_solve(problem, h / stride, n_fine)

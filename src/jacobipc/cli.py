@@ -15,14 +15,14 @@ import math
 import click
 from click.core import ParameterSource
 
-from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig
+from jacobipc.adams import StarterConfig
 from jacobipc.expr import compile_rhs, evaluate, parse as parse_expr
 from jacobipc.mittag import DEFAULT_TOL, MIN_ORDER, mittag_leffler
 from jacobipc.problems import ProblemSpec, make_problem, problem_ids
 from jacobipc.quadrature import MAX_POINTS, JacobiWeight, gauss_lobatto_rule
 from jacobipc.reports import (csv_text, exact_errors, export, format_table,
                               run_convergence, run_target, run_timing)
-from jacobipc.solver import SolverConfig, SplitConfig, solve
+from jacobipc.solver import SolverConfig, SplitConfig, _main_span, solve
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
 
@@ -63,26 +63,13 @@ def _parse_h(text):
         raise click.UsageError(f"bad step size {text!r}") from None
 
 
-def _starter_for(kw, problem):
-    if kw["starter"] is not None:
-        return _parse_starter(kw["starter"])
-    if problem.exact is not None:
-        return StarterConfig(mode=EXACT)
-    return StarterConfig(mode=REFINED_ADAMS)
-
-
-def _parse_starter(text):
-    if text == "exact":
-        return StarterConfig(mode=EXACT)
-    if text == "refined":
-        return StarterConfig(mode=REFINED_ADAMS)
-    if text.startswith("refined:"):
-        try:
-            return StarterConfig(mode=REFINED_ADAMS, k=int(text[len("refined:"):]))
-        except ValueError as exc:
-            raise click.UsageError(f"bad starter {text!r}: {exc}") from None
-    raise click.UsageError(
-        f"bad starter {text!r} (use exact, refined, or refined:K)")
+def _starter(kw, exact_known):
+    """--starter, by default exact when the problem has an exact solution."""
+    default = "exact" if exact_known else "refined"
+    try:
+        return StarterConfig.parse(default if kw["starter"] is None else kw["starter"])
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _parse_init(text):
@@ -114,11 +101,6 @@ def _build_problem(kw, need_exact=False):
         raise click.UsageError("--rhs needs --exact (expression in t and alpha) here")
     return ProblemSpec(alpha, _parse_init(kw["init"]), compile_rhs(rhs, alpha),
                        t_end, exact=exact, name=f"rhs:{rhs}")
-
-
-def _span(problem, kw):
-    """Length of the main grid: [t0, T] for split runs, else [0, T]."""
-    return problem.T - (kw["split_t0"] or 0.0)
 
 
 def _step_for(span, n, flag):
@@ -155,39 +137,40 @@ _CONFIG_OPT = click.option(
     help="key=value defaults (long option names); explicit flags win")
 
 
-def _problem_opts(fn):
-    for deco in reversed([
-        click.option("--problem", type=click.Choice(problem_ids()),
-                     help="built-in benchmark problem"),
-        click.option("--rhs", help="right-hand side f(t, x) as an expression"),
-        click.option("--init", help="initial values for --rhs, comma-separated"),
-        click.option("--alpha", type=float, required=True,
-                     help="derivative order in (0, 2]"),
-        click.option("--t-end", type=float, default=1.0, show_default=True,
-                     help="horizon T"),
-    ]):
-        fn = deco(fn)
-    return fn
+def _options(*options):
+    """One decorator adding ``options``, listed in this order by --help."""
+    def add(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return add
 
 
-def _solver_opts(fn):
-    for deco in reversed([
-        click.option("--stencil", type=int, default=SolverConfig.stencil_size,
-                     show_default=True, help="interpolation stencil size (= expected order)"),
-        click.option("--jn", type=int, default=SolverConfig.jn, show_default=True,
-                     help="quadrature rule index (rule has jn+1 points)"),
-        click.option("--starter",
-                     help="exact, refined, or refined:K "
-                          "[default: exact when the problem has an exact "
-                          "solution, else refined]"),
-        click.option("--split-t0", type=float, help="split point for a two-segment run"),
-        click.option("--split-jn", type=int, help="auxiliary rule index [default: 2*jn]"),
-        click.option("--split-fine", type=int, default=SplitConfig.fine_factor,
-                     show_default=True,
-                     help="head-segment substep refinement factor"),
-    ]):
-        fn = deco(fn)
-    return fn
+_PROBLEM_OPTS = _options(
+    click.option("--problem", type=click.Choice(problem_ids()), help="built-in benchmark problem"),
+    click.option("--rhs", help="right-hand side f(t, x) as an expression"),
+    click.option("--init", help="initial values for --rhs, comma-separated"),
+    click.option("--alpha", type=float, required=True, help="derivative order in (0, 2]"),
+    click.option("--t-end", type=float, default=1.0, show_default=True, help="horizon T"))
+
+_METHOD_OPTS = _options(
+    click.option("--stencil", type=int, default=SolverConfig.stencil_size,
+                 show_default=True, help="interpolation stencil size (= expected order)"),
+    click.option("--jn", type=int, default=SolverConfig.jn, show_default=True,
+                 help="quadrature rule index (rule has jn+1 points)"),
+    click.option("--starter", help="exact, refined, refined:auto or refined:K [default: exact "
+                                   "when the problem has an exact solution, else refined]"))
+
+_SPLIT_OPTS = _options(
+    click.option("--split-t0", type=float, help="split point for a two-segment run"),
+    click.option("--split-jn", type=int, help="auxiliary rule index [default: 2*jn]"),
+    click.option("--split-fine", type=int, default=SplitConfig.fine_factor,
+                 show_default=True, help="head-segment substep refinement factor"))
+
+_REPORT_OPTS = _options(
+    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                 default="csv", show_default=True),
+    click.option("--output", type=click.Path(dir_okay=False)))
 
 
 @click.group()
@@ -212,10 +195,11 @@ def quad(**kw):
 
 
 @cli.command(name="solve")
-@_problem_opts
+@_PROBLEM_OPTS
 @click.option("--h", "h_text", help='step size ("1/40" or "0.025")')
 @click.option("--n", type=int, help="number of steps (h = T/n)")
-@_solver_opts
+@_METHOD_OPTS
+@_SPLIT_OPTS
 @click.option("--output", type=click.Path(dir_okay=False),
               help="write the trajectory as CSV")
 @_CONFIG_OPT
@@ -225,10 +209,10 @@ def solve_cmd(**kw):
         raise click.UsageError("give exactly one of --h or --n")
     problem = _build_problem(kw)
     split = _split_config(kw)
-    span = _span(problem, kw)
+    span = _main_span(problem.T, split)
     h = _parse_h(kw["h_text"]) if kw["h_text"] is not None else _step_for(span, kw["n"], "--n")
     cfg = SolverConfig(h=h, stencil_size=kw["stencil"], jn=kw["jn"],
-                       starter=_starter_for(kw, problem), split=split)
+                       starter=_starter(kw, problem.exact is not None), split=split)
     tr = solve(problem, cfg)
     # the exact solution can be costly (the Mittag-Leffler oracle): evaluate it
     # only when the CSV or max_error needs it
@@ -254,16 +238,15 @@ def solve_cmd(**kw):
 
 
 @cli.command()
-@_problem_opts
+@_PROBLEM_OPTS
 @click.option("--exact", help="exact solution (expression in t and alpha) for --rhs")
 @click.option("--h-list", help='comma-separated step sizes ("1/10,1/20,1/40")')
 @click.option("--n-list", help="comma-separated step counts (h = T/n)")
-@_solver_opts
+@_METHOD_OPTS
+@_SPLIT_OPTS
 @click.option("--method", type=click.Choice(["jpc", "adams"]), default="jpc",
               show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False))
+@_REPORT_OPTS
 @_CONFIG_OPT
 def converge(**kw):
     """Step-size sweep: max errors and observed orders against the exact
@@ -271,17 +254,18 @@ def converge(**kw):
     if (kw["h_list"] is None) == (kw["n_list"] is None):
         raise click.UsageError("give exactly one of --h-list or --n-list")
     problem = _build_problem(kw, need_exact=True)
+    split = _split_config(kw)
     if kw["h_list"] is not None:
         hs = [_parse_h(tok) for tok in kw["h_list"].split(",")]
     else:
-        span = _span(problem, kw)
+        span = _main_span(problem.T, split)
         try:
             hs = [_step_for(span, int(tok), "--n-list") for tok in kw["n_list"].split(",")]
         except ValueError:
             raise click.UsageError(f"bad --n-list {kw['n_list']!r}") from None
     report = run_convergence(
         problem, hs, stencil_size=kw["stencil"], jn=kw["jn"],
-        starter=_starter_for(kw, problem), split=_split_config(kw),
+        starter=_starter(kw, problem.exact is not None), split=split,
         method=kw["method"])
     click.echo(format_table(report))
     if kw["output"]:
@@ -300,12 +284,8 @@ def converge(**kw):
 @click.option("--target-error", type=float,
               help="instead of timing at --h, search for the smallest N "
                    "whose max error meets this bound, then time it")
-@click.option("--stencil", type=int, default=SolverConfig.stencil_size, show_default=True)
-@click.option("--jn", type=int, default=SolverConfig.jn, show_default=True)
-@click.option("--starter", default="exact", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False))
+@_METHOD_OPTS
+@_REPORT_OPTS
 @_CONFIG_OPT
 def bench(**kw):
     """Wall time and f-value access counts per (method, horizon) cell."""
@@ -314,7 +294,7 @@ def bench(**kw):
         t_list = [float(tok) for tok in kw["t_list"].split(",")]
     except ValueError:
         raise click.UsageError(f"bad --t-list {kw['t_list']!r}") from None
-    starter = _parse_starter(kw["starter"])
+    starter = _starter(kw, True)  # registry problems all have an exact solution
     if kw["target_error"] is not None:
         if kw["h_text"] is not None:
             raise click.UsageError("give --h or --target-error, not both: the search "

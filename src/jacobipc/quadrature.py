@@ -70,6 +70,8 @@ def _gauss_nodes(m, a, b):
     off = np.sqrt(4 * k / c * (k + a) / c * (k + b) / (c + 1) * (k + a + b) / (c - 1))
     matrix = np.diag(diag)  # eigvalsh reads only the lower triangle
     matrix[np.arange(1, m), np.arange(m - 1)] = off
+    if not np.isfinite(matrix).all():  # a + b overflowed: NaN nodes, which are refused
+        return np.full(m, np.nan)
     return np.linalg.eigvalsh(matrix)
 
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 from typing import Optional
 
-from jacobipc.adams import EXACT, MAX_ADAMS_STEPS, StarterConfig, adams_solve
+from jacobipc.adams import MAX_ADAMS_STEPS, StarterConfig, adams_solve
 from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, check_rule_index, quadrature_for, solve, step_count
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
@@ -69,12 +69,6 @@ class TimingReport:
     alpha: float
     h: Optional[float]  # None for run_target, whose rows each find their own step
     rows: tuple
-
-
-def starter_label(cfg):
-    if cfg.mode == EXACT:
-        return "exact"
-    return f"refined:{cfg.k if cfg.k is not None else 'auto'}"
 
 
 def observed_order(h_prev, err_prev, h, err):
@@ -152,7 +146,7 @@ def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
         jn=jn,
         method=method,
         problem=problem.name or "custom",
-        starter="none" if method == "adams" else starter_label(starter),
+        starter="none" if method == "adams" else starter.label,
         rows=tuple(rows),
     )
 

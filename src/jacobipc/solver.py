@@ -86,6 +86,16 @@ class SolverConfig:
         check_rule_index("jn", self.jn)
 
 
+def _main_span(T, split):
+    """Length of the main grid: T, or T - t0 after a split point t0 before T."""
+    if split is None:
+        return T
+    if not split.t0 < T:
+        raise ValueError(f"split point t0 = {split.t0} must lie inside (0, T), "
+                         f"before the horizon T = {T}")
+    return T - split.t0
+
+
 def quadrature_for(alpha, jn):
     """The jn+1 point Lobatto rule matching the kernel weight for alpha."""
     if alpha - 1.0 <= -1.0:
@@ -128,15 +138,20 @@ def solve(problem, config):
     """
     split, h, size = config.split, config.h, config.stencil_size
     origin = 0.0 if split is None else split.t0
-    if origin >= problem.T:
-        raise ValueError("split point must lie inside [0, T]")
-    n_steps = step_count(problem.T - origin, h)
+    span = _main_span(problem.T, split)
+    n_steps = step_count(span, h)
     # numpy refuses an array of more than sys.maxsize bytes, 8 per float64
     if n_steps + 1 > sys.maxsize // 8:
-        raise ValueError(f"step {h!r} over the span {problem.T - origin!r} gives "
+        raise ValueError(f"step {h!r} over the span {span!r} gives "
                          f"{n_steps:.3g} steps, more than a float64 array can hold")
     if n_steps < size:
         raise ValueError("grid too coarse: need at least stencil_size steps")
+    try:
+        (0.5 * n_steps * h) ** problem.alpha  # the last step's kernel scale
+    except OverflowError:
+        raise ValueError(f"horizon T = {problem.T} is too large at alpha = {problem.alpha}: "
+                         f"the march's kernel scale (span/2)^alpha overflows a float over "
+                         f"the span {span}") from None
     if split is not None:
         aux_jn = split.aux_jn if split.aux_jn is not None else 2 * config.jn
         check_rule_index("aux_jn = 2*jn", aux_jn)  # SplitConfig checked a given aux_jn

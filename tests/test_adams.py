@@ -282,3 +282,25 @@ def test_start_values_refuse_a_diverged_fine_run():
     problem = ProblemSpec(0.5, (1.0,), lambda t, x: x**3, 1.0)
     with pytest.raises(DivergenceError, match="fine Adams run diverged"):
         start_values(problem, 0.1, 3, StarterConfig(mode=REFINED_ADAMS))
+
+
+def test_starter_label_parses_back():
+    for cfg in [StarterConfig()] + [StarterConfig(mode=REFINED_ADAMS, k=k)
+                                    for k in (None, 0, 1, 2, 3)]:
+        assert StarterConfig.parse(cfg.label) == cfg
+    assert StarterConfig.parse("refined") == StarterConfig.parse("refined:auto")
+    with pytest.raises(ValueError, match="exact starter takes no refinement exponent"):
+        StarterConfig(mode=EXACT, k=1)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("refined:x", "bad starter 'refined:x': invalid literal for int() with base 10: 'x'"),
+    ("refined:-1", "bad starter 'refined:-1': refinement exponent must be >= 0"),
+    ("refined:", "bad starter 'refined:': invalid literal for int() with base 10: ''"),
+    ("exact:1", "bad starter 'exact:1' (use exact, refined, or refined:K)"),
+    ("", "bad starter '' (use exact, refined, or refined:K)"),
+])
+def test_starter_parse_refuses_by_name(text, message):
+    with pytest.raises(ValueError) as refusal:
+        StarterConfig.parse(text)
+    assert str(refusal.value) == message

@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, exit codes, config merging."""
 
+import json
 import math
 import subprocess
 import sys
@@ -606,6 +607,99 @@ def test_config_file_defaults_and_precedence(tmp_path, capsys):
     assert main(["converge", "--config", str(conv_cfg)]) == 0
     capsys.readouterr()
     assert loads(path.read_text()).problem == "poly8"
+
+
+def test_a_reports_starter_field_is_valid_starter_input(tmp_path, capsys):
+    args = ["converge", "--problem", "poly8", "--alpha", "0.5", "--n-list", "10,20",
+            "--format", "json", "--output"]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + [str(first), "--starter", "refined"]) == 0
+    table = capsys.readouterr().out
+    starter = json.loads(first.read_text())["starter"]
+    assert starter == "refined:auto"
+    assert main(args + [str(second), "--starter", starter]) == 0
+    assert capsys.readouterr().out == table
+    assert second.read_text() == first.read_text()
+
+
+def test_bench_takes_the_shared_method_and_report_options(tmp_path, capsys):
+    assert main(["bench", "--help"]) == 0
+    listed = capsys.readouterr().out
+    for option in ("--stencil", "--jn", "--starter", "--format", "--output"):
+        assert f"  {option} " in listed
+    # each is a --config key too, and the file's run counts what the flags' run does
+    cfg, path = tmp_path / "bench.cfg", tmp_path / "bench.json"
+    cfg.write_text(f"stencil = 4\njn = 8\nstarter = refined:1\nformat = json\n"
+                   f"output = {path}\n")
+    args = ["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--t-list", "1",
+            "--methods", "jpc"]
+    assert main(args + ["--config", str(cfg)]) == 0
+    from_file = loads(path.read_text())
+    assert main(args + ["--stencil", "4", "--jn", "8", "--starter", "refined:1",
+                        "--format", "csv", "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert [r.rhs_evals for r in loads(path.read_text()).rows] == \
+        [r.rhs_evals for r in from_file.rows]
+
+
+@pytest.mark.parametrize("args,t0,horizon", [
+    (["solve", "--n", "10", "--split-t0", "1"], "1.0", "1.0"),
+    (["solve", "--n", "10", "--split-t0", "2"], "2.0", "1.0"),
+    (["converge", "--n-list", "10,20", "--split-t0", "1.5"], "1.5", "1.0"),
+    (["solve", "--h", "0.1", "--split-t0", "1"], "1.0", "1.0"),
+], ids=["n-at", "n-past", "n-list-past", "h-at"])
+def test_a_split_point_at_or_past_the_horizon_is_refused_by_name(args, t0, horizon, capsys):
+    assert main(args[:1] + ["--problem", "poly8", "--alpha", "0.5"] + args[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: split point t0 = {t0} must lie inside (0, T), "
+                            f"before the horizon T = {horizon}\n")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10", "--t-end", "1e40"],
+     "horizon T = 1e+40 is too large at alpha = 0.5: the exact solution overflows a float "
+     "by t = 2.0000000000000002e+39"),
+    (["solve", "--problem", "ml_linear", "--alpha", "1.5", "--n", "10", "--t-end", "1e300"],
+     "horizon T = 1e+300 is too large at alpha = 1.5: the march's kernel scale "
+     "(span/2)^alpha overflows a float over the span 1e+300"),
+    (["converge", "--problem", "ml_linear", "--alpha", "1.5", "--n-list", "10",
+      "--t-end", "1e300"],
+     "horizon T = 1e+300 is too large at alpha = 1.5: the march's kernel scale "
+     "(span/2)^alpha overflows a float over the span 1e+300"),
+    (["bench", "--problem", "poly8", "--alpha", "1.5", "--h", "1e300", "--t-list", "1e300",
+      "--methods", "adams"],
+     "step h = 1e+300 is too large at alpha = 1.5: h^alpha overflows a float"),
+    (["converge", "--problem", "poly8", "--alpha", "0.5", "--n-list", "10", "--t-end", "1e40",
+      "--method", "adams"],
+     "horizon T = 1e+40 is too large at alpha = 0.5: the right-hand side overflows a float "
+     "on the Adams grid of step 1.0000000000000001e+39"),
+], ids=["solve-poly8", "solve-ml_linear", "converge", "bench", "converge-adams"])
+def test_overflow_at_a_huge_horizon_or_step_is_refused_by_name(args, message, capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_march_kernel_scale_overflow_is_refused_before_any_rule_is_built(capsys,
+                                                                         monkeypatch):
+    def no_rules(*args):
+        raise AssertionError("a rule was built")
+
+    monkeypatch.setattr(solver, "gauss_lobatto_rule", no_rules)
+    monkeypatch.setattr(solver, "quadrature_for", no_rules)
+    assert main(["solve", "--rhs", "-x", "--init", "1,0", "--alpha", "1.5", "--n", "10",
+                 "--t-end", "1e300", "--starter", "refined:0"]) == 1
+    assert "the march's kernel scale (span/2)^alpha overflows" in capsys.readouterr().err
+
+
+def test_quad_refuses_exponents_whose_sum_overflows_by_name(capsys):
+    assert main(["quad", "--jacobi-a", "1e308", "--jacobi-b", "1e308", "--points", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no finite Gauss-Lobatto rule with 5 points "
+                            "for a=1e+308, b=1e+308\n")
 
 
 def test_config_file_rejects_unknown_and_malformed_keys(tmp_path, capsys):

@@ -148,6 +148,14 @@ def test_lgamma_overflow_of_a_huge_exponent_is_the_named_refusal():
                                       f"for a={a}, b={b}")
 
 
+def test_overflowing_sum_of_huge_exponents_is_the_named_refusal():
+    # a + b overflows to inf, so the Jacobi matrix for the interior nodes holds NaN
+    with pytest.raises(ValueError) as refusal:
+        gauss_lobatto_rule(JacobiWeight(1e308, 1e308), 5)
+    assert str(refusal.value) == ("no finite Gauss-Lobatto rule with 5 points "
+                                  "for a=1e+308, b=1e+308")
+
+
 def test_small_alpha_weight_growth_near_singular_end():
     # alpha < 1 concentrates kernel mass at s=1; the end weight dominates
     rule = rule_for_alpha(0.1)

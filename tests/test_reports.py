@@ -12,7 +12,7 @@ from jacobipc.reports import (ConvergenceReport, ConvergenceRow, ROW_GROWING,
                               TimingReport, TimingRow, export, format_table,
                               load, loads, observed_order, run_convergence,
                               run_target, run_timing, smallest_n_reaching,
-                              starter_label, to_csv, to_json)
+                              to_csv, to_json)
 from jacobipc.solver import SolverConfig, SplitConfig, solve
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
@@ -39,9 +39,13 @@ def test_observed_order_recompute():
 
 
 def test_starter_label():
-    assert starter_label(StarterConfig()) == "exact"
-    assert starter_label(StarterConfig(mode=REFINED_ADAMS, k=2)) == "refined:2"
-    assert starter_label(StarterConfig(mode=REFINED_ADAMS)) == "refined:auto"
+    # a convergence report records the starter's label, which --starter reads back
+    problem = make_problem("poly8", 0.5, 1.0)
+    for cfg, label in ((StarterConfig(), "exact"),
+                       (StarterConfig(mode=REFINED_ADAMS, k=2), "refined:2"),
+                       (StarterConfig(mode=REFINED_ADAMS), "refined:auto")):
+        assert cfg.label == label
+        assert run_convergence(problem, [0.1], starter=cfg).starter == label
 
 
 def test_run_convergence_matches_direct_solves():
