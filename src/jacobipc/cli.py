@@ -63,13 +63,15 @@ def _parse_h(text):
         raise click.UsageError(f"bad step size {text!r}") from None
 
 
-def _starter(kw, exact_known):
-    """--starter, by default exact when the problem has an exact solution."""
+def _method_settings(kw, exact_known):
+    """SolverConfig's fields from --stencil, --jn and --starter; the starter is
+    exact by default when the problem has an exact solution."""
     default = "exact" if exact_known else "refined"
     try:
-        return StarterConfig.parse(default if kw["starter"] is None else kw["starter"])
+        starter = StarterConfig.parse(default if kw["starter"] is None else kw["starter"])
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    return {"stencil_size": kw["stencil"], "jn": kw["jn"], "starter": starter}
 
 
 def _parse_init(text):
@@ -211,9 +213,8 @@ def solve_cmd(**kw):
     split = _split_config(kw)
     span = _main_span(problem.T, split)
     h = _parse_h(kw["h_text"]) if kw["h_text"] is not None else _step_for(span, kw["n"], "--n")
-    cfg = SolverConfig(h=h, stencil_size=kw["stencil"], jn=kw["jn"],
-                       starter=_starter(kw, problem.exact is not None), split=split)
-    tr = solve(problem, cfg)
+    tr = solve(problem, SolverConfig(h=h, split=split,
+                                     **_method_settings(kw, problem.exact is not None)))
     # the exact solution can be costly (the Mittag-Leffler oracle): evaluate it
     # only when the CSV or max_error needs it
     exact = None
@@ -263,10 +264,8 @@ def converge(**kw):
             hs = [_step_for(span, int(tok), "--n-list") for tok in kw["n_list"].split(",")]
         except ValueError:
             raise click.UsageError(f"bad --n-list {kw['n_list']!r}") from None
-    report = run_convergence(
-        problem, hs, stencil_size=kw["stencil"], jn=kw["jn"],
-        starter=_starter(kw, problem.exact is not None), split=split,
-        method=kw["method"])
+    report = run_convergence(problem, hs, method=kw["method"], split=split,
+                             **_method_settings(kw, problem.exact is not None))
     click.echo(format_table(report))
     if kw["output"]:
         export(report, kw["fmt"], kw["output"])
@@ -294,20 +293,18 @@ def bench(**kw):
         t_list = [float(tok) for tok in kw["t_list"].split(",")]
     except ValueError:
         raise click.UsageError(f"bad --t-list {kw['t_list']!r}") from None
-    starter = _starter(kw, True)  # registry problems all have an exact solution
+    settings = _method_settings(kw, True)  # registry problems all have an exact solution
     if kw["target_error"] is not None:
         if kw["h_text"] is not None:
             raise click.UsageError("give --h or --target-error, not both: the search "
                                    "picks its own step")
         report = run_target(kw["problem"], kw["alpha"], kw["target_error"],
-                            methods, t_list, stencil_size=kw["stencil"],
-                            jn=kw["jn"], starter=starter)
+                            methods, t_list, **settings)
     else:
         if kw["h_text"] is None:
             raise click.UsageError("Missing option '--h' (or give --target-error).")
         report = run_timing(kw["problem"], kw["alpha"], _parse_h(kw["h_text"]),
-                            methods, t_list, stencil_size=kw["stencil"],
-                            jn=kw["jn"], starter=starter)
+                            methods, t_list, **settings)
     click.echo(format_table(report))
     if kw["output"]:
         export(report, kw["fmt"], kw["output"])

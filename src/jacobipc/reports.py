@@ -5,7 +5,8 @@ the configuration that produced them; a timing report holds (n_steps,
 wall_seconds, rhs_evals, method) rows.  The ``rhs_evals`` column counts
 f-value accesses (fresh evaluations plus stored-history reads), the quantity
 that separates the linear-cost marcher from the quadratic baseline; fresh
-evaluations alone are linear in N for both methods.
+evaluations alone are linear in N for both methods.  Each sweep takes the
+SolverConfig fields other than h as keyword arguments, as one config.
 
 Both formats follow the dataclass fields.  CSV carries the row fields, with
 the field names as its header; JSON carries rows and metadata.  ``csv_text``
@@ -20,9 +21,9 @@ import time
 from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 from typing import Optional
 
-from jacobipc.adams import MAX_ADAMS_STEPS, StarterConfig, adams_solve
+from jacobipc.adams import MAX_ADAMS_STEPS, adams_solve
 from jacobipc.problems import make_problem
-from jacobipc.solver import SolverConfig, check_rule_index, quadrature_for, solve, step_count
+from jacobipc.solver import SolverConfig, main_step_count, solve
 from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
 ROW_GROWING = "growing"  # error failed to shrink under refinement
@@ -91,24 +92,28 @@ def _accesses(counters):
     return counters.rhs_evals + counters.value_reads + counters.history_reads
 
 
-def _check_method(method):
-    if method not in ("jpc", "adams"):
-        raise ValueError(f"unknown method {method!r} (known: jpc, adams)")
+def _sweep_config(methods, settings):
+    """The sweep's config, built from ``settings`` before any run; each run
+    replaces h.  The adams baseline reads only h, and takes no split."""
+    if not methods:
+        raise ValueError("no method to time: name at least one of jpc, adams")
+    for method in methods:
+        if method not in ("jpc", "adams"):
+            raise ValueError(f"unknown method {method!r} (known: jpc, adams)")
+    config = SolverConfig(h=1.0, **settings)
+    if "adams" in methods and config.split is not None:
+        raise ValueError("split applies to the jpc method only")
+    return config
 
 
-def _run(problem, method, h, stencil_size, jn, starter, split=None):
-    """One trajectory at step h: the jpc marcher or the adams baseline.
-
-    The adams baseline takes no starter and no split.
-    """
+def _run(problem, method, config):
+    """One trajectory at step config.h: the jpc marcher or the adams baseline."""
     if method == "jpc":
-        return solve(problem, SolverConfig(h=h, stencil_size=stencil_size, jn=jn,
-                                           starter=starter, split=split))
-    return adams_solve(problem, h, step_count(problem.T, h))
+        return solve(problem, config)
+    return adams_solve(problem, config.h, main_step_count(problem.T, config.h))
 
 
-def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
-                    jn=SolverConfig.jn, starter=StarterConfig(), split=None, method="jpc"):
+def run_convergence(problem, h_list, method="jpc", **settings):
     """Solve at each step size (descending) and tabulate max errors and rates.
 
     Errors are measured on the main grid only.  The problem must carry an
@@ -119,17 +124,15 @@ def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
     distinct time over the whole sweep, with a scalar t: nested step sizes
     share their grid points, and the exact start values share them too.
     """
-    _check_method(method)
+    config = _sweep_config((method,), settings)
     if problem.exact is None:
         raise ValueError("convergence runs need a problem with an exact solution")
-    if method == "adams" and split is not None:
-        raise ValueError("split applies to the jpc method only")
 
     problem = replace(problem, exact=functools.cache(problem.exact))
     rows = []
     prev = None
     for h in sorted(set(h_list), reverse=True):
-        tr = _run(problem, method, h, stencil_size, jn, starter, split)
+        tr = _run(problem, method, replace(config, h=h))
         err = max(exact_errors(tr, problem.exact)[1])
         order = observed_order(prev[0], prev[1], h, err) if prev else None
         if tr.status != STATUS_OK:
@@ -142,54 +145,49 @@ def run_convergence(problem, h_list, stencil_size=SolverConfig.stencil_size,
         prev = (h, err)
     return ConvergenceReport(
         alpha=problem.alpha,
-        stencil_size=stencil_size,
-        jn=jn,
+        stencil_size=config.stencil_size,
+        jn=config.jn,
         method=method,
         problem=problem.name or "custom",
-        starter="none" if method == "adams" else starter.label,
+        starter="none" if method == "adams" else config.starter.label,
         rows=tuple(rows),
     )
 
 
-def _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
-                steps):
+def _time_cells(problem_id, alpha, methods, t_list, config, steps):
     """One timed row per (method, horizon) cell, at ``steps(problem, method)``,
     which returns (N, h).
 
-    The quadrature rule is cached and warmed beforehand, so rows measure
+    Each method first runs its first cell once untimed, so no row pays for
+    a rule build or the pure march's build of its step loop: rows measure
     marching cost.
     """
-    if not methods:
-        raise ValueError("no method to time: name at least one of jpc, adams")
-    for m in methods:
-        _check_method(m)
-    check_rule_index("jn", jn)
-    quadrature_for(make_problem(problem_id, alpha, max(t_list)).alpha, jn)
     rows = []
     for method in methods:
-        for t_end in sorted(t_list):
+        for i, t_end in enumerate(sorted(t_list)):
             problem = make_problem(problem_id, alpha, t_end)
             n, h = steps(problem, method)
+            cell = replace(config, h=h)
+            if i == 0:
+                _run(problem, method, cell)
             begin = time.perf_counter()
-            tr = _run(problem, method, h, stencil_size, jn, starter)
+            tr = _run(problem, method, cell)
             wall = time.perf_counter() - begin
             rows.append(TimingRow(n, wall, _accesses(tr.counters), method))
     return tuple(rows)
 
 
-def run_timing(problem_id, alpha, h, methods, t_list, stencil_size=SolverConfig.stencil_size,
-               jn=SolverConfig.jn, starter=StarterConfig()):
+def run_timing(problem_id, alpha, h, methods, t_list, **settings):
     """Time each (method, horizon) cell at a fixed step size.
 
     Horizons must be integer multiples of h.
     """
-    rows = _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
-                       lambda problem, method: (step_count(problem.T, h), h))
+    rows = _time_cells(problem_id, alpha, methods, t_list, _sweep_config(methods, settings),
+                       lambda problem, method: (main_step_count(problem.T, h), h))
     return TimingReport(problem=problem_id, alpha=alpha, h=h, rows=rows)
 
 
-def run_target(problem_id, alpha, tol, methods, t_list, stencil_size=SolverConfig.stencil_size,
-               jn=SolverConfig.jn, starter=StarterConfig()):
+def run_target(problem_id, alpha, tol, methods, t_list, **settings):
     """For each (method, horizon): smallest N with max error <= tol, timed.
 
     The N-search procedure is a doubling bracket plus bisection; the paper's
@@ -197,17 +195,15 @@ def run_target(problem_id, alpha, tol, methods, t_list, stencil_size=SolverConfi
     it is not promised.
     """
     def steps(problem, method):
-        n = smallest_n_reaching(problem, tol, stencil_size=stencil_size, jn=jn,
-                                starter=starter, method=method)
+        n = smallest_n_reaching(problem, tol, method=method, **settings)
         return n, problem.T / n
 
-    rows = _time_cells(problem_id, alpha, methods, t_list, stencil_size, jn, starter,
+    rows = _time_cells(problem_id, alpha, methods, t_list, _sweep_config(methods, settings),
                        steps)
     return TimingReport(problem=problem_id, alpha=alpha, h=None, rows=rows)
 
 
-def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
-                        jn=SolverConfig.jn, starter=StarterConfig(), method="jpc"):
+def smallest_n_reaching(problem, tol, method="jpc", **settings):
     """Smallest step count with max error <= tol, by doubling then bisection.
 
     Best-effort: assumes the error is monotone in N near the answer, which
@@ -218,7 +214,7 @@ def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
     A run that diverges stops the search with DivergenceError: its error,
     taken over its truncated grid, says nothing of the target.
     """
-    _check_method(method)
+    config = _sweep_config((method,), settings)
     if problem.exact is None:
         raise ValueError("needs a problem with an exact solution")
     if not 0.0 < tol < math.inf:
@@ -228,14 +224,14 @@ def smallest_n_reaching(problem, tol, stencil_size=SolverConfig.stencil_size,
         n_cap, cap = MAX_ADAMS_STEPS, f"the Adams baseline's {MAX_ADAMS_STEPS}-step cap"
 
     def err(n):
-        tr = _run(problem, method, problem.T / n, stencil_size, jn, starter)
+        tr = _run(problem, method, replace(config, h=problem.T / n))
         if tr.status != STATUS_OK:
             raise DivergenceError(f"{method} run at N={n} diverged at t = "
                                   f"{tr.grid.t(tr.grid.count - 1):g}, so the search for "
                                   f"an error of {tol:g} stops")
         return max(exact_errors(tr, problem.exact)[1])
 
-    lo, n, e = None, stencil_size, err(stencil_size)
+    lo, n, e = None, config.stencil_size, err(config.stencil_size)
     since = (n, e)  # N and error where the last run of slow doublings began
     while e > tol:
         if n >= n_cap:

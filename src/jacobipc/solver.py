@@ -81,7 +81,7 @@ class SolverConfig:
         if not 0.0 < self.h < math.inf:
             raise ValueError(f"step h must be finite and positive, got {self.h}")
         if self.stencil_size < 2:
-            raise ValueError("stencil size must be at least 2")
+            raise ValueError(f"stencil size must be at least 2, got {self.stencil_size}")
         uniform_bary_weights(self.stencil_size)  # refuses sizes whose weights overflow
         check_rule_index("jn", self.jn)
 
@@ -94,6 +94,18 @@ def _main_span(T, split):
         raise ValueError(f"split point t0 = {split.t0} must lie inside (0, T), "
                          f"before the horizon T = {T}")
     return T - split.t0
+
+
+def main_step_count(T, h, split=None):
+    """Steps of size h on the main grid, over [0, T] or, after a split point
+    t0, over [t0, T]; an uneven fit is refused naming h, T and t0."""
+    span = _main_span(T, split)
+    try:
+        return step_count(span, h)
+    except ValueError:
+        over = (f"the horizon T = {T}" if split is None else
+                f"the span T - t0 = {T} - {split.t0} = {span} after the split point")
+        raise ValueError(f"step h = {h} does not evenly divide {over}") from None
 
 
 def quadrature_for(alpha, jn):
@@ -139,13 +151,14 @@ def solve(problem, config):
     split, h, size = config.split, config.h, config.stencil_size
     origin = 0.0 if split is None else split.t0
     span = _main_span(problem.T, split)
-    n_steps = step_count(span, h)
+    n_steps = main_step_count(problem.T, h, split)
     # numpy refuses an array of more than sys.maxsize bytes, 8 per float64
     if n_steps + 1 > sys.maxsize // 8:
         raise ValueError(f"step {h!r} over the span {span!r} gives "
                          f"{n_steps:.3g} steps, more than a float64 array can hold")
     if n_steps < size:
-        raise ValueError("grid too coarse: need at least stencil_size steps")
+        raise ValueError(f"grid too coarse: stencil size {size} needs at least {size} steps, "
+                         f"but the grid has {n_steps}")
     try:
         (0.5 * n_steps * h) ** problem.alpha  # the last step's kernel scale
     except OverflowError:

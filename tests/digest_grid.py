@@ -1,10 +1,15 @@
 """The digest grid: a fixed set of runs whose results are pinned bit for bit.
 
 ``lines()`` yields one line per run, in four sections, each closed by a
-``combined`` line, a sha256 over that section's lines.
-``tools/trajectory_digest.py`` prints these lines after a line naming the
-backend, and ``test_digests.py`` compares each of them, on both backends,
-with ``golden_digests.txt``.
+``combined`` line, a sha256 over that section's lines.  ``test_digests.py``
+compares each of them, on both backends, with ``golden_digests.txt``.  Run
+as a script, this module prints them with whichever kernels the import
+selects (``JACOBIPC_PURE=1`` for the pure ones).  After a declared rounding
+change, regenerate the golden file from the repository root with
+
+    PYTHONPATH=src python tests/digest_grid.py > tests/golden_digests.txt
+
+and list the moved labels (``git diff`` of the file) in CHANGES.md.
 
 Solve lines: the label, the endpoint as ``float.hex``, a sha256 of ``x`` and
 ``f_cache``, a sha256 of the split head's ``x`` (``-`` without a split), the
@@ -199,3 +204,8 @@ def lines():
             yield line
         joined = "\n".join(done)
         yield f"{closing} {hashlib.sha256(joined.encode()).hexdigest()}"
+
+
+if __name__ == "__main__":
+    for line in lines():
+        print(line)

@@ -279,6 +279,14 @@ def test_split_refusals_name_the_flags(capsys):
     # the barycentric weights of this stencil overflow a float
     (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "1100", "--stencil", "1100"],
      "1100"),
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10", "--stencil", "1"], "1"),
+    # a sweep checks its settings once, for the adams baseline too
+    (["converge", "--problem", "poly8", "--alpha", "0.5", "--h-list", "0.1",
+      "--method", "adams", "--jn", "5000"], "5000"),
+    (["converge", "--problem", "poly8", "--alpha", "0.5", "--h-list", "0.1",
+      "--method", "adams", "--stencil", "1"], "1"),
+    (["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--t-list", "1",
+      "--methods", "adams", "--stencil", "1"], "1"),
 ])
 def test_numeric_inputs_past_the_configs_are_refused(args, value, capsys):
     # a config error names the offending value on its one message line, with
@@ -288,6 +296,36 @@ def test_numeric_inputs_past_the_configs_are_refused(args, value, capsys):
     assert "Traceback" not in captured.err
     named = [line for line in captured.err.splitlines() if value in line.split()]
     assert len(named) == 1 and named[0].lower().startswith("error: ")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--h", "0.3"],
+     "step h = 0.3 does not evenly divide the horizon T = 1.0"),
+    (["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.3", "--t-list", "1"],
+     "step h = 0.3 does not evenly divide the horizon T = 1.0"),
+    (["converge", "--problem", "ml_linear", "--alpha", "0.5", "--h-list", "0.1,0.05",
+      "--split-t0", "0.25"],
+     "step h = 0.1 does not evenly divide the span T - t0 = 1.0 - 0.25 = 0.75 after the "
+     "split point"),
+], ids=["solve", "bench", "converge-split"])
+def test_an_uneven_step_is_refused_naming_h_the_horizon_and_the_split_point(args, message,
+                                                                             capsys):
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_grid_coarser_than_the_stencil_is_refused_naming_both(capsys):
+    for args, n_steps in (
+            (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "2"], 2),
+            (["bench", "--problem", "ml_linear", "--alpha", "1.5", "--h", "1e300",
+              "--t-list", "1e300", "--methods", "jpc"], 1)):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: grid too coarse: stencil size 3 needs at least 3 "
+                                f"steps, but the grid has {n_steps}\n")
 
 
 def test_solve_split_flags(capsys):

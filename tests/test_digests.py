@@ -1,16 +1,11 @@
 """Every line of the digest grid, on both backends, against the golden file.
 
-``digest_grid`` describes the grid.  ``golden_digests.txt`` holds
-``tools/trajectory_digest.py``'s output minus its first (backend) line, so a
+``digest_grid`` describes the grid, and its docstring gives the command that
+regenerates ``golden_digests.txt`` after a declared rounding change.  A
 change that moves any solve, oracle value, Adams run or float32 run fails
 here on the backend it moves, with the labels of the lines that moved.  The
 floats are pinned on glibc's libm on x86-64; under another libm this test
-fails and names the lines that differ.  After a declared rounding change,
-regenerate the file with
-
-    python tools/trajectory_digest.py | tail -n +2 > tests/golden_digests.txt
-
-and list the moved labels in CHANGES.md.
+fails and names the lines that differ.
 """
 
 from pathlib import Path

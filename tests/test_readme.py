@@ -23,7 +23,7 @@ def command_line_examples():
 def test_every_repository_path_named_in_the_readme_exists():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     named = {match.rstrip(".") for match in REPO_PATH.findall(text)}
-    assert "tools/trajectory_digest.py" in named  # the pattern finds paths at all
+    assert "tests/digest_grid.py" in named  # the pattern finds paths at all
     assert sorted(path for path in named if not (ROOT / path).exists()) == []
 
 

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import types
 
 import pytest
 
-from jacobipc import reports
+from jacobipc import _kernels_py, quadrature, reports, solver
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.problems import ProblemSpec, make_problem
 from jacobipc.reports import (ConvergenceReport, ConvergenceRow, ROW_GROWING,
@@ -310,6 +311,26 @@ def test_timing_access_column_closed_forms():
     ratio = by[("adams", 40)].rhs_evals / by[("adams", 20)].rhs_evals
     assert 3.5 < ratio <= 4.0
     assert all(r.wall_seconds >= 0.0 for r in report.rows)
+
+
+def test_timed_rows_build_no_march_loop_or_rule(monkeypatch):
+    # each method runs its first cell untimed, so the pure march's one-time
+    # build of its step loop, and the rule build, fall outside every row
+    monkeypatch.setattr(solver, "kernels", _kernels_py)
+    _kernels_py._march_loop.cache_clear()
+    quadrature.gauss_lobatto_rule.cache_clear()
+    builds = []
+
+    def perf_counter():
+        builds.append((_kernels_py._march_loop.cache_info().misses,
+                       quadrature.gauss_lobatto_rule.cache_info().misses))
+        return 0.0
+
+    monkeypatch.setattr(reports, "time", types.SimpleNamespace(perf_counter=perf_counter))
+    report = run_timing("poly8", 0.5, 1.0 / 100, ("jpc",), (0.5, 1.0, 2.0))
+    assert [r.n_steps for r in report.rows] == [50, 100, 200]
+    assert len(builds) == 6
+    assert builds[0::2] == builds[1::2] == [(1, 1)] * 3
 
 
 def test_run_timing_validation():
