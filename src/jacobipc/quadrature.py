@@ -1,12 +1,14 @@
 """Gauss-Lobatto quadrature for Jacobi weights (1-x)^a (1+x)^b on [-1, 1].
 
-Rules are built in float64 from the classical Gauss-Lobatto-Jacobi closed
-forms (Karniadakis-Sherwin, Spectral/hp Element Methods, 2nd ed., App. B):
-with n = n_points - 1, the interior nodes are the zeros of
-P_(n-1)^(a+1,b+1), taken from the eigenvalues of its symmetric Jacobi
-matrix and polished by Newton steps on the three-term recurrence; the
-interior weights follow from the derivative at each node, and the two end
-weights from Gamma-function ratios evaluated in lgamma.
+Rules are built in float64 by the Golub-Welsch construction (Golub and
+Welsch, Math. Comp. 23, 1969; Gautschi, Orthogonal Polynomials, 2004):
+with n = n_points - 1, one symmetric eigen-solve of the Jacobi matrix of
+P_(n-1)^(a+1,b+1) gives the interior nodes as its eigenvalues and the
+Gauss weights of (1-x)^(a+1) (1+x)^(b+1) from the first eigenvector
+components; dividing those by 1 - x^2 gives the interior Lobatto weights.
+The two end weights come from the Gauss-Lobatto-Jacobi closed forms
+(Karniadakis-Sherwin, Spectral/hp Element Methods, 2nd ed., App. B), as
+Gamma-function ratios evaluated in lgamma.
 """
 
 import functools
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CACHED_RULES = 64
-MAX_POINTS = 1025  # the eigenvalue step holds an (n-2) x (n-2) matrix
+MAX_POINTS = 1025  # the eigen-solve holds several (n-2) x (n-2) matrices
 
 
 @dataclass(frozen=True)
@@ -46,33 +48,20 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def _jacobi(m, a, b, x):
-    """P_m^(a,b)(x) and its derivative by the three-term recurrence (m >= 1)."""
-    p_prev, p = np.ones_like(x), 0.5 * (a - b + (a + b + 2) * x)
-    d_prev, d = np.zeros_like(x), np.full_like(x, 0.5 * (a + b + 2))
-    for k in range(2, m + 1):
-        c = 2 * k + a + b
-        scale = 2 * k * (k + a + b) * (c - 2)
-        lead = (c - 1) * c * (c - 2) / scale
-        slope = lead * x + (c - 1) * (a - b) * (a + b) / scale
-        back = 2 * (k + a - 1) * (k + b - 1) * c / scale
-        p_prev, p = p, slope * p - back * p_prev
-        d_prev, d = d, slope * d + lead * p_prev - back * d_prev
-    return p, d
-
-
-def _gauss_nodes(m, a, b):
-    """Zeros of P_m^(a,b) from the symmetric Jacobi matrix (a + b > 0 here)."""
+def _gauss_rule(m, a, b):
+    """Nodes and first eigenvector components of the symmetric Jacobi matrix
+    of P_m^(a,b) (a + b > 0 here): the Gauss weights are mass * v0**2."""
     k = np.arange(m, dtype=float)
     c = 2 * k + a + b
     diag = (b - a) / c * (a + b) / (c + 2)
     k, c = k[1:], c[1:]
     off = np.sqrt(4 * k / c * (k + a) / c * (k + b) / (c + 1) * (k + a + b) / (c - 1))
-    matrix = np.diag(diag)  # eigvalsh reads only the lower triangle
+    matrix = np.diag(diag)  # eigh reads only the lower triangle
     matrix[np.arange(1, m), np.arange(m - 1)] = off
     if not np.isfinite(matrix).all():  # a + b overflowed: NaN nodes, which are refused
-        return np.full(m, np.nan)
-    return np.linalg.eigvalsh(matrix)
+        return np.full(m, np.nan), np.full(m, np.nan)
+    x, vectors = np.linalg.eigh(matrix)
+    return x, vectors[0]
 
 
 def _log_end_weight(a, b, n):
@@ -98,18 +87,14 @@ def gauss_lobatto_rule(weight, n_points):
 
     a, b, n = weight.a, weight.b, n_points - 1
     with np.errstate(all="ignore"):  # huge exponents overflow; refused below
-        x = _gauss_nodes(n - 1, a + 1, b + 1)
-        for _ in range(2):
-            p, d = _jacobi(n - 1, a + 1, b + 1, x)
-            x = x - p / d
-        _, d = _jacobi(n - 1, a + 1, b + 1, x)
-        try:
-            log_k = ((a + b + 3) * math.log(2) + math.lgamma(n + a + 1)
-                     + math.lgamma(n + b + 1) - math.lgamma(n + a + b + 2) - math.lgamma(n))
-            ends = np.exp([_log_end_weight(b, a, n), log_k, _log_end_weight(a, b, n)])
+        x, v0 = _gauss_rule(n - 1, a + 1, b + 1)
+        try:  # the mass of (1-x)^(a+1) (1+x)^(b+1): 2^(a+b+3) B(a+2, b+2)
+            log_mass = ((a + b + 3) * math.log(2) + math.lgamma(a + 2)
+                        + math.lgamma(b + 2) - math.lgamma(a + b + 4))
+            ends = np.exp([_log_end_weight(b, a, n), log_mass, _log_end_weight(a, b, n)])
         except OverflowError:  # lgamma of a huge exponent: no finite weight
             ends = np.full(3, math.inf)
-        inner = ends[1] / ((1 - x) * (1 + x) * d) ** 2
+        inner = ends[1] * v0**2 / ((1 - x) * (1 + x))
     nodes = np.concatenate(([-1.0], x, [1.0]))
     weights = np.concatenate((ends[:1], inner, ends[2:]))
     if not (np.all(np.isfinite(weights)) and np.all(weights > 0)

@@ -6,8 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from jacobipc.quadrature import (CACHED_RULES, MAX_POINTS, JacobiWeight, _jacobi,
-                                 gauss_lobatto_rule)
+from jacobipc.quadrature import CACHED_RULES, MAX_POINTS, JacobiWeight, gauss_lobatto_rule
 
 from golden_quadrature import GOLDEN
 from quadrature_reference import integrate, moment
@@ -77,6 +76,22 @@ def test_monomial_exactness(alpha, n_points):
             f"degree {degree}: {got} vs {exact}")
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.95])
+def test_large_rules_integrate_smooth_functions(alpha):
+    # the reference substitutes u = (1-s)^alpha, which removes the weight's
+    # singular end: the integral is (1/alpha) int_0^(2^alpha) f(1 - u^(1/alpha)) du
+    import mpmath as mp
+
+    weight = JacobiWeight(alpha - 1.0, 0.0)
+    for f, mp_f in ((lambda s: math.cos(3 * s), lambda s: mp.cos(3 * s)), (math.exp, mp.exp)):
+        with mp.workdps(30):
+            exact = float(mp.quad(lambda u: mp_f(1 - u ** (1 / mp.mpf(alpha))),
+                                  [0, mp.mpf(2) ** alpha]) / alpha)
+        for n_points in (105, 513, 1025):
+            got = integrate(gauss_lobatto_rule(weight, n_points), f)
+            assert abs(got - exact) <= 1e-11 * abs(exact), f"{n_points} points: {got} vs {exact}"
+
+
 def test_exactness_degree_is_sharp():
     # one degree past 2n-3 the Lobatto rule must NOT be exact
     weight = JacobiWeight(-0.5, 0.0)
@@ -96,14 +111,6 @@ def test_node_layout_and_immutability():
     assert not rule.weights.flags.writeable
     assert rule.n_points == 27
     assert gauss_lobatto_rule(JacobiWeight(-0.5, 0.0), 27) is rule
-
-
-def test_legendre_recurrence_closed_form():
-    # a = b = 0: P_3 = (5x^3 - 3x)/2 and P_3' = (15x^2 - 3)/2
-    x = np.linspace(-1.0, 1.0, 21)
-    p, d = _jacobi(3, 0.0, 0.0, x)
-    assert np.max(np.abs(p - (5 * x**3 - 3 * x) / 2)) <= 4e-16
-    assert np.max(np.abs(d - (15 * x**2 - 3) / 2)) <= 1e-15
 
 
 def test_integrate_helper_matches_moments():
@@ -126,7 +133,7 @@ def test_validation_errors():
             JacobiWeight(0.0, a)
     with pytest.raises(ValueError):
         gauss_lobatto_rule(JacobiWeight(0.0, 0.0), 2)
-    # the eigenvalue step holds an n x n matrix: sizes past the cap are refused
+    # the eigen-solve holds n x n matrices: sizes past the cap are refused
     assert gauss_lobatto_rule(JacobiWeight(-0.5, 0.0), MAX_POINTS).n_points == MAX_POINTS
     for n_points in (MAX_POINTS + 1, 100000):
         with pytest.raises(ValueError, match="points"):
