@@ -127,6 +127,9 @@ def recommended_refinement(alpha, h, stencil_size):
     if h >= 1.0:
         raise ValueError(f"refinement rule assumes h < 1, got h = {h}; "
                          "give the refinement with --starter refined:K")
+    if 1.0 / h == math.inf:
+        raise ValueError(f"step h = {h} is too small for the refinement rule: 1/h "
+                         "overflows a float; give the refinement with --starter refined:K")
     p = 1.0 + min(alpha, 1.0)
     k = math.ceil((stencil_size + 0.5 - p) * math.log10(1.0 / h) / p - 1e-12)
     return min(max(k, 0), _max_refinement(stencil_size))
@@ -157,6 +160,9 @@ def start_values(problem, h, stencil_size, cfg, split=None):
                     f"largest whose fine Adams run at stencil size {stencil_size} stays "
                     f"within {MAX_STARTER_STEPS} substeps")
             stride = 10**k
+            if h / stride == 0.0:
+                raise ValueError(f"refined starter substep h/10^k = {h!r}/10^{k} "
+                                 "underflows to 0")
     else:
         if not exact and cfg.k is not None:
             raise ValueError("a split refined start continues the head run at "

@@ -29,24 +29,27 @@ class ExprError(ValueError):
     """Base for parse- and evaluation-time failures."""
 
 
-class ExprSyntaxError(ExprError):
-    def __init__(self, message, offset, expected=()):
+class _OffsetError(ExprError):
+    """A parse-time failure at a character offset of the source."""
+
+    def __init__(self, message, offset, tail=""):
         self.offset = offset
-        self.expected = frozenset(expected)
-        tail = f" (expected {', '.join(sorted(self.expected))})" if expected else ""
         super().__init__(f"{message} at offset {offset}{tail}")
 
 
-class ExprNameError(ExprError):
-    def __init__(self, message, offset):
-        self.offset = offset
-        super().__init__(f"{message} at offset {offset}")
+class ExprSyntaxError(_OffsetError):
+    def __init__(self, message, offset, expected=()):
+        self.expected = frozenset(expected)
+        super().__init__(message, offset,
+                         f" (expected {', '.join(sorted(self.expected))})" if expected else "")
 
 
-class ExprArityError(ExprError):
-    def __init__(self, message, offset):
-        self.offset = offset
-        super().__init__(f"{message} at offset {offset}")
+class ExprNameError(_OffsetError):
+    pass
+
+
+class ExprArityError(_OffsetError):
+    pass
 
 
 class ExprEvalError(ExprError):
@@ -96,39 +99,42 @@ FUNCTIONS = {
     "pow": (2, math.pow),
 }
 
-_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv, "^": math.pow}
+# precedence levels; a child is parenthesized when its level falls below the
+# minimum its slot requires under the grammar
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPERATORS = "+-*/^(),"
+# each binary operator: its function, its level, and the least levels of its
+# left and right operands
+_BINARY = {
+    "+": (operator.add, _LEVEL_ADD, _LEVEL_ADD, _LEVEL_MUL),
+    "-": (operator.sub, _LEVEL_ADD, _LEVEL_ADD, _LEVEL_MUL),
+    "*": (operator.mul, _LEVEL_MUL, _LEVEL_MUL, _LEVEL_NEG),
+    "/": (operator.truediv, _LEVEL_MUL, _LEVEL_MUL, _LEVEL_NEG),
+    "^": (math.pow, _LEVEL_POW, _LEVEL_ATOM, _LEVEL_NEG),
+}
+# evaluate's view of the table: a binary node costs one lookup
+_BINARY_FN = {op: row[0] for op, row in _BINARY.items()}
+
+# \d and \s are Unicode-aware (\s is exactly str.isspace); names are ASCII
+_TOKEN = re.compile(r"""
+    (?P<number> (?:\d+(?:\.\d*)? | \.\d+) (?:[eE][+-]?\d+)? )
+  | (?P<ident> [A-Za-z_][A-Za-z_0-9]* )
+  | (?P<op> [-+*/^(),] )
+  | (?P<space> \s+ )
+  | (?P<other> . )
+""", re.VERBOSE | re.DOTALL)
 
 
 def _tokenize(source):
+    """(kind, text, offset) triples; an operator's kind is its own text."""
     tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        m = _NUMBER.match(source, pos)
-        if m:
-            tokens.append(("number", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _IDENT.match(source, pos)
-        if m:
-            tokens.append(("ident", m.group(), pos))
-            pos = m.end()
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "other":
+            raise ExprSyntaxError(f"unexpected character {text!r}", m.start())
+        if kind != "space":
+            tokens.append((text if kind == "op" else kind, text, m.start()))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -146,29 +152,30 @@ class _Parser:
         self.i += 1
         return tok
 
+    def unexpected(self, expected):
+        """The syntax error for the next token, which is none of ``expected``."""
+        kind, text, pos = self.peek()
+        return ExprSyntaxError(
+            f"unexpected {text!r}" if kind != "end" else "unexpected end of input", pos, expected)
+
     def expect(self, kind, expected):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExprSyntaxError(
-                f"unexpected {tok[1]!r}" if tok[0] != "end" else "unexpected end of input",
-                tok[2],
-                expected,
-            )
+        if self.peek()[0] != kind:
+            raise self.unexpected(expected)
         return self.advance()
 
-    def expr(self):
-        left = self.term()
-        while self.peek()[0] in ("+", "-"):
+    def chain(self, ops, operand):
+        """operand ((op in ops) operand)*, grouped to the left."""
+        left = operand()
+        while self.peek()[0] in ops:
             op = self.advance()[0]
-            left = BinOp(op, left, self.term())
+            left = BinOp(op, left, operand())
         return left
 
+    def expr(self):
+        return self.chain(("+", "-"), self.term)
+
     def term(self):
-        left = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            left = BinOp(op, left, self.factor())
-        return left
+        return self.chain(("*", "/"), self.factor)
 
     def factor(self):
         if self.peek()[0] == "-":
@@ -207,11 +214,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")", ("')'",))
             return inner
-        raise ExprSyntaxError(
-            f"unexpected {text!r}" if kind != "end" else "unexpected end of input",
-            pos,
-            ("number", "identifier", "'('"),
-        )
+        raise self.unexpected(("number", "identifier", "'('"))
 
     def call(self, name, pos):
         if name not in FUNCTIONS:
@@ -240,39 +243,20 @@ def parse(source, variables=VARIABLES):
     return tree
 
 
-# printer precedence levels; a child is parenthesized when its level falls
-# below the minimum its slot requires under the grammar
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(node):
-    if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            return _LEVEL_ADD
-        if node.op in ("*", "/"):
-            return _LEVEL_MUL
-        return _LEVEL_POW
-    if isinstance(node, Neg):
-        return _LEVEL_NEG
-    return _LEVEL_ATOM
-
-
 def _fmt(node, minimum):
+    level = _LEVEL_ATOM
     if isinstance(node, Num):
         text = repr(node.value)
     elif isinstance(node, Var):
         text = node.name
     elif isinstance(node, Neg):
-        text = "-" + _fmt(node.operand, _LEVEL_POW)
+        text, level = "-" + _fmt(node.operand, _LEVEL_POW), _LEVEL_NEG
     elif isinstance(node, Call):
         text = node.name + "(" + ", ".join(_fmt(a, _LEVEL_ADD) for a in node.args) + ")"
-    elif node.op in ("+", "-"):
-        text = _fmt(node.left, _LEVEL_ADD) + node.op + _fmt(node.right, _LEVEL_MUL)
-    elif node.op in ("*", "/"):
-        text = _fmt(node.left, _LEVEL_MUL) + node.op + _fmt(node.right, _LEVEL_NEG)
     else:
-        text = _fmt(node.left, _LEVEL_ATOM) + "^" + _fmt(node.right, _LEVEL_NEG)
-    if _level(node) < minimum:
+        _, level, left, right = _BINARY[node.op]
+        text = _fmt(node.left, left) + node.op + _fmt(node.right, right)
+    if level < minimum:
         return "(" + text + ")"
     return text
 
@@ -315,7 +299,7 @@ def evaluate(node, t, x, alpha):
         return _apply(fn, node, *args)
     left = evaluate(node.left, t, x, alpha)
     right = evaluate(node.right, t, x, alpha)
-    return _apply(_BINARY_OPS[node.op], node, left, right)
+    return _apply(_BINARY_FN[node.op], node, left, right)
 
 
 def compile_rhs(source, alpha):

@@ -25,7 +25,6 @@ bits.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -152,10 +151,11 @@ def solve(problem, config):
     origin = 0.0 if split is None else split.t0
     span = _main_span(problem.T, split)
     n_steps = main_step_count(problem.T, h, split)
-    # numpy refuses an array of more than sys.maxsize bytes, 8 per float64
-    if n_steps + 1 > sys.maxsize // 8:
+    try:  # the run's four float64 arrays (times, base, x, f), not yet written to
+        np.empty((4, n_steps + 1))
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
         raise ValueError(f"step {h!r} over the span {span!r} gives "
-                         f"{n_steps:.3g} steps, more than a float64 array can hold")
+                         f"{n_steps:.3g} steps, more than a float64 array can hold") from None
     if n_steps < size:
         raise ValueError(f"grid too coarse: stencil size {size} needs at least {size} steps, "
                          f"but the grid has {n_steps}")

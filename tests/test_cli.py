@@ -583,6 +583,57 @@ def test_step_count_no_array_can_hold_is_refused_by_step_and_span(capsys):
                                 "more than a float64 array can hold\n")
 
 
+@pytest.fixture
+def unevaluated(monkeypatch):
+    """Problems from --problem and --rhs whose rhs and exact solution fail when called."""
+    import dataclasses
+
+    import jacobipc.cli as cli_mod
+
+    def called(*args):
+        raise AssertionError("the problem was evaluated")
+
+    monkeypatch.setattr(cli_mod, "make_problem", lambda *args: dataclasses.replace(
+        make_problem(*args), rhs=called, exact=called))
+    monkeypatch.setattr(cli_mod, "compile_rhs", lambda *args: called)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--h", "1e-17"],
+     "step 1e-17 over the span 1.0 gives 1e+17 steps"),
+    (["converge", "--problem", "ml_linear", "--alpha", "0.5", "--h-list", "1e-17",
+      "--t-end", "2"], "step 1e-17 over the span 2.0 gives 2e+17 steps"),
+], ids=["solve", "converge"])
+def test_a_step_count_whose_arrays_cannot_be_allocated_is_refused_before_any_rhs_call(
+        args, message, capsys, unevaluated):
+    # 1e17 steps take 711 PiB per float64 array, past any x86-64 address
+    # space: the allocation fails on every host without touching memory
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}, more than a float64 array can hold\n"
+
+
+SUBNORMAL_STEP = ["solve", "--rhs", "x", "--init", "1", "--alpha", "0.5", "--n", "10",
+                  "--t-end", "1e-320"]
+
+
+def test_a_step_too_small_for_the_refinement_rule_is_refused_by_name(capsys, unevaluated):
+    assert main(SUBNORMAL_STEP) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: step h = 1e-321 is too small for the refinement rule: "
+                            "1/h overflows a float; give the refinement with "
+                            "--starter refined:K\n")
+
+
+def test_a_refined_substep_that_underflows_is_refused_naming_k(capsys, unevaluated):
+    assert main(SUBNORMAL_STEP + ["--starter", "refined:3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: refined starter substep h/10^k = 1e-321/10^3 underflows to 0\n"
+
+
 def test_target_search_stops_at_a_diverged_run_exit_2(capsys):
     # alpha 0.1 with stencil 5 leaves the guard from N = 1280 on; the error
     # of the truncated grid must not stand in for the run's

@@ -4,8 +4,9 @@
 regenerates ``golden_digests.txt`` after a declared rounding change.  A
 change that moves any solve, oracle value, Adams run or float32 run fails
 here on the backend it moves, with the labels of the lines that moved.  The
-floats are pinned on glibc's libm on x86-64; under another libm this test
-fails and names the lines that differ.
+floats are pinned on one host's libm, numpy SIMD kernels and OpenBLAS
+kernels (README, Tests); on another this test fails and names the lines that
+differ.
 """
 
 from pathlib import Path

@@ -48,6 +48,10 @@ EVAL_CASES = [
     ("2^(1/2)", math.sqrt(2.0)),
     ("pow(x,-1)", 0.5),
     ("1/2+1/2", 1.0),
+    ("1\t+\n2", 3.0),  # any str.isspace character separates tokens
+    ("x\u00a0+1", X + 1),  # no-break space
+    ("1.e3", 1000.0),
+    ("\u0663", 3.0),  # Arabic-Indic three: a digit to \d and to float()
 ]
 
 
@@ -72,6 +76,10 @@ SYNTAX_CASES = [
     ("1+boop", ExprNameError, 2),
     ("sin(1,2)", ExprArityError, 0),
     ("pow(1)", ExprArityError, 0),
+    ("x + \u00e9", ExprSyntaxError, 4),  # identifiers are ASCII
+    ("1.5.2", ExprSyntaxError, 3),  # '1.5', then the literal '.2'
+    ("1e", ExprSyntaxError, 1),  # an exponent needs digits: '1', then the name 'e'
+    (".e1", ExprSyntaxError, 0),  # a bare '.' starts no literal
 ]
 
 
