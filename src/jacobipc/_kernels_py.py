@@ -19,7 +19,9 @@ and the corrector pass then has no work left.
 
 Which stencil a node uses, and its barycentric coefficients, depend on the
 step and the node, not on f.  So ``stencil_plan`` works out those for a
-block of steps at once with numpy.  A block holds PLAN_BUDGET plan elements
+block of steps at once with numpy, from the equispaced barycentric weights
+of ``uniform_bary_weights`` (which refuses a stencil size whose weights
+overflow a float).  A block holds PLAN_BUDGET plan elements
 (steps x nodes x stencil size), so plan memory does not grow with N; the
 corrector's plan covers the nodes from the block's first J on and is built
 only for blocks where some step still needs it.
@@ -96,6 +98,18 @@ class StencilPlan(NamedTuple):
     reads: np.ndarray
     shared: np.ndarray
     weights: np.ndarray
+
+
+def uniform_bary_weights(size):
+    """Barycentric weights for ``size`` equispaced nodes: (-1)^k C(size-1, k).
+
+    Raises ValueError for a size whose weights exceed the float range.
+    """
+    try:
+        return np.array([(-1.0) ** k * math.comb(size - 1, k) for k in range(size)])
+    except OverflowError:
+        raise ValueError(f"stencil size {size} is too large: its barycentric weights "
+                         "overflow a float") from None
 
 
 def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
@@ -347,16 +361,16 @@ def _march_loop(size):
     return scope["march_loop"]
 
 
-@functools.lru_cache(maxsize=16)
 def _history_weights(alpha, length):
     """(b, c) with b[m] = m^a - (m-1)^a and c[m] = (m+1)^(a+1) - 2 m^(a+1) +
     (m-1)^(a+1) for 1 <= m <= length, each with the operations of the C
-    twin's loop (0^a and 0^(a+1) taken as 0, 1^(a+1) as 1)."""
+    twin's loop (0^a and 0^(a+1) taken as 0, 1^(a+1) as 1).  Built for each
+    run, uncached: runs seldom repeat an (alpha, length)."""
     ap1 = alpha + 1.0
     p = [0.0] + [float(m) ** alpha for m in range(1, length + 1)]
     q = [0.0, 1.0] + [float(m) ** ap1 for m in range(2, length + 2)]
-    b = (0.0,) + tuple(p[m] - p[m - 1] for m in range(1, length + 1))
-    c = (0.0,) + tuple(q[m + 1] - 2.0 * q[m] + q[m - 1] for m in range(1, length + 1))
+    b = [0.0] + [p[m] - p[m - 1] for m in range(1, length + 1)]
+    c = [0.0] + [q[m + 1] - 2.0 * q[m] + q[m - 1] for m in range(1, length + 1)]
     return b, c
 
 

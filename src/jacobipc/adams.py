@@ -20,10 +20,9 @@ import numpy as np
 
 from jacobipc._backend import kernels
 from jacobipc._kernels_py import as_double
-from jacobipc.interp import UniformGrid, step_count
 from jacobipc.problems import taylor_head
 from jacobipc.trajectory import (STATUS_DIVERGED, STATUS_OK, Counters, DivergenceError,
-                                 Trajectory)
+                                 Trajectory, UniformGrid, step_count)
 
 EXACT = "exact"
 REFINED_ADAMS = "refined_adams"
@@ -165,8 +164,9 @@ def start_values(problem, h, stencil_size, cfg, split=None):
                                  "underflows to 0")
     else:
         if not exact and cfg.k is not None:
-            raise ValueError("a split refined start continues the head run at "
-                             "h/--split-fine, so it takes no k")
+            raise ValueError(f"--starter {cfg.label}: a split refined start continues the "
+                             "head run at h/--split-fine, so it takes no k; use --starter "
+                             "refined")
         origin, stride = split.t0, split.fine_factor
         # refusals name the CLI flags and the values given, not the substep
         try:

@@ -49,18 +49,19 @@ def _load_config(ctx, param, path):
     ctx.default_map = defaults
 
 
-def _parse_h(text):
-    """Step size as a decimal or a p/q fraction ("0.025" or "1/40")."""
+def _parse_h(text, flag):
+    """Step size as a decimal or a p/q fraction ("0.025" or "1/40"), given
+    through ``flag``."""
     if "/" in text:
         num, _, den = text.partition("/")
         try:
             return float(num) / float(den)
         except (ValueError, ZeroDivisionError):
-            raise click.UsageError(f"bad step size {text!r}") from None
+            raise click.UsageError(f"bad step size {text!r} in {flag}") from None
     try:
         return float(text)
     except ValueError:
-        raise click.UsageError(f"bad step size {text!r}") from None
+        raise click.UsageError(f"bad step size {text!r} in {flag}") from None
 
 
 def _method_settings(kw, exact_known):
@@ -70,7 +71,7 @@ def _method_settings(kw, exact_known):
     try:
         starter = StarterConfig.parse(default if kw["starter"] is None else kw["starter"])
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise click.UsageError(f"{exc} (in --starter)") from None
     return {"stencil_size": kw["stencil"], "jn": kw["jn"], "starter": starter}
 
 
@@ -212,7 +213,10 @@ def solve_cmd(**kw):
     problem = _build_problem(kw)
     split = _split_config(kw)
     span = _main_span(problem.T, split)
-    h = _parse_h(kw["h_text"]) if kw["h_text"] is not None else _step_for(span, kw["n"], "--n")
+    if kw["h_text"] is not None:
+        h = _parse_h(kw["h_text"], "--h")
+    else:
+        h = _step_for(span, kw["n"], "--n")
     tr = solve(problem, SolverConfig(h=h, split=split,
                                      **_method_settings(kw, problem.exact is not None)))
     # the exact solution can be costly (the Mittag-Leffler oracle): evaluate it
@@ -257,7 +261,7 @@ def converge(**kw):
     problem = _build_problem(kw, need_exact=True)
     split = _split_config(kw)
     if kw["h_list"] is not None:
-        hs = [_parse_h(tok) for tok in kw["h_list"].split(",")]
+        hs = [_parse_h(tok, "--h-list") for tok in kw["h_list"].split(",")]
     else:
         span = _main_span(problem.T, split)
         try:
@@ -303,7 +307,7 @@ def bench(**kw):
     else:
         if kw["h_text"] is None:
             raise click.UsageError("Missing option '--h' (or give --target-error).")
-        report = run_timing(kw["problem"], kw["alpha"], _parse_h(kw["h_text"]),
+        report = run_timing(kw["problem"], kw["alpha"], _parse_h(kw["h_text"], "--h"),
                             methods, t_list, **settings)
     click.echo(format_table(report))
     if kw["output"]:

@@ -120,7 +120,8 @@ def mittag_leffler(alpha, z, tol=DEFAULT_TOL):
     if not z <= 0.0:
         raise ValueError(f"argument must be nonpositive, got {z}")
     if not tol >= sys.float_info.epsilon:
-        raise ValueError("tolerance must be at least machine epsilon")
+        raise ValueError(f"tolerance must be at least machine epsilon "
+                         f"({sys.float_info.epsilon!r}), got {tol!r}")
     if alpha == 1.0:
         return math.exp(z)
     if alpha == 2.0:

@@ -28,7 +28,8 @@ from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, DivergenceError
 
 ROW_GROWING = "growing"  # error failed to shrink under refinement
 
-MAX_SEARCH_STEPS = 1 << 22
+# a jpc target search doubles N up to this many steps, then exits
+MAX_SEARCH_STEPS = 1 << 16
 FLOOR_FACTOR = 1.2  # order-1 error decay is 2x a doubling; small alpha's, 1.4x
 
 
@@ -102,7 +103,8 @@ def _sweep_config(methods, settings):
             raise ValueError(f"unknown method {method!r} (known: jpc, adams)")
     config = SolverConfig(h=1.0, **settings)
     if "adams" in methods and config.split is not None:
-        raise ValueError("split applies to the jpc method only")
+        raise ValueError(f"a split (t0 = {config.split.t0}) applies to the jpc method only, "
+                         "not to adams")
     return config
 
 

@@ -31,13 +31,13 @@ from typing import Optional
 import numpy as np
 
 from jacobipc._backend import kernels
-from jacobipc._kernels_py import as_double
+from jacobipc._kernels_py import as_double, uniform_bary_weights
 from jacobipc.adams import StarterConfig, start_values
-from jacobipc.interp import UniformGrid, step_count, uniform_bary_weights
 from jacobipc.problems import taylor_head
 from jacobipc.quadrature import MAX_POINTS, JacobiWeight, gauss_lobatto_rule
 from jacobipc.split import head_integral
-from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, Counters, Trajectory
+from jacobipc.trajectory import (STATUS_DIVERGED, STATUS_OK, Counters, Trajectory,
+                                 UniformGrid, step_count)
 
 
 def check_rule_index(name, jn):
@@ -65,7 +65,8 @@ class SplitConfig:
         if self.aux_jn is not None:
             check_rule_index("aux_jn", self.aux_jn)
         if self.fine_factor < 1:
-            raise ValueError("fine_factor must be >= 1")
+            raise ValueError(f"head refinement fine_factor (--split-fine) must be at least 1, "
+                             f"got {self.fine_factor}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,8 @@ def solve(problem, config):
         raise ValueError(f"step {h!r} over the span {span!r} gives "
                          f"{n_steps:.3g} steps, more than a float64 array can hold") from None
     if n_steps < size:
-        raise ValueError(f"grid too coarse: stencil size {size} needs at least {size} steps, "
-                         f"but the grid has {n_steps}")
+        raise ValueError(f"grid too coarse: step {h!r} over the span {span!r} gives "
+                         f"{n_steps} steps, but stencil size {size} needs at least {size}")
     try:
         (0.5 * n_steps * h) ** problem.alpha  # the last step's kernel scale
     except OverflowError:

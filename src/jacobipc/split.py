@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from jacobipc._kernels_py import plan_values, stencil_plan
-from jacobipc.interp import map_node, uniform_bary_weights
+from jacobipc._kernels_py import plan_values, stencil_plan, uniform_bary_weights
 
 # kernel elements (times x aux nodes) per block of the head term
 HEAD_BLOCK = 1 << 16
@@ -30,7 +29,10 @@ def head_integral(problem, head, aux_rule, stencil_size, times):
     march's corrector-phase stencil rule of stencil_size nodes at step n =
     count - 2, so every value of the head is usable; those interpolations
     are not counted.  The terms of each time are added from 0.0 in order of
-    j with a sequential accumulate, HEAD_BLOCK terms at a time.
+    j with a sequential accumulate, HEAD_BLOCK terms at a time.  A rule node
+    outside [-1, 1], and a head grid whose t0 rounds onto its origin, are
+    refused; the map onto [origin, t0] takes the end nodes to the end points
+    exactly.
     """
     grid = head.grid
     n = grid.count - 2
@@ -42,11 +44,16 @@ def head_integral(problem, head, aux_rule, stencil_size, times):
     times = np.asarray(times, dtype=float)
     if not np.all(times > t0):
         raise ValueError("evaluation times must lie beyond the head segment")
-    taus = map_node(aux_rule.nodes, grid.origin, t0)
+    origin, s = grid.origin, aux_rule.nodes
+    if not np.all(np.abs(s) <= 1.0):
+        raise ValueError("node outside [-1, 1]")
+    if not origin < t0:
+        raise ValueError("need left < right")
+    taus = 0.5 * (origin * (1.0 - s) + t0 * (1.0 + s))
     plan = stencil_plan(n, n + 1, aux_rule.nodes, aux_rule.weights, aux_rule.n_points,
                         stencil_size, uniform_bary_weights(stencil_size), 1)
     ftau = plan_values(plan, 0, 1, head.f_cache)[0]
-    wt = aux_rule.weights * (0.5 * (t0 - grid.origin))
+    wt = aux_rule.weights * (0.5 * (t0 - origin))
     am1 = problem.alpha - 1.0
     c = 1.0 / math.gamma(problem.alpha)
     out = np.empty(len(times))

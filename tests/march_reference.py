@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
-from jacobipc._kernels_py import TIE_TOL
-from jacobipc.interp import UniformGrid, uniform_bary_weights
-from jacobipc.trajectory import GUARD, STATUS_DIVERGED, STATUS_OK, Counters, Trajectory
+from jacobipc._kernels_py import TIE_TOL, uniform_bary_weights
+from jacobipc.trajectory import (GUARD, STATUS_DIVERGED, STATUS_OK, Counters, Trajectory,
+                                 UniformGrid)
 
 
 def weighted_interp_sum(fvals, n, nodes, weights, node_count, size, bary, corrector,

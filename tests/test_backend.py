@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 import jacobipc
 from jacobipc import _kernels_py, adams, solver
 from jacobipc._backend import kernels
+from jacobipc._kernels_py import uniform_bary_weights
 from jacobipc.adams import EXACT, StarterConfig, adams_solve
-from jacobipc.interp import uniform_bary_weights
 from jacobipc.problems import make_problem
 from jacobipc.solver import SolverConfig, quadrature_for, solve
 from adams_reference import STEP_SUM_NS, history_sums_loop, marched_sums

@@ -188,6 +188,13 @@ def test_diverged_start_values_exit_2(capsys):
      "bad --n-list '10,x'"),
     (["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--t-list", "1,x"],
      "bad --t-list '1,x'"),
+    # an empty value is named by its flag
+    (["bench", "--problem", "poly8", "--alpha", "0.5", "--h=", "--t-list", "1"],
+     "bad step size '' in --h"),
+    (["converge", "--problem", "poly8", "--alpha", "0.5", "--h-list", "0.1, "],
+     "bad step size ' ' in --h-list"),
+    (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10", "--starter="],
+     "bad starter '' (use exact, refined, or refined:K) (in --starter)"),
 ])
 def test_malformed_flag_values_exit_1(args, message, capsys):
     assert main(args) == 1
@@ -317,15 +324,46 @@ def test_an_uneven_step_is_refused_naming_h_the_horizon_and_the_split_point(args
 
 
 def test_a_grid_coarser_than_the_stencil_is_refused_naming_both(capsys):
-    for args, n_steps in (
-            (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "2"], 2),
+    for args, grid in (
+            (["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "2"],
+             "step 0.5 over the span 1.0 gives 2 steps"),
             (["bench", "--problem", "ml_linear", "--alpha", "1.5", "--h", "1e300",
-              "--t-list", "1e300", "--methods", "jpc"], 1)):
+              "--t-list", "1e300", "--methods", "jpc"],
+             "step 1e+300 over the span 1e+300 gives 1 steps")):
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: grid too coarse: stencil size 3 needs at least 3 "
-                                f"steps, but the grid has {n_steps}\n")
+        assert captured.err == (f"error: grid too coarse: {grid}, but stencil size 3 needs "
+                                "at least 3\n")
+
+
+def test_bench_grid_coarser_than_the_stencil_names_the_step_and_the_span(capsys):
+    assert main(["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.25",
+                 "--t-list", "0.5"]) == 1
+    assert capsys.readouterr().err == ("error: grid too coarse: step 0.25 over the span 0.5 "
+                                       "gives 2 steps, but stencil size 3 needs at least 3\n")
+
+
+def test_split_fine_below_one_is_refused_naming_the_flag_and_value(capsys):
+    assert main(["solve", "--problem", "ml_linear", "--alpha", "0.5", "--n", "10",
+                 "--split-t0", "0.5", "--split-fine", "0"]) == 1
+    assert capsys.readouterr().err == ("error: head refinement fine_factor (--split-fine) "
+                                       "must be at least 1, got 0\n")
+
+
+def test_a_split_refined_start_with_a_k_is_refused_naming_the_starter(capsys):
+    assert main(["solve", "--problem", "ml_linear", "--alpha", "0.5", "--n", "10",
+                 "--starter", "refined:1", "--split-t0", "0.25"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --starter refined:1: ")
+    assert "takes no k; use --starter refined" in err
+
+
+def test_an_adams_sweep_with_a_split_is_refused_naming_the_split_point(capsys):
+    assert main(["converge", "--problem", "poly8", "--alpha", "0.5", "--n-list", "10,20",
+                 "--method", "adams", "--split-t0", "0.25"]) == 1
+    assert capsys.readouterr().err == ("error: a split (t0 = 0.25) applies to the jpc method "
+                                       "only, not to adams\n")
 
 
 def test_solve_split_flags(capsys):
@@ -529,7 +567,7 @@ def test_adams_cap_refusal_gives_a_huge_step_count_in_six_digits(capsys):
 
 def test_target_search_stops_at_an_error_floor_exit_1(capsys):
     # unsplit ml_linear settles at 7.8e-6 from N = 3072 on: the search stops
-    # two doublings later instead of doubling on to 2^22 steps
+    # two doublings later instead of doubling on to 65,536 steps
     begin = time.perf_counter()
     assert main(["bench", "--problem", "ml_linear", "--alpha", "0.5", "--t-list", "1",
                  "--methods", "jpc", "--target-error", "1e-12"]) == 1
@@ -537,6 +575,16 @@ def test_target_search_stops_at_an_error_floor_exit_1(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: error floor of about 7.78e-06 from N=3072 on: ")
     assert "up to N=12288, above 1e-12" in err
+
+
+def test_jpc_target_search_stops_at_its_step_cap_exit_1(capsys):
+    # poly8 at stencil 2 keeps converging, so only the cap stops the doubling
+    begin = time.perf_counter()
+    assert main(["bench", "--problem", "poly8", "--alpha", "0.5", "--stencil", "2",
+                 "--methods", "jpc", "--t-list", "1", "--target-error", "1e-30"]) == 1
+    assert time.perf_counter() - begin < 10.0
+    assert capsys.readouterr().err == ("error: error still above 1e-30 at N=65536, "
+                                       "the search's 65536-step cap\n")
 
 
 @pytest.mark.parametrize("args,named", [
@@ -657,6 +705,12 @@ def test_mlf_refuses_tolerance_below_machine_epsilon(capsys):
     assert main(["mlf", "--alpha", "0.5", "--z=-100", "--tol", "1e-20"]) == 1
     assert time.perf_counter() - begin < 1.0
     assert "machine epsilon" in capsys.readouterr().err
+
+
+def test_mlf_tolerance_below_machine_epsilon_is_refused_naming_it(capsys):
+    assert main(["mlf", "--alpha", "0.5", "--z=-1", "--tol", "-1"]) == 1
+    assert capsys.readouterr().err == ("error: tolerance must be at least machine epsilon "
+                                       "(2.220446049250313e-16), got -1.0\n")
 
 
 def test_mlf_refuses_nan_and_orders_below_the_floor(capsys):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobipc._kernels_py import plan_values, stencil_plan
-from jacobipc.interp import UniformGrid, map_node, uniform_bary_weights
+from jacobipc._kernels_py import plan_values, stencil_plan, uniform_bary_weights
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
+from jacobipc.trajectory import UniformGrid
 from march_reference import weighted_interp_sum
 from stencil_reference import (CENTERED, CORRECTOR, LEFT_EDGE, PREDICTOR,
                                RIGHT_EDGE_CLOSED, RIGHT_EDGE_OPEN, lagrange_eval,
@@ -227,13 +227,3 @@ def test_lagrange_equispaced_property(coeffs, target):
     values = np.array([poly(t) for t in times])
     scale = max(1.0, np.max(np.abs(values)))
     assert abs(lagrange_eval(times, values, target) - poly(target)) <= 1e-9 * scale * 40
-
-
-def test_map_node_endpoints_exact():
-    assert map_node(-1.0, 0.3, 0.9) == 0.3
-    assert map_node(1.0, 0.3, 0.9) == 0.9
-    assert map_node(0.0, 0.0, 2.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        map_node(1.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        map_node(0.0, 1.0, 1.0)

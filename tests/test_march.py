@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 import march_reference
 from jacobipc import _kernels_py, solver
+from jacobipc._kernels_py import uniform_bary_weights
 from jacobipc.adams import EXACT, StarterConfig
-from jacobipc.interp import UniformGrid, uniform_bary_weights
 from jacobipc.problems import make_problem, taylor_head
 from jacobipc.solver import SolverConfig, SplitConfig, quadrature_for, solve
-from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK
+from jacobipc.trajectory import STATUS_DIVERGED, STATUS_OK, UniformGrid
 
 EXACT_START = StarterConfig(mode=EXACT)
 

@@ -27,6 +27,15 @@ def test_every_repository_path_named_in_the_readme_exists():
     assert sorted(path for path in named if not (ROOT / path).exists()) == []
 
 
+def test_every_module_bullet_names_a_module_of_the_package():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\nIncluded alongside the marcher:\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^- `(\w+)` - ", section, flags=re.MULTILINE)
+    assert "quadrature" in named  # the pattern finds bullets at all
+    assert [name for name in named
+            if not (ROOT / "src" / "jacobipc" / f"{name}.py").exists()] == []
+
+
 def test_the_command_line_section_has_its_examples():
     assert len(command_line_examples()) == 8
 

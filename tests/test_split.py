@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from jacobipc import split
-from jacobipc._kernels_py import plan_values, stencil_plan
+from jacobipc._kernels_py import plan_values, stencil_plan, uniform_bary_weights
 from jacobipc.adams import EXACT, REFINED_ADAMS, StarterConfig, adams_solve
 from jacobipc.problems import ProblemSpec, make_problem
 from jacobipc.quadrature import JacobiWeight, gauss_lobatto_rule
 from jacobipc.solver import SolverConfig, SplitConfig, solve
-from jacobipc.interp import UniformGrid, map_node, uniform_bary_weights
 from jacobipc.split import head_integral
-from jacobipc.trajectory import STATUS_OK, Trajectory
+from jacobipc.trajectory import STATUS_OK, Trajectory, UniformGrid
 from march_reference import weighted_interp_sum
 
 
@@ -83,7 +82,7 @@ def test_head_integral_sums_its_terms_in_node_order(monkeypatch):
     plan = stencil_plan(n, n + 1, aux.nodes, aux.weights, aux.n_points, 3,
                         uniform_bary_weights(3), 1)
     ftau = plan_values(plan, 0, 1, head.f_cache)[0]
-    taus = map_node(aux.nodes, 0.0, t0)
+    taus = 0.5 * (0.0 * (1.0 - aux.nodes) + t0 * (1.0 + aux.nodes))
     wt = aux.weights * (0.5 * t0)
     c = 1.0 / math.gamma(problem.alpha)
     want = []
@@ -141,6 +140,18 @@ def test_head_integral_requires_time_beyond_segment():
         head_integral(problem, head_run(problem.rhs, 0.5, 0.2, 1), aux_rule(8), 3, [0.5])
     with pytest.raises(ValueError, match="at least 2"):
         head_integral(problem, head, aux_rule(8), 1, [0.5])
+
+
+def test_head_integral_refuses_nodes_off_the_interval_and_a_t0_on_its_origin():
+    problem = ProblemSpec(0.5, (0.0,), lambda t, x: 1.0, 1.0)
+    head = head_run(problem.rhs, 0.5, 0.2, 10)
+    bad = SimpleNamespace(nodes=np.array([-1.0, 0.0, 1.5]), weights=np.ones(3), n_points=3)
+    with pytest.raises(ValueError, match=r"node outside \[-1, 1\]"):
+        head_integral(problem, head, bad, 3, [0.5])
+    # t0 = origin + 7 h rounds onto an origin of 1e20
+    flat = Trajectory(UniformGrid(1e20, 1.0, 8), np.zeros(8), np.ones(8))
+    with pytest.raises(ValueError, match="need left < right"):
+        head_integral(problem, flat, aux_rule(8), 3, [2e20])
 
 
 def test_split_run_tracks_plain_run():
