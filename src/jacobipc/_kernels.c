@@ -8,14 +8,13 @@
  *
  * march is the marching loop: per step one predictor sum of stencil
  * interpolants (interp_sum, the stencil rule of _kernels_py.stencil_plan as
- * a scalar loop), the rhs (a Python callable, called with Python floats),
- * the corrector sum resumed after the shared prefix or skipped, and the rhs
- * again.  interp_sum reports the prefix of nodes whose stencil ends left of
- * n+1 and so is the same in both phases, with the running total and reads
- * at its end, from which the corrector resumes; see stencil_plan for why the
- * resumed sum is bit-identical; node jn, the end node s = 1, is never
- * shared.  The pure twin plans its stencils a block of steps at a time; this
- * one runs the scalar loop twice a step, which is cheaper in C.
+ * a scalar loop; an exact hit on f[start + k] is the plan's row e_k, taken
+ * as num = f[start + k] and den = 1), the rhs (a Python callable, called
+ * with Python floats), the corrector sum resumed after the shared prefix of
+ * nodes whose stencil ends left of n+1 (see stencil_plan) or skipped, and the
+ * rhs again; node jn, the end node s = 1, is never shared.  The pure twin
+ * plans its stencils a block of steps at a time; this one runs the scalar
+ * loop twice a step, which is cheaper in C.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -87,27 +86,24 @@ interp_sum(const double *fvals, Py_ssize_t n, const double *nodes, const double 
         Py_ssize_t start = le <= ln ? 0 : le + rn >= usable ? usable - size : le - ln;
         double x = theta - start;
         double num = 0.0, den = 0.0;
-        Py_ssize_t hit = -1;
-        for (Py_ssize_t k = 0; k < size; k++) {
+        Py_ssize_t k = 0;
+        for (; k < size; k++) {
             double d = x - k;
-            if (-TIE_TOL < d && d < TIE_TOL) {
-                hit = k;
+            if (-TIE_TOL < d && d < TIE_TOL) {  /* an exact hit: the row e_k */
+                num = fvals[start + k];
+                den = 1.0;
                 break;
             }
             double c = bary[k] / d;
             num += c * fvals[start + k];
             den += c;
         }
-        if (hit >= 0) {
-            total += weights[j] * fvals[start + hit];
-            reads += hit + 1;
-        } else if (den == 0.0) {
+        if (den == 0.0) {
             PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
             return -1;
-        } else {
-            total += weights[j] * (num / den);
-            reads += size;
         }
+        total += weights[j] * (num / den);
+        reads += k < size ? k + 1 : size;
     }
     out->total = total;
     out->reads = reads;

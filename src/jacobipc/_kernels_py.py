@@ -19,34 +19,34 @@ and the corrector pass then has no work left.
 
 Which stencil a node uses, and its barycentric coefficients, depend on the
 step and the node, not on f.  So ``stencil_plan`` works out those for a
-block of steps at once with numpy, from the equispaced barycentric weights
-of ``uniform_bary_weights`` (which refuses a stencil size whose weights
-overflow a float).  A block holds PLAN_BUDGET plan elements
-(steps x nodes x stencil size), so plan memory does not grow with N; the
-corrector's plan covers the nodes from the block's first J on and is built
-only for blocks where some step still needs it.
+block of steps at once with numpy, as rows of coefficients; a node on a
+grid point gets the unit row e_k (L_k(x_m) = delta_km) with den 1.  A block
+holds PLAN_BUDGET plan elements (steps x nodes x stencil size), so plan
+memory does not grow with N; the corrector's plan covers the nodes from the
+block's first J on and is built only for blocks where some step needs it.
 
 The march takes each block SETTLE_STEPS steps at a time.  At the start n_a
 of such a sub-block fc[0..n_a] is final, and at each of its steps all but
 the few nodes nearest t_{n+1} read only those values.  ``settled_totals``
 sums those settled nodes for every step of the sub-block in one numpy pass,
 and each step finishes its live nodes in a scalar loop over Python floats:
-the predictor's from the first node that reads past n_a (or from J, if that
-comes first), and the corrector's own from J.  At jn = 26 the predictor
-has one to five live nodes a step from n = 100 on.
+the predictor's from the first node whose stencil ends past n_a (or from
+J, if that comes first), and the corrector's own from J.  At jn = 26 the
+predictor has one to five live nodes a step from n = 100 on.
 
 That scalar loop is built once per stencil size (``_march_loop``, cached),
 from one source template, the way ``dataclasses`` builds its methods: with
-the size fixed, each live node is one flat tuple (c_0, ..., c_{size-1}, lo,
-hit, den, w, j) and its sum is written out as 0.0 + c0 * fl[lo] + c1 *
-fl[lo + 1] + ..., which Python adds from the left, term by term, as the C
-loop adds num += c * f; a node with an exact hit adds w * fl[lo], as the C
-loop adds its one value.  So both backends do the same operations in the
-same order, bit for bit, without a generic loop over each node's terms.
-The C ``march`` runs one scalar loop over all nodes in place of the plans;
-both take each rhs value as a C double (``as_double``).  ``plan_values`` is
-the one numpy pass from plan rows to node values, for ``settled_totals``
-and for the split head on both backends.
+the size fixed, each live node is one flat tuple (c_0, ..., c_{size-1},
+start, den, w, j) and its sum is written out as 0.0 + c0 * fl[start] + c1 *
+fl[start + 1] + ..., which Python adds from the left, term by term, as the C
+loop adds num += c * f.  A row e_k adds zeros to f_{start+k}, the num the C
+loop takes at a hit, with den 1: bit for bit, as the stencil's values are
+finite wherever the march goes on and no running total is ever -0.0.  So
+both backends do the same operations in the same order without a generic
+loop over each node's terms.  The C ``march`` runs one scalar loop over all
+nodes in place of the plans; both take each rhs value as a C double
+(``as_double``).  ``plan_values`` is the one numpy pass from plan rows to
+node values, for ``settled_totals`` and for the split head on both backends.
 """
 
 import functools
@@ -84,15 +84,14 @@ class StencilPlan(NamedTuple):
     """What the stencil rule works out before it reads an f value, for one
     phase and each step of a block.
 
-    Node j of step i reads fvals[idx[i, k, j]] with coefficient coef[i, k, j]
-    = bary[k] / (x - k) for k in order, and den[i, j] is the sum of those
-    coefficients.  A node with an exact hit reads its one value with
-    coefficient 1 for k = 0 and 0 after, so its den is 1.  reads[i, j]
-    counts the values read before node j, and shared[i] is J, the first node
-    outside the shared prefix.  weights holds the node_count weights.
+    Node j of step i reads fvals[start[i, j] + k] with coefficient coef[k, i,
+    j] = bary[k] / (x - k) (k-major) for k in order, and den[i, j] is their
+    sum; at an exact hit the row is e_k and den is 1.  reads[i, j] counts the
+    values read before node j, and shared[i] is J, the first node outside
+    the shared prefix.  weights holds the node_count weights.
     """
 
-    idx: np.ndarray
+    start: np.ndarray
     coef: np.ndarray
     den: np.ndarray
     reads: np.ndarray
@@ -122,10 +121,11 @@ def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
     where history permits and rn = size//2 right of it, clamped to the start
     of the grid or to the newest usable value; in the corrector phase
     fvals[n+1] is usable and holds the predicted f value.  A grid point
-    within TIE_TOL of theta counts as left of it and as an exact hit, whose
-    value is read as it is.  Otherwise the value is num / den in barycentric
-    form, with x = theta - start, c_k = bary[k] / (x - k), num = sum c_k *
-    fvals[start + k] and den = sum c_k, summed in order of k.
+    within TIE_TOL of theta counts as left of it and as an exact hit.  The
+    value is num / den in barycentric form, with x = theta - start, c_k =
+    bary[k] / (x - k), num = sum c_k * fvals[start + k] and den = sum c_k,
+    summed in order of k; at a hit on fvals[start + k] the coefficients are
+    the unit row e_k, so den is 1 and num that value.
 
     With le grid values at or left of a node's position, a node with le + rn
     <= n+1 has a stencil inside fvals[0..n], chosen the same way in both
@@ -162,20 +162,21 @@ def stencil_plan(n_lo, n_hi, nodes, weights, node_count, size, bary, corrector):
     near = np.rint(x)
     hit = (np.abs(x - near) < TIE_TOL) & (near < size)
     hit_k = near.astype(np.int64)
-    # the plan arrays are built k-major, as (size, steps, nodes), so that each
-    # pass runs over whole steps x nodes planes, and returned transposed
+    # the plan arrays are k-major, as (size, steps, nodes), so that each pass
+    # runs over whole steps x nodes planes
     k = np.arange(size)[:, None, None]
-    # zero coefficients at a hit (bary / inf), then 1 for k = 0
-    coef = bary[:, None, None] / (np.where(hit, np.inf, x) - k.astype(float))
-    coef[0] += hit
+    with np.errstate(divide="ignore"):
+        coef = bary[:, None, None] / (x - k)
+    # a hit's row is e_k, the Lagrange basis at its grid point
+    i, j = hit.nonzero()
+    coef[:, i, j] = 0.0
+    coef[hit_k[i, j], i, j] = 1.0
     den = np.zeros(x.shape)
     for c in coef:
         den += c
-    idx = start + np.where(hit, hit_k, k)
     reads = np.zeros((n_hi - n_lo, node_count + 1), dtype=np.int64)
     np.cumsum(np.where(hit, hit_k + 1, size), axis=1, out=reads[:, 1:])
-    return StencilPlan(idx.transpose(1, 0, 2), coef.transpose(1, 0, 2), den, reads, shared,
-                       weights[:node_count])
+    return StencilPlan(start, coef, den, reads, shared, weights[:node_count])
 
 
 def plan_values(plan, i0, i1, fvals):
@@ -188,10 +189,11 @@ def plan_values(plan, i0, i1, fvals):
     f value gives non-finite values (nan where the rule may give inf).  The
     result is a new array of (i1 - i0) x node_count elements.
     """
-    terms = plan.coef[i0:i1] * fvals[plan.idx[i0:i1]]
-    num = terms[:, 0]
-    for k in range(1, terms.shape[1]):
-        num = num + terms[:, k]
+    k = np.arange(len(plan.coef))[:, None, None]
+    terms = plan.coef[:, i0:i1] * fvals[plan.start[i0:i1] + k]
+    num = terms[0]
+    for term in terms[1:]:
+        num = num + term
     return np.divide(num, plan.den[i0:i1], out=num)
 
 
@@ -212,14 +214,11 @@ def settled_totals(plan, i0, i1, fvals):
 
 def _scalar_nodes(plan, mask):
     """The nodes of ``plan`` that ``mask`` (steps x nodes) selects, in order of
-    steps and nodes, as flat tuples of Python floats, ints and bools: per
-    node its coefficients c_0, ..., c_{size-1} in order of k, the first f
-    index it reads (start, or the one index of an exact hit), whether it is
-    a hit, its den, its weight and its index."""
+    steps and nodes, as flat tuples of Python floats and ints: per node its
+    coefficients c_0, ..., c_{size-1} in order of k, its stencil's start, its
+    den, its weight and its index."""
     i, j = mask.nonzero()
-    lo = plan.idx[i, 0, j]
-    columns = (plan.coef[i, k, j].tolist() for k in range(plan.coef.shape[1]))
-    return zip(*columns, lo.tolist(), (plan.idx[i, -1, j] == lo).tolist(),
+    return zip(*plan.coef[:, i, j].tolist(), plan.start[i, j].tolist(),
                plan.den[i, j].tolist(), plan.weights[j].tolist(), j.tolist())
 
 
@@ -294,10 +293,10 @@ def march_loop(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
                 corr_nodes = _scalar_nodes(corr, own)
             if unusable:
                 raise ZeroDivisionError("float division by zero")
-            # a step's live nodes start at F, the first node that reads past its
-            # sub-block's start (jn + 1 if none does), or at J if that is earlier
+            # a step's live nodes start at F, the first node whose stencil ends
+            # past its sub-block's start (jn + 1 if none does), or at J if earlier
             sub = rows % SETTLE_STEPS
-            late = pred.idx[:, -1] > (n_lo + rows - sub)[:, None]
+            late = pred.start + (size - 1) > (n_lo + rows - sub)[:, None]
             first = np.minimum(np.where(late.any(1), late.argmax(1), jn + 1), shared)
             pred_nodes = _scalar_nodes(pred, np.arange(jn + 1) >= first[:, None])
             at_first = sub * (jn + 2) + first
@@ -314,24 +313,18 @@ def march_loop(rhs, x, fc, base, origin, h, alpha, pref, nodes, weights, bary):
                     t1 = origin + (n + 1) * h
                     scale = pref * (0.5 * (n + 1) * h) ** alpha
                     resumed = total
-                    for {coefs}, lo, hit, den, w, j in islice(pred_nodes, jn + 1 - live):
+                    for {coefs}, lo, den, w, j in islice(pred_nodes, jn + 1 - live):
                         if j == cut:
                             resumed = total
-                        if hit:
-                            total += w * fl[lo]
-                        else:
-                            total += w * (({interp}) / den)
+                        total += w * (({interp}) / den)
                     # a step that leaves the guard counts its passes up to the guard
                     x_pred = base_n + scale * total
                     if not abs(x_pred) <= GUARD:
                         return n + 1, rhs_evals, interp_evals + jn + 1, value_reads + r_p
                     f_pred = fl[n + 1] = as_double(rhs(t1, x_pred))
                     if cut < jn:
-                        for {coefs}, lo, hit, den, w, _ in islice(corr_nodes, jn - cut):
-                            if hit:
-                                resumed += w * fl[lo]
-                            else:
-                                resumed += w * (({interp}) / den)
+                        for {coefs}, lo, den, w, _ in islice(corr_nodes, jn - cut):
+                            resumed += w * (({interp}) / den)
                     x_new = base_n + scale * (resumed + end_w * f_pred)
                     if not abs(x_new) <= GUARD:
                         return (n + 1, rhs_evals + 1, interp_evals + 2 * jn + 1,

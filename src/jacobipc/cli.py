@@ -11,6 +11,7 @@ error (including numbers too large for a float), 2 numerical divergence.
 """
 
 import math
+import os
 
 import click
 from click.core import ParameterSource
@@ -52,15 +53,10 @@ def _load_config(ctx, param, path):
 def _parse_h(text, flag):
     """Step size as a decimal or a p/q fraction ("0.025" or "1/40"), given
     through ``flag``."""
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return float(num) / float(den)
-        except (ValueError, ZeroDivisionError):
-            raise click.UsageError(f"bad step size {text!r} in {flag}") from None
+    num, sep, den = text.partition("/")
     try:
-        return float(text)
-    except ValueError:
+        return float(num) / (float(den) if sep else 1.0)
+    except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"bad step size {text!r} in {flag}") from None
 
 
@@ -113,17 +109,34 @@ def _step_for(span, n, flag):
     return span / n
 
 
+def _refuse_given(kw, key, names, why):
+    """Refuse the options ``names``, given by flag or config file, without ``key``."""
+    ctx = click.get_current_context()
+    given = [p.opts[0] for p in ctx.command.params
+             if p.name in names and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+    if given and kw[key] is None:
+        raise click.UsageError(f"{' and '.join(given)} given without --{key.replace('_', '-')}: "
+                               f"{why}")
+
+
 def _split_config(kw):
+    _refuse_given(kw, "split_t0", ("split_jn", "split_fine"),
+                  "split options apply to split runs only")
     if kw["split_t0"] is None:
-        ctx = click.get_current_context()
-        given = [f"--{name.replace('_', '-')}" for name in ("split_jn", "split_fine")
-                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
-        if given:
-            raise click.UsageError(f"{' and '.join(given)} given without --split-t0: "
-                                   "split options apply to split runs only")
         return None
     return SplitConfig(t0=kw["split_t0"], aux_jn=kw["split_jn"],
                        fine_factor=kw["split_fine"])
+
+
+def _output_path(ctx, param, path):
+    """--output callback: refuse an empty path or one in no existing directory."""
+    if path is not None and not (path and os.path.isdir(os.path.dirname(path) or os.curdir)):
+        raise click.BadParameter(f"cannot write {path!r}: the path is empty or its directory "
+                                 "does not exist", ctx, param)
+    return path
+
+
+_OUTPUT = {"type": click.Path(dir_okay=False), "callback": _output_path}
 
 
 def _emit(text, output):
@@ -172,8 +185,8 @@ _SPLIT_OPTS = _options(
 
 _REPORT_OPTS = _options(
     click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                 default="csv", show_default=True),
-    click.option("--output", type=click.Path(dir_okay=False)))
+                 default="csv", show_default=True, help="export format for --output"),
+    click.option("--output", **_OUTPUT))
 
 
 @click.group()
@@ -188,7 +201,7 @@ def cli():
               help="exponent on (1+s)")
 @click.option("--points", type=int, required=True,
               help=f"number of nodes (3 to {MAX_POINTS})")
-@click.option("--output", type=click.Path(dir_okay=False))
+@click.option("--output", **_OUTPUT)
 @_CONFIG_OPT
 def quad(**kw):
     """Dump Gauss-Lobatto nodes and weights as CSV."""
@@ -203,8 +216,7 @@ def quad(**kw):
 @click.option("--n", type=int, help="number of steps (h = T/n)")
 @_METHOD_OPTS
 @_SPLIT_OPTS
-@click.option("--output", type=click.Path(dir_okay=False),
-              help="write the trajectory as CSV")
+@click.option("--output", help="write the trajectory as CSV", **_OUTPUT)
 @_CONFIG_OPT
 def solve_cmd(**kw):
     """Solve one problem and report the endpoint (and error, if exact)."""
@@ -258,6 +270,7 @@ def converge(**kw):
     solution, table to stdout plus optional CSV/JSON export."""
     if (kw["h_list"] is None) == (kw["n_list"] is None):
         raise click.UsageError("give exactly one of --h-list or --n-list")
+    _refuse_given(kw, "output", ("fmt",), "it formats the exported file only")
     problem = _build_problem(kw, need_exact=True)
     split = _split_config(kw)
     if kw["h_list"] is not None:
@@ -292,6 +305,7 @@ def converge(**kw):
 @_CONFIG_OPT
 def bench(**kw):
     """Wall time and f-value access counts per (method, horizon) cell."""
+    _refuse_given(kw, "output", ("fmt",), "it formats the exported file only")
     methods = [tok.strip() for tok in kw["methods"].split(",") if tok.strip()]
     try:
         t_list = [float(tok) for tok in kw["t_list"].split(",")]

@@ -286,14 +286,10 @@ def to_json(report):
 
 def export(report, fmt, path):
     """Write a report to ``path`` as ``csv`` or ``json``."""
-    if fmt == "csv":
-        text = to_csv(report)
-    elif fmt == "json":
-        text = to_json(report)
-    else:
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r} (known: csv, json)")
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(to_csv(report) if fmt == "csv" else to_json(report))
 
 
 _KINDS = {"convergence": (ConvergenceReport, ConvergenceRow),

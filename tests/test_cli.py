@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from jacobipc import reports, solver
+from jacobipc import cli, reports, solver
 from jacobipc.adams import MAX_ADAMS_STEPS, adams_solve
 from jacobipc.cli import main
 from jacobipc.mittag import ml_solution
@@ -397,6 +397,65 @@ def test_split_options_need_a_split_point(command, flags, named, tmp_path, capsy
     # and with the split point they are taken
     assert main(command + flags + ["--split-t0", "0.5"]) == 0
     capsys.readouterr()
+
+
+OUTPUT_COMMANDS = [
+    ["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10"],
+    ["converge", "--problem", "poly8", "--alpha", "0.5", "--h-list", "0.1"],
+    ["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.1", "--t-list", "0.5"],
+    ["quad", "--jacobi-a", "0.5", "--points", "5"],
+]
+
+
+@pytest.fixture
+def unrun(monkeypatch):
+    """Fail the test if the command solves or builds a rule: a refusal comes first."""
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the refusal")
+
+    for name in ("solve", "gauss_lobatto_rule"):
+        monkeypatch.setattr(cli, name, fail)
+    for name in ("solve", "adams_solve"):
+        monkeypatch.setattr(reports, name, fail)
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS, ids=lambda c: c[0])
+def test_an_output_under_a_missing_directory_is_refused_before_the_run(command, tmp_path,
+                                                                         capsys, unrun):
+    path = tmp_path / "missing" / "out.csv"
+    assert main(command + ["--output", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Invalid value for '--output'" in captured.err
+    assert repr(str(path)) in captured.err
+    assert "Errno" not in captured.err
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS, ids=lambda c: c[0])
+def test_an_empty_output_is_refused_before_the_run(command, tmp_path, capsys, unrun):
+    assert main(command + ["--output", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Invalid value for '--output': cannot write ''" in captured.err
+    # a config file gives it too
+    config = tmp_path / "run.cfg"
+    config.write_text("output =\n")
+    assert main(command + ["--config", str(config)]) == 1
+    assert "Invalid value for '--output'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS[1:3], ids=lambda c: c[0])
+def test_format_without_output_is_refused_naming_the_flag(command, tmp_path, capsys, unrun):
+    assert main(command + ["--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Error: --format given without --output" in captured.err
+    # a config file gives it too
+    config = tmp_path / "run.cfg"
+    config.write_text("format = csv\n")
+    assert main(command + ["--config", str(config)]) == 1
+    assert "Error: --format given without --output" in capsys.readouterr().err
 
 
 def test_converge_table_and_export(tmp_path, capsys):

@@ -7,8 +7,11 @@ subnormal, a huge float, 2^63, the empty string and an empty list) or from a
 few valid values; ``--rhs`` and ``--init`` from a few malformed and valid
 strings.  ``solve`` and ``converge`` also draw the method options
 (``--stencil``, ``--jn``, ``--starter``), the split options and, for
-``converge``, ``--method``.  A refusal (exit 1) of any case but an ``--rhs``
-one names a flag or a value the case was given.  Runs stay small: a case
+``converge``, ``--method``; ``solve``, ``converge``, ``bench`` and ``quad``
+draw ``--output`` (a path in a temporary directory, one under a missing
+directory, or the empty path), and ``converge`` and ``bench`` ``--format``.
+A refusal (exit 1) of any case but an ``--rhs`` one names a flag or a value
+the case was given.  Runs stay small: a case
 whose steps add up to more than MAX_STEPS is not run, nor one whose Adams
 runs (fine starter or split-head runs, and the adams method) add up to more
 than ADAMS_BUDGET, and ``quad`` builds at most 53 points.
@@ -18,6 +21,7 @@ import contextlib
 import io
 import math
 import re
+import tempfile
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +33,10 @@ EDGES = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e300", str(2**63), "", " ,
 
 UNNAMED = ("Traceback", "cannot convert", "math domain error", "math range error",
            "Unable to allocate", "Errno")
+
+# --output values; TMP stands for a temporary directory made for each case
+TMP = "{tmp}"
+OUTPUTS = (f"{TMP}/out.csv", f"{TMP}/missing/out.csv", "")
 
 MAX_STEPS = 2000
 ADAMS_BUDGET = 500
@@ -147,6 +155,14 @@ def _method_options(draw, method=False):
             if draw(st.integers(0, 3)) == 0]
 
 
+def _report_options(draw, fmt=False):
+    """--output half the time and, with ``fmt``, --format half the time."""
+    options = [f"--output={draw(st.sampled_from(OUTPUTS))}"] if draw(st.booleans()) else []
+    if fmt and draw(st.booleans()):
+        options.append(f"--format={draw(st.sampled_from(['csv', 'json']))}")
+    return options
+
+
 @st.composite
 def _solve(draw):
     t_end = draw(_value("1", "2"))
@@ -155,7 +171,7 @@ def _solve(draw):
     else:
         argv = ["--rhs", draw(RHS), "--init", draw(INIT)]
     argv = ["solve", *argv, f"--alpha={draw(_value('0.5', '1.5'))}", f"--t-end={t_end}",
-            *_method_options(draw)]
+            *_method_options(draw), *_report_options(draw)]
     if draw(st.booleans()):
         h = draw(_value("0.1", "1/20"))
         return argv + [f"--h={h}"], _steps(t_end, h)
@@ -168,7 +184,7 @@ def _converge(draw):
     t_end = draw(_value("1", "2"))
     argv = ["converge", f"--problem={draw(st.sampled_from(['poly8', 'ml_linear']))}",
             f"--alpha={draw(_value('0.5', '1.5'))}", f"--t-end={t_end}",
-            *_method_options(draw, method=True)]
+            *_method_options(draw, method=True), *_report_options(draw, fmt=True)]
     if draw(st.booleans()):
         hs = draw(_values("0.1", "1/20"))
         return argv + [f"--h-list={hs}"], _steps(t_end, hs)
@@ -181,14 +197,14 @@ def _bench(draw):
     h, t_list = draw(_value("0.1", "0.25")), draw(_values("0.5", "1"))
     steps = sum(_steps(t, h) for t in t_list.split(","))
     return ["bench", "--problem=poly8", f"--alpha={draw(_value('0.5', '1.5'))}", f"--h={h}",
-            f"--t-list={t_list}"], steps
+            f"--t-list={t_list}", *_report_options(draw, fmt=True)], steps
 
 
 @st.composite
 def _quad(draw):
     return ["quad", f"--jacobi-a={draw(_value('-0.5', '0.5'))}",
             f"--jacobi-b={draw(_value('0', '1'))}",
-            f"--points={draw(_value('3', '9', '53'))}"], 0
+            f"--points={draw(_value('3', '9', '53'))}", *_report_options(draw)], 0
 
 
 @st.composite
@@ -235,11 +251,16 @@ def _run(argv):
 @example((["mlf", "--alpha", "0.5", "--z=-1", "--tol", "-1"], 0))
 @example((["bench", "--problem", "poly8", "--alpha", "0.5", "--h", "0.25", "--t-list",
            "0.5"], 2))
+# a path under a missing directory, once refused with errno text after the run
+@example((["solve", "--problem", "poly8", "--alpha", "0.5", "--n", "10", "--output",
+           f"{TMP}/missing/x.csv"], 10))
 def test_every_command_exits_0_1_or_2_with_a_named_message(case):
     argv, steps = case
     assume(steps <= MAX_STEPS)
     assume(argv[0] not in ("solve", "converge") or _adams_steps(argv) <= ADAMS_BUDGET)
-    code, text = _run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace(TMP, tmp) for arg in argv]
+        code, text = _run(argv)
     assert code in (0, 1, 2), (argv, code, text)
     for unnamed in UNNAMED:
         assert unnamed not in text, (argv, text)

@@ -147,7 +147,8 @@ def test_plan_values_match_the_scalar_loop_on_every_row(size, phase):
                         corrector)
     got = plan_values(plan, 0, n_hi - n_lo, fvals)
     assert got.shape == (n_hi - n_lo, len(nodes))
-    hits = (plan.coef[:, 1:] == 0.0).all(axis=1)  # a hit reads one value, with coefficient 1
+    hits = (plan.coef != 0.0).sum(axis=0) == 1  # a hit's row is e_k: one coefficient, 1
+    assert (plan.coef.sum(axis=0)[hits] == 1.0).all() and (plan.den[hits] == 1.0).all()
     assert hits[:, 0].all() and hits[::2, len(nodes) // 2].all()
     assert hits[:, -1].all() == bool(corrector)
     for i, n in enumerate(range(n_lo, n_hi)):

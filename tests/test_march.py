@@ -123,7 +123,7 @@ def test_pure_plans_are_bounded_and_correctors_stop(monkeypatch):
         return totals
 
     def recording_nodes(plan, mask):
-        scalar.append(int(mask.sum()) * plan.coef.shape[1])
+        scalar.append(int(mask.sum()) * plan.coef.shape[0])
         return scalar_nodes(plan, mask)
 
     stencil_plan = _kernels_py.stencil_plan
